@@ -13,11 +13,12 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .lti import freq_response, log_grid, mag_db
+from .lti import bode_to_csv, freq_response, log_grid, write_csv
 from .plants import ModeSpec, PlantSpec, build_plant
 from .nrc import NrcSpec, nrc_gains, synthesize_nrc
 from .loops import (
@@ -74,32 +75,18 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class ModeConfig:
-    """Raw modal entry in config units (Hz)."""
-
-    freq_hz: float
-    zeta: float
-    weight: float = 1.0
-
-
-@dataclass(frozen=True)
 class PlantConfig:
-    """Raw plant section; ``to_spec`` converts to SI units."""
+    """Plant section with parsed modes; ``to_spec`` converts the rest to SI units."""
 
     gain: float
-    modes: tuple
+    modes: tuple  # of ModeSpec
     amp_corner_hz: float | None = None
     delay_us: float = 0.0
 
     def to_spec(self) -> PlantSpec:
         return PlantSpec(
             gain=self.gain,
-            modes=tuple(
-                ModeSpec(
-                    omega_rad_s=TWO_PI * m.freq_hz, zeta=m.zeta, weight=m.weight
-                )
-                for m in self.modes
-            ),
+            modes=self.modes,
             amp_corner_rad_s=None
             if self.amp_corner_hz is None
             else TWO_PI * self.amp_corner_hz,
@@ -173,6 +160,8 @@ def _num(mapping, key, where, *, positive=False, nonneg=False, default=None):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"config error at {where}.{key}: must be a number")
     value = float(value)
+    if not math.isfinite(value):
+        raise ConfigError(f"config error at {where}.{key}: must be finite")
     if positive and value <= 0.0:
         raise ConfigError(f"config error at {where}.{key}: must be > 0")
     if nonneg and value < 0.0:
@@ -207,8 +196,8 @@ def parse_config_dict(raw: dict) -> ExperimentConfig:
         where = f"plant.modes[{i}]"
         _check_keys(m, ("freq_hz", "zeta", "weight"), where)
         modes.append(
-            ModeConfig(
-                freq_hz=_num(m, "freq_hz", where, positive=True),
+            ModeSpec(
+                omega_rad_s=TWO_PI * _num(m, "freq_hz", where, positive=True),
                 zeta=_num(m, "zeta", where, nonneg=True),
                 weight=_num(m, "weight", where, nonneg=True, default=1.0),
             )
@@ -347,44 +336,6 @@ def parse_config_dict(raw: dict) -> ExperimentConfig:
     )
 
 
-def surrogate_design_config() -> dict:
-    """Canned full-pipeline configuration for the desk-scale surrogate stage.
-
-    Two-mode 739/983 Hz plant with 150 us delay, damping controller at
-    gamma = 0.999 / n = 8, and a PI + two-notch + low-pass tracker tuned by
-    the crossover rule at 380 Hz. Serves as the reference design example
-    and the acceptance-run workload.
-    """
-    return {
-        "plant": {
-            "gain": 0.5237 / 1.3,
-            "modes": [
-                {"freq_hz": 739.0, "zeta": 0.01, "weight": 1.0},
-                {"freq_hz": 983.0, "zeta": 0.01, "weight": 0.3},
-            ],
-            "delay_us": 150.0,
-        },
-        "nrc": {"gamma": 0.999, "n": 8.0},
-        "tracker": {
-            "omega_b_hz": 380.0,
-            "omega_i_hz": 28.0,
-            "notches": [
-                {"freq_hz": 1000.0, "q_num": 1.1, "q_den": 1.0},
-                {"freq_hz": 2600.0, "q_num": 12.0, "q_den": 10.0},
-            ],
-            "lowpass_hz": 5000.0,
-        },
-        "grid": {"f_min_hz": 1.0, "f_max_hz": 10000.0, "pts_per_decade": 400},
-        "sim": {
-            "ts_us": 30.0,
-            "duration_s": 0.5,
-            "reference": {"kind": "sine", "amplitude": 1.0, "freq_hz": 100.0},
-            "seed": 1,
-        },
-        "targets": {"gm_db": 6.0, "pm_deg": 59.0, "bound_db": 3.0},
-    }
-
-
 def parse_config(path) -> ExperimentConfig:
     """Load and validate a JSON config file."""
     try:
@@ -396,79 +347,18 @@ def parse_config(path) -> ExperimentConfig:
     return parse_config_dict(raw)
 
 
-def config_to_dict(cfg: ExperimentConfig) -> dict:
-    """Serialize a config back to the JSON schema (round-trip stable)."""
-    out: dict = {
-        "plant": {
-            "gain": cfg.plant.gain,
-            "modes": [
-                {"freq_hz": m.freq_hz, "zeta": m.zeta, "weight": m.weight}
-                for m in cfg.plant.modes
-            ],
-        },
-        "grid": {
-            "f_min_hz": cfg.grid.f_min_hz,
-            "f_max_hz": cfg.grid.f_max_hz,
-            "pts_per_decade": cfg.grid.pts_per_decade,
-        },
-        "targets": {
-            "gm_db": cfg.targets.gm_db,
-            "pm_deg": cfg.targets.pm_deg,
-            "bound_db": cfg.targets.bound_db,
-        },
-    }
-    if cfg.plant.amp_corner_hz is not None:
-        out["plant"]["amp_corner_hz"] = cfg.plant.amp_corner_hz
-    if cfg.plant.delay_us:
-        out["plant"]["delay_us"] = cfg.plant.delay_us
-    if cfg.nrc is not None:
-        out["nrc"] = {"gamma": cfg.nrc.gamma, "n": cfg.nrc.n}
-        if cfg.nrc.taming_l is not None:
-            out["nrc"]["taming_l"] = cfg.nrc.taming_l
-    if cfg.tracker is not None:
-        t: dict = {"omega_i_hz": cfg.tracker.omega_i_hz}
-        if cfg.tracker.kp is not None:
-            t["kp"] = cfg.tracker.kp
-        if cfg.tracker.omega_b_hz is not None:
-            t["omega_b_hz"] = cfg.tracker.omega_b_hz
-        t["notches"] = [
-            {
-                "freq_hz": nt.omega_rad_s / TWO_PI,
-                "q_num": nt.q_num,
-                "q_den": nt.q_den,
-            }
-            for nt in cfg.tracker.notches
-        ]
-        if cfg.tracker.lowpass_hz is not None:
-            t["lowpass_hz"] = cfg.tracker.lowpass_hz
-        out["tracker"] = t
-    if cfg.sim is not None:
-        ref: dict = {
-            "kind": cfg.sim.reference.kind,
-            "amplitude": cfg.sim.reference.amplitude,
-        }
-        if cfg.sim.reference.freq_hz:
-            ref["freq_hz"] = cfg.sim.reference.freq_hz
-        out["sim"] = {
-            "ts_us": cfg.sim.ts_us,
-            "duration_s": cfg.sim.duration_s,
-            "reference": ref,
-            "seed": cfg.sim.seed,
-        }
-        if cfg.sim.noise_amplitude:
-            out["sim"]["noise_amplitude"] = cfg.sim.noise_amplitude
-        if cfg.sim.disturbance_amplitude:
-            out["sim"]["disturbance_amplitude"] = cfg.sim.disturbance_amplitude
-            out["sim"]["disturbance_freq_hz"] = cfg.sim.disturbance_freq_hz
-    return out
-
-
 # ---------------------------------------------------------------------------
 # pipeline pieces
 
 
 class _DesignContext:
-    """Analytic FRF evaluators for one configured design (exact delay)."""
+    """One configured design, evaluated once.
+
+    Holds the transfer functions, exact pointwise evaluators (delay
+    included) for refinement, and the FRFs ``g``, ``cd``, ``ct`` and ``gd``
+    on the config grid, each computed on first use. ``ct`` is zeros when
+    the config has no tracker.
+    """
 
     def __init__(self, cfg: ExperimentConfig):
         if cfg.nrc is None:
@@ -527,6 +417,30 @@ class _DesignContext:
     def outer_loop_eval(self, omega):
         return self.ct_eval(omega) * self.gd_eval(omega)
 
+    @cached_property
+    def g(self):
+        return self.g_eval(self.grid)
+
+    @cached_property
+    def cd(self):
+        return self.cd_eval(self.grid)
+
+    @cached_property
+    def ct(self):
+        return np.zeros_like(self.g) if self.ct_tf is None else self.ct_eval(self.grid)
+
+    @cached_property
+    def gd(self):
+        return self.g / (1.0 + self.g * self.cd)
+
+    def loop_margins(self) -> tuple[MarginsReport, MarginsReport, int]:
+        """Margins of the outer loop C_t G_d and of the dual loop L_D, and
+        the net Nyquist crossings of L_D."""
+        ld = self.g * (self.ct + self.cd)
+        outer = margins(self.grid, self.ct * self.gd, refine=self.outer_loop_eval)
+        dual = margins(self.grid, ld, refine=self.ld_eval)
+        return outer, dual, nyquist_net_crossings(self.grid, ld)
+
 
 def _stability_verdict(ctx: _DesignContext) -> str:
     """Inner-loop verdict from the delay-free rational closure."""
@@ -560,28 +474,22 @@ def run_design(cfg: ExperimentConfig, out_dir: Path, exact_tan60: bool = False) 
         raise ConfigError("config error at tracker: design needs a tracker section")
     ctx = _DesignContext(cfg)
     grid = ctx.grid
-    g = ctx.g_eval(grid)
-    cd = ctx.cd_eval(grid)
-    ct = ctx.ct_eval(grid)
-    gd = g / (1.0 + g * cd)
 
     peak_plant = abs(complex(ctx.g_eval(ctx.omega_n)))
     peak_inner = abs(complex(ctx.gd_eval(ctx.omega_n)))
     peak_reduction_db = 20.0 * math.log10(peak_plant / peak_inner)
 
-    bundle = dual_sensitivities(g, ct, cd, grid)
+    bundle = dual_sensitivities(ctx.g, ctx.ct, ctx.cd, grid)
     bw3 = bandwidth(grid, bundle.t_yr, 3.0, refine=ctx.t_yr_eval)
     bw1 = bandwidth(grid, bundle.t_yr, 1.0, refine=ctx.t_yr_eval)
     bw_target = bandwidth(grid, bundle.t_yr, cfg.targets.bound_db, refine=ctx.t_yr_eval)
 
-    outer = margins(grid, ct * gd, refine=ctx.outer_loop_eval)
-    dual = margins(grid, bundle.loop_gain, refine=ctx.ld_eval)
-    net = nyquist_net_crossings(grid, bundle.loop_gain)
+    outer, dual, net = ctx.loop_margins()
 
     hi_band = (grid[-1] / math.sqrt(10.0), grid[-1])
     objectives = objective_report(
         bundle,
-        ct,
+        ctx.ct,
         ctx.omega_n,
         hi_band,
         ObjectiveTargets(min_bandwidth_rad_s=ctx.omega_n),
@@ -607,17 +515,10 @@ def run_design(cfg: ExperimentConfig, out_dir: Path, exact_tan60: bool = False) 
         "dual_loop": {
             "nyquist_net_crossings": net,
             "stable": net == 0,
-            "crossovers": [
-                {"freq_hz": w / TWO_PI, "phase_margin_deg": pm}
-                for w, pm in dual.crossovers
-            ],
+            "crossovers": _crossovers(dual),
         },
         "outer_loop": {
-            "gain_margin_db": outer.gain_margin_db,
-            "crossovers": [
-                {"freq_hz": w / TWO_PI, "phase_margin_deg": pm}
-                for w, pm in outer.crossovers
-            ],
+            **_margins_dict(outer),
             "meets_gm_target": outer.gain_margin_db is not None
             and outer.gain_margin_db >= cfg.targets.gm_db,
         },
@@ -708,30 +609,14 @@ def summarize(summary: dict) -> str:
 
 
 def run_bode(cfg: ExperimentConfig, out_dir: Path) -> dict:
-    grid = log_grid(cfg.grid.f_min_hz, cfg.grid.f_max_hz, cfg.grid.pts_per_decade)
-    plant_tf = build_plant(cfg.plant.to_spec())
-    g = freq_response(plant_tf, grid)
-    cols = {"plant": g}
-    if cfg.nrc is not None:
+    if cfg.nrc is None:
+        grid = log_grid(cfg.grid.f_min_hz, cfg.grid.f_max_hz, cfg.grid.pts_per_decade)
+        cols = {"plant": freq_response(build_plant(cfg.plant.to_spec()), grid)}
+    else:
         ctx = _DesignContext(cfg)
-        cols["nrc"] = ctx.cd_eval(grid)
-        cols["inner_loop"] = ctx.gd_eval(grid)
-    from .lti import unwrapped_phase_deg
-
-    path = out_dir / "bode.csv"
-    names = list(cols)
-    mags = {n: mag_db(v) for n, v in cols.items()}
-    phases = {n: unwrapped_phase_deg(v) for n, v in cols.items()}
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(
-            "freq_hz," + ",".join(f"{n}_mag_db,{n}_phase_deg" for n in names) + "\n"
-        )
-        for i, w in enumerate(grid):
-            row = [f"{w / TWO_PI:.12g}"]
-            for n in names:
-                row += [f"{mags[n][i]:.12g}", f"{phases[n][i]:.12g}"]
-            fh.write(",".join(row) + "\n")
-    return {"files": ["bode.csv"], "columns": names}
+        grid, cols = ctx.grid, {"plant": ctx.g, "nrc": ctx.cd, "inner_loop": ctx.gd}
+    bode_to_csv(out_dir / "bode.csv", grid, cols)
+    return {"files": ["bode.csv"], "columns": list(cols)}
 
 
 def run_rootlocus(
@@ -761,45 +646,34 @@ def run_rootlocus(
 
 def run_sens(cfg: ExperimentConfig, out_dir: Path) -> dict:
     ctx = _DesignContext(cfg)
-    grid = ctx.grid
-    g = ctx.g_eval(grid)
-    cd = ctx.cd_eval(grid)
-    ct = ctx.ct_eval(grid) if ctx.ct_tf is not None else np.zeros_like(g)
-    bundle = dual_sensitivities(g, ct, cd, grid)
+    bundle = dual_sensitivities(ctx.g, ctx.ct, ctx.cd, ctx.grid)
     bundle_to_csv(bundle, out_dir / "sensitivities.csv")
-    return {"files": ["sensitivities.csv"], "points": int(grid.size)}
+    return {"files": ["sensitivities.csv"], "points": int(ctx.grid.size)}
 
 
 def run_margins(cfg: ExperimentConfig, out_dir: Path) -> dict:
     ctx = _DesignContext(cfg)
-    grid = ctx.grid
-    g = ctx.g_eval(grid)
-    cd = ctx.cd_eval(grid)
-    out: dict = {}
-    if ctx.ct_tf is not None:
-        ct = ctx.ct_eval(grid)
-        gd = g / (1.0 + g * cd)
-        outer = margins(grid, ct * gd, refine=ctx.outer_loop_eval)
-        dual = margins(grid, g * (ct + cd), refine=ctx.ld_eval)
-        out["outer_loop"] = _margins_dict(outer)
-        out["dual_loop"] = _margins_dict(dual)
-        out["dual_loop"]["nyquist_net_crossings"] = nyquist_net_crossings(
-            grid, g * (ct + cd)
+    if ctx.ct_tf is None:
+        inner = margins(
+            ctx.grid, ctx.g * ctx.cd, refine=lambda w: ctx.g_eval(w) * ctx.cd_eval(w)
         )
+        out = {"inner_loop": _margins_dict(inner)}
     else:
-        inner = margins(grid, g * cd, refine=lambda w: ctx.g_eval(w) * ctx.cd_eval(w))
-        out["inner_loop"] = _margins_dict(inner)
+        outer, dual, net = ctx.loop_margins()
+        out = {
+            "outer_loop": _margins_dict(outer),
+            "dual_loop": {**_margins_dict(dual), "nyquist_net_crossings": net},
+        }
     _write_json(out_dir / "margins.json", out)
     return out
 
 
+def _crossovers(rep: MarginsReport) -> list:
+    return [{"freq_hz": w / TWO_PI, "phase_margin_deg": pm} for w, pm in rep.crossovers]
+
+
 def _margins_dict(rep: MarginsReport) -> dict:
-    return {
-        "gain_margin_db": rep.gain_margin_db,
-        "crossovers": [
-            {"freq_hz": w / TWO_PI, "phase_margin_deg": pm} for w, pm in rep.crossovers
-        ],
-    }
+    return {"gain_margin_db": rep.gain_margin_db, "crossovers": _crossovers(rep)}
 
 
 def run_simulate(cfg: ExperimentConfig, out_dir: Path, seed=None) -> dict:
@@ -827,7 +701,10 @@ def run_simulate(cfg: ExperimentConfig, out_dir: Path, seed=None) -> dict:
         )
     else:
         d = np.zeros(r.size)
-    trace = simulate_dual_loop(plant_d, tracker_d, nrc_d, r, d, n)
+    with np.errstate(over="ignore", invalid="ignore"):  # divergence is reported below
+        trace = simulate_dual_loop(plant_d, tracker_d, nrc_d, r, d, n)
+    if not (np.isfinite(trace.u).all() and np.isfinite(trace.y_meas).all()):
+        raise ValueError("simulation diverged: the trace is not finite")
     trace_to_csv(trace, out_dir / "trace.csv")
     e_max, e_rms = tracking_metrics(trace.r, trace.y_meas)
     metrics = {"e_max": e_max, "e_rms": e_rms, "seed": use_seed}
@@ -884,19 +761,9 @@ def run_sweep(cfg_raw: dict, out_dir: Path, param: str, values, exact_tan60=Fals
                 "dual_stable": summary["dual_loop"]["stable"],
             }
         )
-    with open(out_dir / "sweep.csv", "w", encoding="utf-8") as fh:
-        fh.write("value,wc_3db_hz,peak_reduction_db,gain_margin_db,dual_stable\n")
-        for row in rows:
-            fh.write(
-                f"{row['value']:.12g},{_csv_num(row['wc_3db_hz'])},"
-                f"{_csv_num(row['peak_reduction_db'])},{_csv_num(row['gain_margin_db'])},"
-                f"{int(row['dual_stable'])}\n"
-            )
+    names = ("value", "wc_3db_hz", "peak_reduction_db", "gain_margin_db", "dual_stable")
+    write_csv(out_dir / "sweep.csv", names, [[row[n] for row in rows] for n in names])
     return {"rows": rows}
-
-
-def _csv_num(x) -> str:
-    return "" if x is None else f"{x:.12g}"
 
 
 def _write_json(path: Path, payload) -> None:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .lti import Polynomial, RationalTF, dc_gain, poly_roots, poles_zeros, tf_feedback
 from .plants import PlantSpec, build_plant, two_mode_zero
-from .lti import freq_response
+from .lti import freq_response, write_csv
 
 # |Im(pole)| below this times the pole scale counts as real.
 REAL_POLE_REL_TOL = 1e-9
@@ -249,12 +249,11 @@ def root_locus_n(plant: PlantSpec, gamma: float, n_grid) -> RootLocusTrace:
 
 def locus_to_csv(trace: RootLocusTrace, path) -> None:
     """Write a locus trace as CSV (n, re_p2, im_p2, re_p3, im_p3)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("n,re_p2,im_p2,re_p3,im_p3\n")
-        for n, a, b in zip(trace.n_values, trace.p2, trace.p3):
-            fh.write(
-                f"{n:.12g},{a.real:.12g},{a.imag:.12g},{b.real:.12g},{b.imag:.12g}\n"
-            )
+    write_csv(
+        path,
+        ("n", "re_p2", "im_p2", "re_p3", "im_p3"),
+        (trace.n_values, trace.p2.real, trace.p2.imag, trace.p3.real, trace.p3.imag),
+    )
 
 
 def m_from_tau(tau_s: float, omega_n: float) -> float:

@@ -267,3 +267,28 @@ def unwrapped_phase_deg(values: np.ndarray) -> np.ndarray:
 def mag_db(values: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore"):
         return 20.0 * np.log10(np.abs(values))
+
+
+def write_csv(path, names, columns) -> None:
+    """Write equal-length columns as CSV under a header row of names.
+
+    This is the one CSV format of every artifact: each value is written
+    ``%.12g`` and None leaves its field empty.
+    """
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(names) + "\n")
+        fh.writelines(
+            ",".join(["" if v is None else "%.12g" % v for v in row]) + "\n"
+            for row in zip(*columns)
+        )
+
+
+def bode_to_csv(path, omega, responses) -> None:
+    """Write complex responses on a rad/s grid as CSV: freq_hz, then a
+    ``<name>_mag_db,<name>_phase_deg`` pair (unwrapped phase) per response."""
+    names = ["freq_hz"]
+    columns = [np.asarray(omega, dtype=float) / (2.0 * math.pi)]
+    for name, values in responses.items():
+        names += [f"{name}_mag_db", f"{name}_phase_deg"]
+        columns += [mag_db(values), unwrapped_phase_deg(values)]
+    write_csv(path, names, columns)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import signal as sps
 
-from .lti import RationalTF
+from .lti import RationalTF, write_csv
 from .plants import PlantSpec, build_plant
 
 
@@ -194,11 +194,7 @@ def simulate_dual_loop(
 def trace_to_csv(trace: SimTrace, path) -> None:
     """Write a simulation trace as CSV."""
     cols = ("time_s", "r", "d", "n", "u", "x_true", "y_meas", "e")
-    data = [getattr(trace, c) for c in cols]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(cols) + "\n")
-        for row in zip(*data):
-            fh.write(",".join(f"{v:.12g}" for v in row) + "\n")
+    write_csv(path, cols, [getattr(trace, c) for c in cols])
 
 
 def make_reference(
@@ -358,8 +354,9 @@ def chirp_identify(u, y, fs: float, segment_len: int) -> FrfEstimate:
     f, s_uu = sps.welch(u, **kw)
     if np.max(s_uu) <= 0.0:
         raise ValueError("input signal has no power")
+    _, s_yy = sps.welch(y, **kw)
     _, s_uy = sps.csd(u, y, **kw)
-    _, coh = sps.coherence(u, y, **kw)
+    coh = np.abs(s_uy) ** 2 / s_uu / s_yy  # as scipy.signal.coherence computes it
     with np.errstate(divide="ignore", invalid="ignore"):
         h = np.where(s_uu > 0.0, s_uy / s_uu, np.nan)
         mag = 20.0 * np.log10(np.abs(h))
@@ -369,7 +366,8 @@ def chirp_identify(u, y, fs: float, segment_len: int) -> FrfEstimate:
 
 def frf_to_csv(est: FrfEstimate, path) -> None:
     """Write an FRF estimate as CSV."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("freq_hz,mag_db,phase_deg,coherence\n")
-        for row in zip(est.freq_hz, est.mag_db, est.phase_deg, est.coherence):
-            fh.write(",".join(f"{v:.12g}" for v in row) + "\n")
+    write_csv(
+        path,
+        ("freq_hz", "mag_db", "phase_deg", "coherence"),
+        (est.freq_hz, est.mag_db, est.phase_deg, est.coherence),
+    )

@@ -23,7 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lti import RationalTF, freq_response, mag_db, tf_series, unwrapped_phase_deg
+from .lti import (
+    RationalTF,
+    bode_to_csv,
+    freq_response,
+    mag_db,
+    tf_series,
+    unwrapped_phase_deg,
+)
 
 
 @dataclass(frozen=True)
@@ -457,15 +464,4 @@ def objective_report(
 def bundle_to_csv(bundle: SensitivityBundle, path) -> None:
     """Write the sensitivity bundle as CSV (freq in Hz, dB/deg pairs)."""
     names = ("t_yr", "t_xr_comp", "s_yn", "s_xn", "ps_yd", "loop_gain")
-    arrays = [getattr(bundle, n) for n in names]
-    mags = [mag_db(a) for a in arrays]
-    phases = [unwrapped_phase_deg(a) for a in arrays]
-    header = "freq_hz," + ",".join(f"{n}_mag_db,{n}_phase_deg" for n in names)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for i, w in enumerate(bundle.grid):
-            row = [f"{w / (2.0 * math.pi):.12g}"]
-            for m, p in zip(mags, phases):
-                row.append(f"{m[i]:.12g}")
-                row.append(f"{p[i]:.12g}")
-            fh.write(",".join(row) + "\n")
+    bode_to_csv(path, bundle.grid, {n: getattr(bundle, n) for n in names})

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import nrcdamp as nd
-from nrcdamp.cli import _DesignContext, parse_config_dict, run_command, surrogate_design_config
+from nrcdamp.cli import _DesignContext, parse_config_dict, run_command
 
 TWO_PI = 2.0 * np.pi
 _RESULTS = []
@@ -240,10 +240,10 @@ def test_criterion_9_ess_law():
     assert record(9, desc, bool(ok))
 
 
-def test_criterion_10_surrogate_design_pipeline(tmp_path):
+def test_criterion_10_surrogate_design_pipeline(tmp_path, surrogate_raw):
     desc = "surrogate design: >= 20 dB peak cut, wc(3dB) > wn, margins > 0"
     cfg_path = tmp_path / "surrogate.json"
-    cfg_path.write_text(json.dumps(surrogate_design_config()))
+    cfg_path.write_text(json.dumps(surrogate_raw))
     t0 = time.perf_counter()
     rc = run_command("design", cfg_path, tmp_path / "out")
     dt = time.perf_counter() - t0
@@ -307,9 +307,9 @@ def test_criterion_12_pm_feasibility_boundary():
     assert record(12, desc, bool(ok))
 
 
-def test_criterion_13_simulation_matches_frf():
+def test_criterion_13_simulation_matches_frf(surrogate_raw):
     desc = "steady-state sine gain matches |T_yr| within 2%"
-    cfg = parse_config_dict(surrogate_design_config())
+    cfg = parse_config_dict(surrogate_raw)
     ctx = _DesignContext(cfg)
     ts = cfg.sim.ts_s
     plant_d = nd.discretize(ctx.plant_tf, ts)

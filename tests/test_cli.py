@@ -3,13 +3,12 @@ import json
 import pytest
 
 from nrcdamp.cli import (
+    COMMANDS,
     ConfigError,
-    config_to_dict,
     parse_config,
     parse_config_dict,
     run_command,
     summarize,
-    surrogate_design_config,
 )
 
 
@@ -40,12 +39,6 @@ class TestParseConfig:
         raw["nrc"] = {"gamma": 1.2, "n": 3.0}
         with pytest.raises(ConfigError, match=r"gamma must lie in \(0,1\]"):
             parse_config_dict(raw)
-
-    def test_round_trip(self):
-        raw = surrogate_design_config()
-        cfg = parse_config_dict(raw)
-        again = parse_config_dict(config_to_dict(cfg))
-        assert again == cfg
 
     def test_unknown_key_named(self):
         raw = minimal_config()
@@ -97,8 +90,8 @@ class TestCommands:
         header = (out / "rootlocus.csv").read_text().splitlines()[0]
         assert header == "n,re_p2,im_p2,re_p3,im_p3"
 
-    def test_design_pipeline_outputs(self, tmp_path):
-        p = write(tmp_path, surrogate_design_config())
+    def test_design_pipeline_outputs(self, tmp_path, surrogate_raw):
+        p = write(tmp_path, surrogate_raw)
         out = tmp_path / "out"
         assert run_command("design", p, out) == 0
         for name in ("summary.json", "summary.txt", "sensitivities.csv", "margins.json"):
@@ -110,8 +103,8 @@ class TestCommands:
         assert "O1 tracking bandwidth" in text
         assert "+/-1 dB" in text and "+/-3 dB" in text
 
-    def test_marginal_verdict_line(self, tmp_path):
-        raw = surrogate_design_config()
+    def test_marginal_verdict_line(self, tmp_path, surrogate_raw):
+        raw = surrogate_raw
         raw["plant"] = {
             "gain": 1.0,
             "modes": [{"freq_hz": 739.0, "zeta": 0.01, "weight": 1.0}],
@@ -125,8 +118,8 @@ class TestCommands:
         text = (out / "summary.txt").read_text()
         assert "marginally stable (integrator pole at s=0)" in text
 
-    def test_simulate_outputs(self, tmp_path):
-        p = write(tmp_path, surrogate_design_config())
+    def test_simulate_outputs(self, tmp_path, surrogate_raw):
+        p = write(tmp_path, surrogate_raw)
         out = tmp_path / "out"
         assert run_command("simulate", p, out) == 0
         header = (out / "trace.csv").read_text().splitlines()[0]
@@ -135,8 +128,8 @@ class TestCommands:
         assert set(metrics) >= {"e_max", "e_rms"}
         assert metrics["e_rms"] <= metrics["e_max"]
 
-    def test_identify_outputs(self, tmp_path):
-        p = write(tmp_path, surrogate_design_config())
+    def test_identify_outputs(self, tmp_path, surrogate_raw):
+        p = write(tmp_path, surrogate_raw)
         out = tmp_path / "out"
         assert run_command("identify", p, out) == 0
         header = (out / "frf.csv").read_text().splitlines()[0]
@@ -151,16 +144,16 @@ class TestCommands:
         header = (out / "bode.csv").read_text().splitlines()[0]
         assert header.startswith("freq_hz,plant_mag_db,plant_phase_deg")
 
-    def test_margins_outputs(self, tmp_path):
-        p = write(tmp_path, surrogate_design_config())
+    def test_margins_outputs(self, tmp_path, surrogate_raw):
+        p = write(tmp_path, surrogate_raw)
         out = tmp_path / "out"
         assert run_command("margins", p, out) == 0
         m = json.loads((out / "margins.json").read_text())
         assert "outer_loop" in m and "dual_loop" in m
         assert m["outer_loop"]["gain_margin_db"] > 0
 
-    def test_sweep(self, tmp_path):
-        p = write(tmp_path, surrogate_design_config())
+    def test_sweep(self, tmp_path, surrogate_raw):
+        p = write(tmp_path, surrogate_raw)
         out = tmp_path / "out"
         rc = run_command(
             "sweep", p, out, param="nrc.n", values=[4.0, 8.0], exact_tan60=False
@@ -170,24 +163,48 @@ class TestCommands:
         assert lines[0] == "value,wc_3db_hz,peak_reduction_db,gain_margin_db,dual_stable"
         assert len(lines) == 3
 
-    def test_deterministic_outputs(self, tmp_path):
-        p = write(tmp_path, surrogate_design_config())
+    @pytest.mark.parametrize("cmd", COMMANDS)
+    def test_deterministic_outputs(self, tmp_path, surrogate_raw, cmd):
+        kwargs = {
+            "simulate": {"seed": 7},
+            "sweep": {"param": "nrc.n", "values": [4.0, 8.0]},
+        }.get(cmd, {})
+        p = write(tmp_path, surrogate_raw)
         out1, out2 = tmp_path / "a", tmp_path / "b"
-        assert run_command("design", p, out1) == 0
-        assert run_command("design", p, out2) == 0
-        assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
-        assert (
-            out1 / "sensitivities.csv"
-        ).read_bytes() == (out2 / "sensitivities.csv").read_bytes()
-        assert run_command("simulate", p, out1, seed=7) == 0
-        assert run_command("simulate", p, out2, seed=7) == 0
-        assert (out1 / "trace.csv").read_bytes() == (out2 / "trace.csv").read_bytes()
+        assert run_command(cmd, p, out1, **kwargs) == 0
+        assert run_command(cmd, p, out2, **kwargs) == 0
+        files = sorted(f.relative_to(out1) for f in out1.rglob("*") if f.is_file())
+        assert files
+        assert files == sorted(f.relative_to(out2) for f in out2.rglob("*") if f.is_file())
+        for f in files:
+            assert (out1 / f).read_bytes() == (out2 / f).read_bytes(), f
+
+    def test_diverging_simulation_exit_code(self, tmp_path, surrogate_raw, capsys):
+        surrogate_raw["tracker"]["omega_b_hz"] = 20000.0
+        p = write(tmp_path, surrogate_raw)
+        out = tmp_path / "out"
+        assert run_command("simulate", p, out) == 1
+        assert "simulation diverged" in capsys.readouterr().err
+        assert not (out / "metrics.json").exists()
 
     def test_bad_config_exit_code(self, tmp_path):
         raw = minimal_config()
         raw["nrc"] = {"gamma": 2.0, "n": 1.0}
         p = write(tmp_path, raw)
         assert run_command("design", p, tmp_path / "out") == 2
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [("plant", "gain", "nan"), ("nrc", "n", "inf"), ("tracker", "omega_i_hz", "-inf")],
+    )
+    def test_non_finite_number_exit_code(
+        self, tmp_path, surrogate_raw, capsys, section, key, value
+    ):
+        # Python's json reads and writes NaN and +-Infinity
+        surrogate_raw[section][key] = float(value)
+        p = write(tmp_path, surrogate_raw)
+        assert run_command("design", p, tmp_path / "out") == 2
+        assert f"{section}.{key}: must be finite" in capsys.readouterr().err
 
     def test_missing_section_exit_code(self, tmp_path):
         p = write(tmp_path, minimal_config())
@@ -205,8 +222,8 @@ class TestCommands:
 
 
 class TestSummarize:
-    def test_scorecard_lines(self, tmp_path):
-        p = write(tmp_path, surrogate_design_config())
+    def test_scorecard_lines(self, tmp_path, surrogate_raw):
+        p = write(tmp_path, surrogate_raw)
         out = tmp_path / "out"
         run_command("design", p, out)
         s = json.loads((out / "summary.json").read_text())
