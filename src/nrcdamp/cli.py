@@ -336,15 +336,19 @@ def parse_config_dict(raw: dict) -> ExperimentConfig:
     )
 
 
-def parse_config(path) -> ExperimentConfig:
-    """Load and validate a JSON config file."""
+def _read_config_json(path):
+    """Read a JSON config file without validating it."""
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config error: invalid JSON ({exc})")
-    return parse_config_dict(raw)
+
+
+def parse_config(path) -> ExperimentConfig:
+    """Load and validate a JSON config file."""
+    return parse_config_dict(_read_config_json(path))
 
 
 # ---------------------------------------------------------------------------
@@ -779,13 +783,14 @@ def run_command(cmd: str, cfg_path, out_dir, **kwargs) -> int:
     out.mkdir(parents=True, exist_ok=True)
     try:
         if cmd == "sweep":
-            raw = json.loads(Path(cfg_path).read_text(encoding="utf-8"))
+            values = _sweep_values(kwargs["values"])
+            raw = _read_config_json(cfg_path)
             parse_config_dict(raw)  # validate before mutating
             run_sweep(
                 raw,
                 out,
                 kwargs["param"],
-                kwargs["values"],
+                values,
                 exact_tan60=kwargs.get("exact_tan60", False),
             )
             return 0
@@ -823,6 +828,20 @@ def run_command(cmd: str, cfg_path, out_dir, **kwargs) -> int:
         return 1
 
 
+def _sweep_values(values) -> list:
+    """The ``--values`` items as finite floats."""
+    out = []
+    for v in values:
+        try:
+            x = float(v)
+        except (TypeError, ValueError):
+            raise ConfigError(f"config error at --values: {v!r} is not a number") from None
+        if not math.isfinite(x):
+            raise ConfigError(f"config error at --values: {v!r} is not finite")
+        out.append(x)
+    return out
+
+
 def _apply_overrides(cfg: ExperimentConfig, grid_override):
     if grid_override is None:
         return cfg
@@ -835,7 +854,7 @@ def _apply_overrides(cfg: ExperimentConfig, grid_override):
         )
     except ValueError:
         raise ConfigError("config error at --grid-override: expected fmin,fmax,ppd")
-    if grid.f_min_hz >= grid.f_max_hz or grid.pts_per_decade < 2:
+    if not 0.0 < grid.f_min_hz < grid.f_max_hz < math.inf or grid.pts_per_decade < 2:
         raise ConfigError("config error at --grid-override: invalid grid")
     return replace(cfg, grid=grid)
 
@@ -882,7 +901,7 @@ def main(argv=None) -> int:
             print("sweep needs --values", file=sys.stderr)
             return 2
         kwargs["param"] = args.param
-        kwargs["values"] = [float(v) for v in args.values.split(",")]
+        kwargs["values"] = args.values.split(",")
     return run_command(args.command, args.config, args.out, **kwargs)
 
 

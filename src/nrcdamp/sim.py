@@ -10,10 +10,10 @@ otherwise create.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal as sps
 
 from .lti import RationalTF, write_csv
 from .plants import PlantSpec, build_plant
@@ -53,6 +53,32 @@ def _bilinear_poly(coeffs_s: np.ndarray, c: float, n_total: int) -> np.ndarray:
     return out
 
 
+def _controller_canonical(num: np.ndarray, den: np.ndarray):
+    """(A, B, C, D) of descending num/den in controller-canonical form.
+
+    Does the arithmetic of ``scipy.signal.tf2ss`` for one real SISO
+    polynomial pair, so the matrices are bit-identical to it; importing
+    ``scipy.signal`` would dominate the start-up of every command that
+    does not identify.
+    """
+    den = np.trim_zeros(den, "f")
+    num, den = num / den[0], den / den[0]
+    lead = 0  # leading numerator coefficients below 1e-14 count as zeros
+    while lead < num.size - 1 and abs(num[lead]) <= 1e-14:
+        lead += 1
+    num = num[lead:]
+    k = den.size
+    if num.size > k:
+        raise ValueError("improper transfer function cannot be discretized")
+    num = np.concatenate([np.zeros(k - num.size), num])
+    d = np.array([[num[0]]])
+    if k == 1:
+        return np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1)), d
+    a = np.vstack([-den[1:], np.eye(k - 2, k - 1)])
+    c = (num[1:] - num[0] * den[1:])[np.newaxis, :]
+    return a, np.eye(k - 1, 1), c, d
+
+
 def discretize(
     tf: RationalTF, ts: float, prewarp_rad_s: float | None = None
 ) -> DiscreteSS:
@@ -75,8 +101,7 @@ def discretize(
     n_total = tf.den.degree
     num_z = _bilinear_poly(tf.num.coeffs, c, n_total)
     den_z = _bilinear_poly(tf.den.coeffs, c, n_total)
-    # tf2ss wants descending coefficients
-    a, b, cm, d = sps.tf2ss(num_z[::-1], den_z[::-1])
+    a, b, cm, d = _controller_canonical(num_z[::-1], den_z[::-1])
     return DiscreteSS(
         a_matrix=a,
         b_matrix=b,
@@ -168,7 +193,7 @@ def simulate_dual_loop(
     n_delay = plant_d.input_delay_samples
     if absorb_loop_lag and n_delay >= 1:
         n_delay -= 1
-    buf = np.zeros(n_delay) if n_delay else None
+    delay_line = deque([0.0] * n_delay)
 
     u = np.empty(nsamp)
     x_true = np.empty(nsamp)
@@ -178,8 +203,8 @@ def simulate_dual_loop(
         e_k = r[k] - y_prev
         u_k = tracker.step(e_k) - damper.step(y_prev)
         v = u_k + d[k]
-        if buf is not None:
-            v, buf = buf[0], np.append(buf[1:], v)
+        delay_line.append(v)
+        v = delay_line.popleft()
         x_k = plant.step(v)
         y_prev = x_k + n[k]
         u[k] = u_k
@@ -279,6 +304,8 @@ def log_chirp(
     taper_frac: float = 0.05,
 ) -> np.ndarray:
     """Logarithmic chirp with raised-cosine edge tapers."""
+    from scipy import signal as sps
+
     if not (0.0 < f0 < f1 < fs / 2.0):
         raise ValueError("need 0 < f0 < f1 < fs/2")
     nsamp = int(round(duration_s * fs))
@@ -304,6 +331,8 @@ def open_loop_response(
     keeps discretization warping far below the identification tolerances.
     Returns (u, y) at fs.
     """
+    from scipy import signal as sps
+
     if oversample < 1:
         raise ValueError("oversample must be >= 1")
     fs_fine = fs * oversample
@@ -338,6 +367,8 @@ def chirp_identify(u, y, fs: float, segment_len: int) -> FrfEstimate:
     from the same segmentation. The record must cover at least two
     segments, and the input must carry power.
     """
+    from scipy import signal as sps
+
     u = np.asarray(u, dtype=float)
     y = np.asarray(y, dtype=float)
     if u.shape != y.shape or u.ndim != 1:

@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import nrcdamp
 from nrcdamp.cli import (
     COMMANDS,
     ConfigError,
+    main,
     parse_config,
     parse_config_dict,
     run_command,
@@ -210,6 +216,24 @@ class TestCommands:
         p = write(tmp_path, minimal_config())
         assert run_command("design", p, tmp_path / "out") == 2
 
+    @pytest.mark.parametrize(
+        "config, values, message",
+        [
+            ("nope.json", "1,2", "config file not found"),
+            ("bad.json", "1,2", "invalid JSON"),
+            ("config.json", "1,x", "config error at --values: 'x' is not a number"),
+            ("config.json", "4,inf", "config error at --values: 'inf' is not finite"),
+        ],
+    )
+    def test_sweep_bad_input_exit_code(
+        self, tmp_path, surrogate_raw, capsys, config, values, message
+    ):
+        write(tmp_path, surrogate_raw)
+        (tmp_path / "bad.json").write_text("{")
+        argv = ["sweep", str(tmp_path / config), "--values", values]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
+
     def test_grid_override(self, tmp_path):
         p = write(tmp_path, minimal_config())
         out = tmp_path / "out"
@@ -219,6 +243,32 @@ class TestCommands:
         last = float(rows[-1].split(",")[0])
         assert first == pytest.approx(10.0)
         assert last == pytest.approx(100.0)
+
+    @pytest.mark.parametrize("override", ["0,100,50", "nan,100,50", "1,inf,50"])
+    def test_grid_override_rejects_bad_bounds(self, tmp_path, capsys, override):
+        p = write(tmp_path, minimal_config())
+        assert run_command("bode", p, tmp_path / "out", grid_override=override) == 2
+        assert "config error at --grid-override" in capsys.readouterr().err
+
+    def test_design_and_simulate_leave_scipy_unloaded(self, tmp_path, surrogate_raw):
+        # only identify may import scipy.signal, the bulk of start-up time
+        p = write(tmp_path, surrogate_raw)
+        code = (
+            "import sys, nrcdamp, nrcdamp.cli\n"
+            "for cmd in ('design', 'simulate'):\n"
+            f"    assert nrcdamp.cli.main([cmd, {str(p)!r}, '--out', {str(tmp_path)!r}]) == 0\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "assert not loaded, loaded\n"
+        )
+        src = str(Path(nrcdamp.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestSummarize:

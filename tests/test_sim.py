@@ -1,5 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import signal as sps
 
 from nrcdamp import (
     ModeSpec,
@@ -32,6 +37,13 @@ from nrcdamp import (
 
 TWO_PI = 2.0 * np.pi
 TS = 30e-6
+
+# Polynomial coefficients with exact zeros and values either side of the
+# 1e-14 threshold below which tf2ss treats a leading coefficient as zero.
+COEFF = st.one_of(
+    st.floats(-1e3, 1e3, allow_nan=False),
+    st.sampled_from([0.0, -0.0, 1e-14, -1e-14, 1e-15, 2e-14]),
+)
 
 
 def single_mode(g=1.0, f_hz=100.0, zeta=0.0):
@@ -86,6 +98,47 @@ class TestDiscretize:
         disc = np.abs(discrete_frf(blk, w[flat]))
         cont = np.abs(freq_response(g, w[flat]))
         assert np.max(np.abs(disc / cont - 1.0)) < 0.01
+
+    @pytest.mark.parametrize("oversample", [1, 8])
+    def test_surrogate_blocks_match_scipy_tf2ss(self, surrogate_raw, oversample):
+        # the plant, tracker and damper at the sim rate and at identify's
+        # oversampled rate, against the scipy path discretize used to take
+        from nrcdamp.cli import _DesignContext, parse_config_dict
+        from nrcdamp.sim import _bilinear_poly
+
+        cfg = parse_config_dict(surrogate_raw)
+        ctx = _DesignContext(cfg)
+        ts = 1.0 / ((1.0 / cfg.sim.ts_s) * oversample)
+        for tf in (ctx.plant_tf, ctx.ct_tf, ctx.cd_tf):
+            n = tf.den.degree
+            num_z = _bilinear_poly(tf.num.coeffs, 2.0 / ts, n)
+            den_z = _bilinear_poly(tf.den.coeffs, 2.0 / ts, n)
+            expected = sps.tf2ss(num_z[::-1], den_z[::-1])
+            blk = discretize(tf, ts)
+            got = (blk.a_matrix, blk.b_matrix, blk.c_matrix, blk.d_matrix)
+            for g, e in zip(got, expected):
+                assert g.shape == e.shape and np.array_equal(g, e)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        num=st.lists(COEFF, min_size=1, max_size=17),
+        den=st.lists(COEFF, min_size=1, max_size=17).filter(any),
+    )
+    def test_controller_canonical_matches_scipy_tf2ss(self, num, den):
+        from nrcdamp.sim import _controller_canonical
+
+        num, den = np.array(num), np.array(den)
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("ignore", sps.BadCoefficients)
+            try:
+                expected = sps.tf2ss(num, den)
+            except ValueError:  # improper
+                with pytest.raises(ValueError, match="improper"):
+                    _controller_canonical(num, den)
+                return
+            got = _controller_canonical(num, den)
+        for g, e in zip(got, expected):  # a subnormal den[0] gives the same nan
+            assert g.shape == e.shape and np.array_equal(g, e, equal_nan=True)
 
     def test_prewarp_exact_at_frequency(self):
         g = build_plant(single_mode(zeta=0.05))
