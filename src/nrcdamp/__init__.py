@@ -20,6 +20,7 @@ from .plants import (
     ModeSpec,
     PlantSpec,
     build_plant,
+    modal_state_space,
     nanopositioner_surrogate,
     scale_load,
     two_mode_zero,

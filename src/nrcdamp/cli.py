@@ -525,6 +525,8 @@ def run_design(cfg: ExperimentConfig, out_dir: Path, exact_tan60: bool = False) 
             **_margins_dict(outer),
             "meets_gm_target": outer.gain_margin_db is not None
             and outer.gain_margin_db >= cfg.targets.gm_db,
+            "meets_pm_target": bool(outer.crossovers)
+            and min(pm for _, pm in outer.crossovers) >= cfg.targets.pm_deg,
         },
         "bandwidth": {
             "wc_1db_hz": None if bw1.grid_end else bw1.omega_c_rad_s / TWO_PI,
@@ -780,12 +782,12 @@ def _write_json(path: Path, payload) -> None:
 def run_command(cmd: str, cfg_path, out_dir, **kwargs) -> int:
     """Dispatch a CLI command; returns the process exit status."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     try:
         if cmd == "sweep":
             values = _sweep_values(kwargs["values"])
             raw = _read_config_json(cfg_path)
             parse_config_dict(raw)  # validate before mutating
+            out.mkdir(parents=True, exist_ok=True)
             run_sweep(
                 raw,
                 out,
@@ -796,6 +798,7 @@ def run_command(cmd: str, cfg_path, out_dir, **kwargs) -> int:
             return 0
         cfg = parse_config(cfg_path)
         cfg = _apply_overrides(cfg, kwargs.get("grid_override"))
+        out.mkdir(parents=True, exist_ok=True)
         if cmd == "bode":
             run_bode(cfg, out)
         elif cmd == "design":

@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .lti import Polynomial, RationalTF, tf_series
 
 
@@ -90,6 +92,33 @@ def build_plant(spec: PlantSpec) -> RationalTF:
         wa = spec.amp_corner_rad_s
         g = tf_series(g, RationalTF.from_coeffs([wa], [wa, 1.0]))
     return RationalTF(g.num, g.den, spec.delay_s)
+
+
+def modal_state_space(spec: PlantSpec):
+    """Continuous (A, B, C) of the plant without its delay, one block per mode.
+
+    Each mode is the state pair (position, velocity / w) with block
+    [[0, w], [-w, -2 zeta w]], input column (0, w) and output gain * weight
+    on the position, so A + A^T <= 0 for every mode, zeta = 0 included.
+    The amplifier corner, when present, is one first-order state in series
+    ahead of the modes. D is zero: the plant is strictly proper.
+    """
+    n = 2 * len(spec.modes)
+    a = np.zeros((n, n))
+    b = np.zeros(n)
+    c = np.zeros(n)
+    for i, m in enumerate(spec.modes):
+        w = m.omega_rad_s
+        a[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = [[0.0, w], [-w, -2.0 * m.zeta * w]]
+        b[2 * i + 1] = w
+        c[2 * i] = spec.gain * m.weight
+    if spec.amp_corner_rad_s is not None:
+        wa = spec.amp_corner_rad_s
+        # the amplifier state leads and drives the modes in place of the input
+        a = np.block([[np.array([[-wa]]), np.zeros((1, n))], [b[:, None], a]])
+        b = np.concatenate([[wa], np.zeros(n)])
+        c = np.concatenate([[0.0], c])
+    return a, b, c
 
 
 def scale_load(spec: PlantSpec, eta: float) -> PlantSpec:

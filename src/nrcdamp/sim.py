@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lti import RationalTF, write_csv
-from .plants import PlantSpec, build_plant
+from .plants import PlantSpec, modal_state_space
 
 
 @dataclass(frozen=True)
@@ -58,8 +58,7 @@ def _controller_canonical(num: np.ndarray, den: np.ndarray):
 
     Does the arithmetic of ``scipy.signal.tf2ss`` for one real SISO
     polynomial pair, so the matrices are bit-identical to it; importing
-    ``scipy.signal`` would dominate the start-up of every command that
-    does not identify.
+    ``scipy.signal`` would dominate the start-up of every command.
     """
     den = np.trim_zeros(den, "f")
     num, den = num / den[0], den / den[0]
@@ -303,15 +302,96 @@ def log_chirp(
     amplitude: float = 0.1,
     taper_frac: float = 0.05,
 ) -> np.ndarray:
-    """Logarithmic chirp with raised-cosine edge tapers."""
-    from scipy import signal as sps
+    """Logarithmic chirp with raised-cosine edge tapers.
 
+    The phase is 2 pi beta f0 ((f1/f0)^(t/T) - 1) with beta = T / ln(f1/f0);
+    the taper is a symmetric Tukey window of width 2 * taper_frac. The
+    arithmetic, and so every bit, is that of ``scipy.signal.chirp(...,
+    method="logarithmic")`` times ``scipy.signal.windows.tukey``; the record
+    is built in place because it runs to millions of samples.
+    """
     if not (0.0 < f0 < f1 < fs / 2.0):
         raise ValueError("need 0 < f0 < f1 < fs/2")
     nsamp = int(round(duration_s * fs))
-    t = np.arange(nsamp) / fs
-    u = amplitude * sps.chirp(t, f0=f0, t1=duration_s, f1=f1, method="logarithmic")
-    return u * sps.windows.tukey(nsamp, alpha=2.0 * taper_frac)
+    u = np.arange(nsamp) / fs
+    u /= duration_s
+    np.power(f1 / f0, u, out=u)
+    u -= 1.0
+    u *= 2 * math.pi * (duration_s / math.log(f1 / f0)) * f0
+    np.cos(u, out=u)
+    u *= amplitude
+    alpha = min(2.0 * taper_frac, 1.0)
+    if nsamp > 1 and alpha > 0.0:
+        width = int(math.floor(alpha * (nsamp - 1) / 2.0))
+        n = np.arange(width + 1, dtype=float)
+        u[: width + 1] *= 0.5 * (1 + np.cos(np.pi * (-1 + 2.0 * n / alpha / (nsamp - 1))))
+        n = np.arange(nsamp - width - 1, nsamp, dtype=float)
+        u[nsamp - width - 1 :] *= 0.5 * (
+            1 + np.cos(np.pi * (-2.0 / alpha + 1 + 2.0 * n / alpha / (nsamp - 1)))
+        )
+    return u
+
+
+def _bilinear_state_space(a: np.ndarray, b: np.ndarray, c: np.ndarray, ts: float):
+    """Tustin map (c = 2/ts, as in discretize) of a strictly proper (A, B, C).
+
+    Returns (A_d, B_d, C_d, D_d) whose transfer function is G(2/ts (z-1)/(z+1)).
+    A contraction A + A^T <= 0 maps to ||A_d|| <= 1.
+    """
+    m = np.eye(a.shape[0]) - (ts / 2.0) * a
+    a_d = np.linalg.solve(m, np.eye(a.shape[0]) + (ts / 2.0) * a)
+    b_d = np.linalg.solve(m, ts * b)
+    c_d = np.linalg.solve(m.T, c)
+    return a_d, b_d, c_d, 0.5 * float(c @ b_d)
+
+
+def _power_columns(a: np.ndarray, v: np.ndarray, count: int) -> np.ndarray:
+    """Columns A^j v for j = 0 .. count-1, built by doubling."""
+    out = np.empty((v.size, count))
+    out[:, 0] = v
+    done, a_done = 1, a
+    while done < count:
+        m = min(done, count - done)
+        out[:, done : done + m] = a_done @ out[:, :m]
+        done, a_done = done + m, a_done @ a_done
+    return out
+
+
+def _blocked_response(a, b, c, d: float, u: np.ndarray) -> np.ndarray:
+    """Zero-state output of x+ = A x + B u, y = C x + D u, a block at a time.
+
+    Within a block of L samples the output is the FFT convolution of the
+    block's input with the first L impulse-response taps plus the free
+    response C A^j x0 of the state at the block start; that state carries
+    to the next block as A^L x0 plus the forced end state (one n x L
+    matrix product per block). Blocks are processed in chunks so the FFT
+    temporaries stay small. Needs ||A^k|| bounded, as a modal form gives.
+    """
+    block_len = 2048
+    obs = _power_columns(a.T, c, block_len)  # column j: (C A^j)^T
+    ctrl = _power_columns(a, b, block_len)[:, ::-1].T.copy()  # row i: A^(L-1-i) B
+    taps = np.concatenate([[d], b @ obs[:, :-1]])
+    taps_f = np.fft.rfft(taps, 2 * block_len)
+    a_block = np.linalg.matrix_power(a, block_len)
+
+    y = np.empty(u.size)
+    x = np.zeros(a.shape[0])
+    chunk = 64 * block_len
+    for start in range(0, u.size, chunk):
+        seg = u[start : start + chunk]
+        nseg = seg.size
+        if nseg % block_len:
+            seg = np.concatenate([seg, np.zeros(block_len - nseg % block_len)])
+        blocks = seg.reshape(-1, block_len)
+        out = np.fft.irfft(np.fft.rfft(blocks, 2 * block_len) * taps_f)[:, :block_len]
+        forced = blocks @ ctrl
+        starts = np.empty((blocks.shape[0], x.size))
+        for k in range(blocks.shape[0]):
+            starts[k] = x
+            x = a_block @ x + forced[k]
+        out += starts @ obs
+        y[start : start + nseg] = out.reshape(-1)[:nseg]
+    return y
 
 
 def open_loop_response(
@@ -329,22 +409,18 @@ def open_loop_response(
     excitation is evaluated directly at the fine rate, as a continuous
     drive would be), then input and output are decimated by sampling. This
     keeps discretization warping far below the identification tolerances.
+    The fine-rate run is the bilinear (c = 2/ts) map of the plant's modal
+    state space, whose powers stay bounded, so it can run blockwise.
     Returns (u, y) at fs.
     """
-    from scipy import signal as sps
-
     if oversample < 1:
         raise ValueError("oversample must be >= 1")
     fs_fine = fs * oversample
     u_fine = log_chirp(fs_fine, duration_s, f0=f0, f1=f1, amplitude=amplitude)
-    g = build_plant(plant)
     ts_fine = 1.0 / fs_fine
-    block = discretize(g.without_delay(), ts_fine)
-    num_z, den_z = sps.ss2tf(
-        block.a_matrix, block.b_matrix, block.c_matrix, block.d_matrix
-    )
-    y_fine = sps.lfilter(num_z[0], den_z, u_fine)
-    n_delay = int(round(g.delay_s / ts_fine))
+    a, b, c, d = _bilinear_state_space(*modal_state_space(plant), ts_fine)
+    y_fine = _blocked_response(a, b, c, d, u_fine)
+    n_delay = int(round(plant.delay_s / ts_fine))
     if n_delay:
         y_fine = np.concatenate([np.zeros(n_delay), y_fine[:-n_delay]])
     return u_fine[::oversample].copy(), y_fine[::oversample].copy()
@@ -360,6 +436,31 @@ class FrfEstimate:
     coherence: np.ndarray
 
 
+def _welch_spectra(u: np.ndarray, y: np.ndarray, fs: float, segment_len: int):
+    """One-sided Welch densities (f, S_uu, S_yy, S_uy), as scipy.signal computes them.
+
+    Periodic Hann windows on half-overlapping segments, no detrending,
+    density scaling 1/(fs sum w^2), every bin doubled except DC and (for an
+    even length) Nyquist, then the mean over segments (Welch 1967).
+    """
+    win = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(segment_len) / segment_len)
+    step = segment_len - segment_len // 2
+
+    def windowed_fft(x):
+        segs = np.lib.stride_tricks.sliding_window_view(x, segment_len)[::step]
+        return np.fft.rfft(segs * win, axis=-1)
+
+    fu, fy = windowed_fft(u), windowed_fft(y)
+    scale = np.full(segment_len // 2 + 1, 2.0 / (fs * np.sum(win * win)))
+    scale[0] /= 2.0
+    if segment_len % 2 == 0:
+        scale[-1] /= 2.0
+    s_uu = np.mean(fu.real**2 + fu.imag**2, axis=0) * scale
+    s_yy = np.mean(fy.real**2 + fy.imag**2, axis=0) * scale
+    s_uy = np.mean(np.conj(fu) * fy, axis=0) * scale
+    return np.fft.rfftfreq(segment_len, 1.0 / fs), s_uu, s_yy, s_uy
+
+
 def chirp_identify(u, y, fs: float, segment_len: int) -> FrfEstimate:
     """H1 spectral FRF estimate S_uy/S_uu from broadband input-output data.
 
@@ -367,26 +468,15 @@ def chirp_identify(u, y, fs: float, segment_len: int) -> FrfEstimate:
     from the same segmentation. The record must cover at least two
     segments, and the input must carry power.
     """
-    from scipy import signal as sps
-
     u = np.asarray(u, dtype=float)
     y = np.asarray(y, dtype=float)
     if u.shape != y.shape or u.ndim != 1:
         raise ValueError("u and y must be 1-D arrays of equal length")
     if u.size < 2 * segment_len:
         raise ValueError("need at least two segments of data")
-    kw = dict(
-        fs=fs,
-        window="hann",
-        nperseg=segment_len,
-        noverlap=segment_len // 2,
-        detrend=False,
-    )
-    f, s_uu = sps.welch(u, **kw)
+    f, s_uu, s_yy, s_uy = _welch_spectra(u, y, fs, segment_len)
     if np.max(s_uu) <= 0.0:
         raise ValueError("input signal has no power")
-    _, s_yy = sps.welch(y, **kw)
-    _, s_uy = sps.csd(u, y, **kw)
     coh = np.abs(s_uy) ** 2 / s_uu / s_yy  # as scipy.signal.coherence computes it
     with np.errstate(divide="ignore", invalid="ignore"):
         h = np.where(s_uu > 0.0, s_uy / s_uu, np.nan)

@@ -109,6 +109,19 @@ class TestCommands:
         assert "O1 tracking bandwidth" in text
         assert "+/-1 dB" in text and "+/-3 dB" in text
 
+    @pytest.mark.parametrize("pm_deg, meets", [(59.0, False), (40.0, True)])
+    def test_pm_target_flag(self, tmp_path, surrogate_raw, pm_deg, meets):
+        # the surrogate's outer loop has 44.81 deg of phase margin
+        surrogate_raw["targets"]["pm_deg"] = pm_deg
+        out = tmp_path / "out"
+        assert run_command("design", write(tmp_path, surrogate_raw), out) == 0
+        for name in ("summary.json", "margins.json"):
+            outer = json.loads((out / name).read_text())["outer_loop"]
+            assert outer["meets_pm_target"] is meets
+            assert min(c["phase_margin_deg"] for c in outer["crossovers"]) == pytest.approx(
+                44.81, abs=0.01
+            )
+
     def test_marginal_verdict_line(self, tmp_path, surrogate_raw):
         raw = surrogate_raw
         raw["plant"] = {
@@ -198,6 +211,7 @@ class TestCommands:
         raw["nrc"] = {"gamma": 2.0, "n": 1.0}
         p = write(tmp_path, raw)
         assert run_command("design", p, tmp_path / "out") == 2
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "section, key, value",
@@ -211,6 +225,7 @@ class TestCommands:
         p = write(tmp_path, surrogate_raw)
         assert run_command("design", p, tmp_path / "out") == 2
         assert f"{section}.{key}: must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_section_exit_code(self, tmp_path):
         p = write(tmp_path, minimal_config())
@@ -233,6 +248,7 @@ class TestCommands:
         argv = ["sweep", str(tmp_path / config), "--values", values]
         assert main(argv + ["--out", str(tmp_path / "out")]) == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_grid_override(self, tmp_path):
         p = write(tmp_path, minimal_config())
@@ -249,16 +265,27 @@ class TestCommands:
         p = write(tmp_path, minimal_config())
         assert run_command("bode", p, tmp_path / "out", grid_override=override) == 2
         assert "config error at --grid-override" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
-    def test_design_and_simulate_leave_scipy_unloaded(self, tmp_path, surrogate_raw):
-        # only identify may import scipy.signal, the bulk of start-up time
+    @pytest.mark.parametrize("cmd", ["design", "identify"])
+    def test_missing_config_file_leaves_no_out_dir(self, tmp_path, capsys, cmd):
+        out = tmp_path / "out"
+        assert main([cmd, str(tmp_path / "nope.json"), "--out", str(out)]) == 2
+        assert "config file not found" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cmd", COMMANDS)
+    def test_command_loads_no_scipy(self, tmp_path, surrogate_raw, cmd):
+        # scipy is a test dependency only: with its import blocked, every
+        # command still runs
         p = write(tmp_path, surrogate_raw)
+        extra = ["--values", "4,8"] if cmd == "sweep" else []
+        argv = [cmd, str(p), "--out", str(tmp_path / "out")] + extra
         code = (
-            "import sys, nrcdamp, nrcdamp.cli\n"
-            "for cmd in ('design', 'simulate'):\n"
-            f"    assert nrcdamp.cli.main([cmd, {str(p)!r}, '--out', {str(tmp_path)!r}]) == 0\n"
-            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-            "assert not loaded, loaded\n"
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "import nrcdamp.cli\n"
+            f"assert nrcdamp.cli.main({argv!r}) == 0\n"
         )
         src = str(Path(nrcdamp.__file__).resolve().parent.parent)
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

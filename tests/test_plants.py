@@ -7,6 +7,7 @@ from nrcdamp import (
     build_plant,
     dc_gain,
     freq_response,
+    modal_state_space,
     nanopositioner_surrogate,
     nrc_gains,
     NrcSpec,
@@ -89,6 +90,36 @@ class TestBuildPlant:
             m2 = abs(freq_response(g, 1e4))
             slope = 20.0 * np.log10(m1 / m2)
             assert slope > min_slope - 1e-3
+
+
+class TestModalStateSpace:
+    PLANTS = {
+        "surrogate": nanopositioner_surrogate(),
+        "undamped": PlantSpec(
+            gain=2.0, modes=(ModeSpec(TWO_PI * 739.0, 0.0), ModeSpec(TWO_PI * 983.0, 0.0, 0.3))
+        ),
+        "amplifier": PlantSpec(
+            gain=0.4,
+            modes=(ModeSpec(TWO_PI * 739.0, 0.0), ModeSpec(TWO_PI * 1500.0, 0.05, 0.5)),
+            amp_corner_rad_s=TWO_PI * 4000.0,
+            delay_s=1e-4,
+        ),
+    }
+
+    @pytest.mark.parametrize("name", PLANTS)
+    def test_matches_build_plant(self, name):
+        spec = self.PLANTS[name]
+        a, b, c = modal_state_space(spec)
+        w = TWO_PI * np.array([0.1, 10.0, 500.0, 739.5, 983.5, 4000.0, 1e5])
+        got = [c @ np.linalg.solve(1j * wi * np.eye(b.size) - a, b) for wi in w]
+        want = freq_response(build_plant(spec).without_delay(), w)
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+
+    @pytest.mark.parametrize("name", ["surrogate", "undamped"])
+    def test_modes_are_dissipative(self, name):
+        # A + A^T <= 0, also at zeta = 0: no state norm can grow
+        a, _, _ = modal_state_space(self.PLANTS[name])
+        assert np.max(np.linalg.eigvalsh(a + a.T)) <= 1e-9 * np.max(np.abs(a))
 
 
 class TestScaleLoad:

@@ -396,3 +396,166 @@ class TestSurrogateRuns:
 
         expected = two_mode_zero(983.0 / 739.0, 0.3, 739.0)
         assert dip == pytest.approx(expected, rel=0.02)
+
+
+# Identification without scipy: scipy.signal, and an exact evaluation of the
+# bilinear transfer function, stay the references for the numpy path.
+
+CONTRACT_VARIANTS = ("surrogate", "undamped_mode", "amplifier", "no_delay", "no_sim")
+
+
+def contract_config(raw, variant):
+    """The surrogate config altered as one tolerance-contract case."""
+    if variant == "undamped_mode":
+        raw["plant"] = {"gain": 1.0, "modes": [{"freq_hz": 739.0, "zeta": 0.0}]}
+    elif variant == "amplifier":
+        raw["plant"]["amp_corner_hz"] = 4000.0
+    elif variant == "no_delay":
+        raw["plant"]["delay_us"] = 0.0
+    elif variant == "no_sim":
+        del raw["sim"]  # identify then samples at 33.3 kHz
+    return raw
+
+
+def identify_rates(cfg):
+    """(fs, f1) of the identify command for a parsed config."""
+    fs = 1.0 / cfg.sim.ts_s if cfg.sim is not None else 33300.0
+    return fs, min(5000.0, 0.4 * fs)
+
+
+def delay_shift(y, n_delay):
+    return np.concatenate([np.zeros(n_delay), y[:-n_delay]]) if n_delay else y
+
+
+def scipy_open_loop(plant, fs, duration_s, f1, oversample):
+    """The scipy path of open_loop_response: tf -> ss -> tf, then lfilter."""
+    fs_fine = fs * oversample
+    nsamp = int(round(duration_s * fs_fine))
+    t = np.arange(nsamp) / fs_fine
+    u = 0.1 * sps.chirp(t, f0=10.0, t1=duration_s, f1=f1, method="logarithmic")
+    u = u * sps.windows.tukey(nsamp, alpha=0.1)
+    blk = discretize(build_plant(plant).without_delay(), 1.0 / fs_fine)
+    num, den = sps.ss2tf(blk.a_matrix, blk.b_matrix, blk.c_matrix, blk.d_matrix)
+    y = delay_shift(sps.lfilter(num[0], den, u), int(round(plant.delay_s * fs_fine)))
+    return u[::oversample], y[::oversample]
+
+
+def exact_fine_response(plant, u, ts):
+    """Zero-state output of the bilinear (c = 2/ts) plant map, by the FFT.
+
+    G is evaluated in closed form from the modal sum at s = (2/ts)(z-1)/(z+1)
+    on the circle |z| = 1/rho instead of |z| = 1: with the input weighted by
+    rho^k and the output by rho^-k, even an undamped mode's ringing decays
+    before the zero-padded transform wraps it.
+    """
+    nsamp = u.size
+    nfft = 1 << int(np.ceil(np.log2(4 * nsamp)))
+    decay = 1e-3  # rho^nsamp; rho^nfft <= 1e-12 bounds the wrap-around
+    weight = decay ** (np.arange(nsamp) / nsamp)
+    z = np.exp(2j * np.pi * np.arange(nfft // 2 + 1) / nfft) / decay ** (1.0 / nsamp)
+    s = (2.0 / ts) * (z - 1.0) / (z + 1.0)
+    g = sum(
+        m.weight * m.omega_rad_s**2 / (s * s + 2.0 * m.zeta * m.omega_rad_s * s + m.omega_rad_s**2)
+        for m in plant.modes
+    )
+    if plant.amp_corner_rad_s is not None:
+        g = g * plant.amp_corner_rad_s / (s + plant.amp_corner_rad_s)
+    y = np.fft.irfft(np.fft.rfft(u * weight, nfft) * plant.gain * g, nfft)[:nsamp] / weight
+    return delay_shift(y, int(round(plant.delay_s / ts)))
+
+
+class TestIdentifyMatchesScipyReference:
+    @pytest.mark.parametrize(
+        "fs, duration_s, f1, taper",
+        [(8 / 30e-6, 10.0, 5000.0, 0.05), (8 * 33300.0, 2.0, 5000.0, 0.05),
+         (1000.0, 1.0, 400.0, 0.05), (333.0, 0.5, 100.0, 0.2), (500.0, 0.3, 50.0, 0.5)],
+    )
+    def test_log_chirp_is_scipy_bits(self, fs, duration_s, f1, taper):
+        nsamp = int(round(duration_s * fs))
+        t = np.arange(nsamp) / fs
+        want = 0.1 * sps.chirp(t, f0=10.0, t1=duration_s, f1=f1, method="logarithmic")
+        want = want * sps.windows.tukey(nsamp, alpha=2.0 * taper)
+        got = log_chirp(fs, duration_s, f0=10.0, f1=f1, amplitude=0.1, taper_frac=taper)
+        if taper < 0.5:  # at alpha = 1 scipy switches to its Hann formula
+            assert np.array_equal(got, want)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("nsamp, seg", [(333334, 65536), (60000, 4096), (5001, 1001)])
+    def test_spectra_match_scipy_welch_and_csd(self, nsamp, seg):
+        from nrcdamp.sim import _welch_spectra
+
+        rng = np.random.default_rng(seg)
+        u = rng.normal(size=nsamp)
+        y = np.convolve(u, [1.0, 0.5, -0.2], "same") + 0.1 * rng.normal(size=nsamp)
+        kw = dict(fs=33300.0, window="hann", nperseg=seg, noverlap=seg // 2, detrend=False)
+        f, s_uu, s_yy, s_uy = _welch_spectra(u, y, 33300.0, seg)
+        np.testing.assert_array_equal(f, sps.welch(u, **kw)[0])
+        np.testing.assert_allclose(s_uu, sps.welch(u, **kw)[1], rtol=1e-12)
+        np.testing.assert_allclose(s_yy, sps.welch(y, **kw)[1], rtol=1e-12)
+        np.testing.assert_allclose(s_uy, sps.csd(u, y, **kw)[1], rtol=1e-12)
+
+    @pytest.mark.parametrize("variant", CONTRACT_VARIANTS)
+    def test_fine_rate_response(self, surrogate_raw, variant):
+        # identify's oversampled run, 1 s of it: exact to 1e-10 of max|y|,
+        # and within 1e-5 of the scipy path it replaced
+        from nrcdamp.cli import parse_config_dict
+
+        cfg = parse_config_dict(contract_config(surrogate_raw, variant))
+        plant = cfg.plant.to_spec()
+        fs, f1 = identify_rates(cfg)
+        u, y = open_loop_response(plant, fs=8 * fs, duration_s=1.0, f1=f1, oversample=1)
+        scale = np.max(np.abs(y))
+        exact = exact_fine_response(plant, u, 1.0 / (8 * fs))
+        assert np.max(np.abs(y - exact)) <= 1e-10 * scale
+        _, y_scipy = scipy_open_loop(plant, 8 * fs, 1.0, f1, oversample=1)
+        assert np.max(np.abs(y - y_scipy)) <= 1e-5 * scale
+
+    @pytest.mark.parametrize("variant", CONTRACT_VARIANTS)
+    def test_identify_frf_matches_scipy_path(self, tmp_path, surrogate_raw, variant):
+        import json
+        import math
+
+        from nrcdamp.cli import parse_config_dict, run_command
+
+        raw = contract_config(surrogate_raw, variant)
+        p = tmp_path / "config.json"
+        p.write_text(json.dumps(raw))
+        assert run_command("identify", p, tmp_path / "out") == 0
+        got = np.loadtxt(tmp_path / "out" / "frf.csv", delimiter=",", skiprows=1)
+        peak_hz = json.loads((tmp_path / "out" / "summary.json").read_text())["peak_freq_hz"]
+
+        cfg = parse_config_dict(raw)
+        fs, f1 = identify_rates(cfg)
+        u, y = scipy_open_loop(cfg.plant.to_spec(), fs, 10.0, f1, oversample=8)
+        seg = min(1 << max(10, int(math.log2(u.size / 5.0))), u.size // 2)
+        kw = dict(fs=fs, window="hann", nperseg=seg, noverlap=seg // 2, detrend=False)
+        f, s_uu = sps.welch(u, **kw)
+        s_yy = sps.welch(y, **kw)[1]
+        s_uy = sps.csd(u, y, **kw)[1]
+        h = s_uy / s_uu
+        want = (
+            20.0 * np.log10(np.abs(h)),
+            np.degrees(np.unwrap(np.angle(h))),
+            np.abs(s_uy) ** 2 / s_uu / s_yy,
+        )
+        np.testing.assert_allclose(got[:, 0], f, rtol=1e-11)  # %.12g in the CSV
+        band = (f >= 10.0) & (f <= 4000.0)
+        for col, ref, tol in zip(got.T[1:], want, (1e-4, 1e-3, 1e-7)):
+            assert np.max(np.abs(col[band] - ref[band])) <= tol
+        peak_band = (f > 50.0) & (f < f1)
+        assert peak_hz == f[peak_band][np.argmax(want[0][peak_band])]
+
+    @pytest.mark.parametrize("variant", ["surrogate", "undamped_mode", "amplifier"])
+    def test_bilinear_modal_powers_stay_bounded(self, surrogate_raw, variant):
+        from nrcdamp import modal_state_space
+        from nrcdamp.cli import parse_config_dict
+        from nrcdamp.sim import _bilinear_state_space
+
+        plant = parse_config_dict(contract_config(surrogate_raw, variant)).plant.to_spec()
+        a, _, _, _ = _bilinear_state_space(*modal_state_space(plant), TS / 8)
+        if plant.amp_corner_rad_s is None:  # a contraction: ||A^k|| <= 1 for all k
+            assert np.linalg.norm(a, 2) <= 1.0 + 1e-12
+        power = a
+        for _ in range(22):  # k = 1, 2, 4, ..., 2^21 > identify's 2.67 M samples
+            assert np.linalg.norm(power, 2) <= 1.1
+            power = power @ power
