@@ -46,12 +46,14 @@ from .tracking import (
 from .sim import (
     chirp_identify,
     discretize,
+    dual_loop_state_space,
     frf_to_csv,
     make_reference,
     make_uniform_noise,
     open_loop_response,
     simulate_dual_loop,
     sinusoid_amplitude,
+    spectral_radius,
     trace_to_csv,
     tracking_metrics,
 )
@@ -68,6 +70,16 @@ COMMANDS = (
     "identify",
     "sweep",
 )
+
+# Config sections a command needs, checked in this order before --out is
+# made; sweep checks design's on the config of every value.
+REQUIRED_SECTIONS = {
+    "design": ("tracker", "nrc"),
+    "rootlocus": ("nrc",),
+    "sens": ("nrc",),
+    "margins": ("nrc",),
+    "simulate": ("sim", "nrc", "tracker"),
+}
 
 
 class ConfigError(ValueError):
@@ -365,8 +377,6 @@ class _DesignContext:
     """
 
     def __init__(self, cfg: ExperimentConfig):
-        if cfg.nrc is None:
-            raise ConfigError("config error at nrc: this command needs an nrc section")
         self.cfg = cfg
         self.plant_spec = cfg.plant.to_spec()
         self.plant_tf = build_plant(self.plant_spec)
@@ -445,6 +455,27 @@ class _DesignContext:
         dual = margins(self.grid, ld, refine=self.ld_eval)
         return outer, dual, nyquist_net_crossings(self.grid, ld)
 
+    def margins_json(self) -> dict:
+        """The ``margins.json`` payload of a design with a tracker: outer-loop
+        margins with their target flags, dual-loop margins with the Nyquist
+        verdict."""
+        outer, dual, net = self.loop_margins()
+        targets = self.cfg.targets
+        return {
+            "outer_loop": {
+                **_margins_dict(outer),
+                "meets_gm_target": outer.gain_margin_db is not None
+                and outer.gain_margin_db >= targets.gm_db,
+                "meets_pm_target": bool(outer.crossovers)
+                and min(pm for _, pm in outer.crossovers) >= targets.pm_deg,
+            },
+            "dual_loop": {
+                **_margins_dict(dual),
+                "nyquist_net_crossings": net,
+                "stable": net == 0,
+            },
+        }
+
 
 def _stability_verdict(ctx: _DesignContext) -> str:
     """Inner-loop verdict from the delay-free rational closure."""
@@ -474,8 +505,6 @@ def _fmt(x, digits=6):
 def run_design(cfg: ExperimentConfig, out_dir: Path, exact_tan60: bool = False) -> dict:
     """Full pipeline: damping synthesis, inner-loop report, tracker tuning,
     sensitivities, margins/bandwidth and the objective scorecard."""
-    if cfg.tracker is None:
-        raise ConfigError("config error at tracker: design needs a tracker section")
     ctx = _DesignContext(cfg)
     grid = ctx.grid
 
@@ -488,7 +517,7 @@ def run_design(cfg: ExperimentConfig, out_dir: Path, exact_tan60: bool = False) 
     bw1 = bandwidth(grid, bundle.t_yr, 1.0, refine=ctx.t_yr_eval)
     bw_target = bandwidth(grid, bundle.t_yr, cfg.targets.bound_db, refine=ctx.t_yr_eval)
 
-    outer, dual, net = ctx.loop_margins()
+    margins_out = ctx.margins_json()
 
     hi_band = (grid[-1] / math.sqrt(10.0), grid[-1])
     objectives = objective_report(
@@ -516,18 +545,10 @@ def run_design(cfg: ExperimentConfig, out_dir: Path, exact_tan60: bool = False) 
             "verdict": _stability_verdict(ctx),
             "peak_reduction_db": peak_reduction_db,
         },
-        "dual_loop": {
-            "nyquist_net_crossings": net,
-            "stable": net == 0,
-            "crossovers": _crossovers(dual),
+        "dual_loop": {  # margins.json's, less the gain margin
+            k: v for k, v in margins_out["dual_loop"].items() if k != "gain_margin_db"
         },
-        "outer_loop": {
-            **_margins_dict(outer),
-            "meets_gm_target": outer.gain_margin_db is not None
-            and outer.gain_margin_db >= cfg.targets.gm_db,
-            "meets_pm_target": bool(outer.crossovers)
-            and min(pm for _, pm in outer.crossovers) >= cfg.targets.pm_deg,
-        },
+        "outer_loop": margins_out["outer_loop"],
         "bandwidth": {
             "wc_1db_hz": None if bw1.grid_end else bw1.omega_c_rad_s / TWO_PI,
             "wc_3db_hz": None if bw3.grid_end else bw3.omega_c_rad_s / TWO_PI,
@@ -549,7 +570,7 @@ def run_design(cfg: ExperimentConfig, out_dir: Path, exact_tan60: bool = False) 
         summary["pm_feasibility"] = feasibility
 
     bundle_to_csv(bundle, out_dir / "sensitivities.csv")
-    _write_json(out_dir / "margins.json", {"outer_loop": summary["outer_loop"], "dual_loop": summary["dual_loop"]})
+    _write_json(out_dir / "margins.json", margins_out)
     _write_json(out_dir / "summary.json", summary)
     (out_dir / "summary.txt").write_text(summarize(summary), encoding="utf-8")
     return summary
@@ -628,8 +649,6 @@ def run_bode(cfg: ExperimentConfig, out_dir: Path) -> dict:
 def run_rootlocus(
     cfg: ExperimentConfig, out_dir: Path, n_min=0.1, n_max=10.0, n_points=500
 ) -> dict:
-    if cfg.nrc is None:
-        raise ConfigError("config error at nrc: rootlocus needs an nrc section")
     first = cfg.plant.to_spec().modes[0]
     single = PlantSpec(gain=cfg.plant.gain, modes=(first,))
     trace = root_locus_n(
@@ -665,11 +684,7 @@ def run_margins(cfg: ExperimentConfig, out_dir: Path) -> dict:
         )
         out = {"inner_loop": _margins_dict(inner)}
     else:
-        outer, dual, net = ctx.loop_margins()
-        out = {
-            "outer_loop": _margins_dict(outer),
-            "dual_loop": {**_margins_dict(dual), "nyquist_net_crossings": net},
-        }
+        out = ctx.margins_json()
     _write_json(out_dir / "margins.json", out)
     return out
 
@@ -683,15 +698,18 @@ def _margins_dict(rep: MarginsReport) -> dict:
 
 
 def run_simulate(cfg: ExperimentConfig, out_dir: Path, seed=None) -> dict:
-    if cfg.sim is None:
-        raise ConfigError("config error at sim: simulate needs a sim section")
+    """Simulate the sampled dual loop; a loop whose closed-loop spectral
+    radius exceeds 1 diverges and is refused before it runs."""
     ctx = _DesignContext(cfg)
-    if ctx.ct_tf is None:
-        raise ConfigError("config error at tracker: simulate needs a tracker section")
     ts = cfg.sim.ts_s
     plant_d = discretize(ctx.plant_tf, ts)
     tracker_d = discretize(ctx.ct_tf, ts)
     nrc_d = discretize(ctx.cd_tf, ts)
+    rho = spectral_radius(dual_loop_state_space(plant_d, tracker_d, nrc_d))
+    if rho > 1.0:
+        raise ValueError(
+            f"simulation diverged: closed-loop spectral radius {rho:.6g} > 1"
+        )
     ref = cfg.sim.reference
     r = make_reference(ref.kind, ref.amplitude, ts, cfg.sim.duration_s, ref.freq_hz)
     use_seed = cfg.sim.seed if seed is None else seed
@@ -713,7 +731,12 @@ def run_simulate(cfg: ExperimentConfig, out_dir: Path, seed=None) -> dict:
         raise ValueError("simulation diverged: the trace is not finite")
     trace_to_csv(trace, out_dir / "trace.csv")
     e_max, e_rms = tracking_metrics(trace.r, trace.y_meas)
-    metrics = {"e_max": e_max, "e_rms": e_rms, "seed": use_seed}
+    metrics = {
+        "e_max": e_max,
+        "e_rms": e_rms,
+        "seed": use_seed,
+        "closed_loop_spectral_radius": rho,
+    }
     if ref.kind == "sine":
         amp = sinusoid_amplitude(trace.y_meas, ref.freq_hz, ts)
         metrics["steady_state_amplitude"] = amp
@@ -744,9 +767,10 @@ def run_identify(cfg: ExperimentConfig, out_dir: Path) -> dict:
     return summary
 
 
-def run_sweep(cfg_raw: dict, out_dir: Path, param: str, values, exact_tan60=False) -> dict:
-    """Re-run the design pipeline over a one-parameter sweep."""
-    rows = []
+def _sweep_configs(cfg_raw: dict, param: str, values) -> list:
+    """The validated config of each sweep value: ``cfg_raw`` with the dotted
+    key ``param`` set to it."""
+    configs = []
     for v in values:
         raw = json.loads(json.dumps(cfg_raw))
         node = raw
@@ -755,6 +779,15 @@ def run_sweep(cfg_raw: dict, out_dir: Path, param: str, values, exact_tan60=Fals
             node = node.setdefault(key, {})
         node[last] = v
         cfg = parse_config_dict(raw)
+        _require_sections("design", cfg)
+        configs.append(cfg)
+    return configs
+
+
+def run_sweep(configs, out_dir: Path, param: str, values, exact_tan60=False) -> dict:
+    """Re-run the design pipeline over a one-parameter sweep."""
+    rows = []
+    for cfg, v in zip(configs, values):
         sub = out_dir / f"{param.replace('.', '_')}_{v:g}"
         sub.mkdir(parents=True, exist_ok=True)
         summary = run_design(cfg, sub, exact_tan60=exact_tan60)
@@ -779,17 +812,32 @@ def _write_json(path: Path, payload) -> None:
     )
 
 
+def _require_sections(cmd: str, cfg: ExperimentConfig) -> None:
+    for section in REQUIRED_SECTIONS.get(cmd, ()):
+        if getattr(cfg, section) is None:
+            article = "an" if section == "nrc" else "a"
+            raise ConfigError(
+                f"config error at {section}: {cmd} needs {article} {section} section"
+            )
+
+
 def run_command(cmd: str, cfg_path, out_dir, **kwargs) -> int:
-    """Dispatch a CLI command; returns the process exit status."""
+    """Dispatch a CLI command; returns the process exit status.
+
+    The config, the overrides and the sections the command needs are all
+    checked before ``out_dir`` is made, so a config error leaves no
+    directory behind.
+    """
     out = Path(out_dir)
     try:
         if cmd == "sweep":
             values = _sweep_values(kwargs["values"])
             raw = _read_config_json(cfg_path)
             parse_config_dict(raw)  # validate before mutating
+            configs = _sweep_configs(raw, kwargs["param"], values)
             out.mkdir(parents=True, exist_ok=True)
             run_sweep(
-                raw,
+                configs,
                 out,
                 kwargs["param"],
                 values,
@@ -798,6 +846,7 @@ def run_command(cmd: str, cfg_path, out_dir, **kwargs) -> int:
             return 0
         cfg = parse_config(cfg_path)
         cfg = _apply_overrides(cfg, kwargs.get("grid_override"))
+        _require_sections(cmd, cfg)
         out.mkdir(parents=True, exist_ok=True)
         if cmd == "bode":
             run_bode(cfg, out)

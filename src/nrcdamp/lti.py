@@ -273,14 +273,26 @@ def write_csv(path, names, columns) -> None:
     """Write equal-length columns as CSV under a header row of names.
 
     This is the one CSV format of every artifact: each value is written
-    ``%.12g`` and None leaves its field empty.
+    ``%.12g`` and None leaves its field empty. Columns without None are
+    formatted 32 rows at a time, with one ``%`` per chunk; larger chunks
+    are barely faster and raise the resident memory of a process that
+    writes many tables.
     """
+    chunk = 32
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(names) + "\n")
-        fh.writelines(
-            ",".join(["" if v is None else "%.12g" % v for v in row]) + "\n"
-            for row in zip(*columns)
-        )
+        if any(not isinstance(c, np.ndarray) and None in c for c in columns):
+            fh.writelines(
+                ",".join(["" if v is None else "%.12g" % v for v in row]) + "\n"
+                for row in zip(*columns)
+            )
+            return
+        row_fmt = ",".join(["%.12g"] * len(columns)) + "\n"
+        for start in range(0, len(columns[0]), chunk):
+            block = np.column_stack(
+                [np.asarray(c[start : start + chunk], dtype=float) for c in columns]
+            )
+            fh.write((row_fmt * block.shape[0]) % tuple(block.ravel().tolist()))
 
 
 def bode_to_csv(path, omega, responses) -> None:

@@ -1,16 +1,15 @@
 """Discrete-time simulation of the dual loop and chirp identification.
 
 Controllers and plant are discretized by the bilinear (trapezoidal) map;
-pure delays become integer sample counts. The closed-loop runner follows a
-strictly causal ordering (controllers act on the previous measurement),
-which removes the algebraic loop the biproper damping controller would
-otherwise create.
+pure delays become integer sample counts. The closed dual loop is one
+discrete state-space system with a strictly causal ordering (controllers
+act on the previous measurement), which removes the algebraic loop the
+biproper damping controller would otherwise create.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,22 +126,6 @@ def discrete_frf(block: DiscreteSS, omega) -> np.ndarray:
     return out if np.ndim(omega) else out[0]
 
 
-class _Runner:
-    """Mutable per-block simulation state for the sample loop."""
-
-    def __init__(self, block: DiscreteSS):
-        self.a = block.a_matrix
-        self.b = block.b_matrix[:, 0]
-        self.c = block.c_matrix[0]
-        self.d = block.d_matrix[0, 0]
-        self.x = np.zeros(block.order)
-
-    def step(self, u: float) -> float:
-        y = float(self.c @ self.x + self.d * u)
-        self.x = self.a @ self.x + self.b * u
-        return y
-
-
 @dataclass(frozen=True)
 class SimTrace:
     """Sampled dual-loop record; y_meas = x_true + n and e = r - y_meas."""
@@ -157,6 +140,107 @@ class SimTrace:
     e: np.ndarray
 
 
+def dual_loop_state_space(
+    plant_d: DiscreteSS,
+    tracker_d: DiscreteSS,
+    nrc_d: DiscreteSS,
+    absorb_loop_lag: bool = True,
+) -> DiscreteSS:
+    """The sampled dual loop as one discrete system.
+
+    Inputs (r, d, n), outputs (u, x_true). The state stacks the plant, the
+    tracker, the damper, the plant's input-delay line as a shift register
+    (oldest sample first) and the last measurement y[k-1]. Per sample:
+    e = r - y[k-1]; u = tracker(e) - nrc(y[k-1]); the plant integrates
+    u + d after its delay line, and y[k] = x_true + n. This strictly causal
+    ordering implies one sample of measurement lag; with ``absorb_loop_lag``
+    (default) that sample is counted against the plant's modeled delay, so
+    the loop delay matches the continuous model whenever the plant carries
+    at least one delay sample. The spectral radius of the state matrix is
+    the exact stability verdict of the sampled loop.
+    """
+    if not (plant_d.ts == tracker_d.ts == nrc_d.ts):
+        raise ValueError("all blocks must share the same sampling time")
+    n_delay = plant_d.input_delay_samples
+    if absorb_loop_lag and n_delay >= 1:
+        n_delay -= 1
+    n_p, n_t, n_c = plant_d.order, tracker_d.order, nrc_d.order
+    p = slice(0, n_p)
+    t = slice(n_p, n_p + n_t)
+    c = slice(n_p + n_t, n_p + n_t + n_c)
+    q0 = n_p + n_t + n_c  # oldest delay-line sample
+    iy = q0 + n_delay  # y[k-1]
+    order = iy + 1
+    d_t, d_c, d_p = (blk.d_matrix[0, 0] for blk in (tracker_d, nrc_d, plant_d))
+
+    # each signal as a (state row, input row) pair over x and w = (r, d, n)
+    u_x = np.zeros(order)  # u = C_t x_t - C_c x_c + D_t (r - y[k-1]) - D_c y[k-1]
+    u_x[t] = tracker_d.c_matrix[0]
+    u_x[c] = -nrc_d.c_matrix[0]
+    u_x[iy] = -(d_t + d_c)
+    u_w = np.array([d_t, 0.0, 0.0])
+    v_w = u_w + [0.0, 1.0, 0.0]  # u + d enters the delay line
+    if n_delay:  # the plant takes the oldest delay-line sample
+        vd_x, vd_w = np.zeros(order), np.zeros(3)
+        vd_x[q0] = 1.0
+    else:
+        vd_x, vd_w = u_x, v_w
+    x_x = d_p * vd_x
+    x_x[p] += plant_d.c_matrix[0]
+    x_w = d_p * vd_w
+
+    a = np.zeros((order, order))
+    b = np.zeros((order, 3))
+    a[p, p] = plant_d.a_matrix
+    a[p] += np.outer(plant_d.b_matrix[:, 0], vd_x)
+    b[p] = np.outer(plant_d.b_matrix[:, 0], vd_w)
+    a[t, t] = tracker_d.a_matrix
+    a[t, iy] = -tracker_d.b_matrix[:, 0]
+    b[t, 0] = tracker_d.b_matrix[:, 0]
+    a[c, c] = nrc_d.a_matrix
+    a[c, iy] = nrc_d.b_matrix[:, 0]
+    if n_delay:
+        a[q0 : iy - 1, q0 + 1 : iy] = np.eye(n_delay - 1)
+        a[iy - 1], b[iy - 1] = u_x, v_w
+    a[iy], b[iy] = x_x, x_w + [0.0, 0.0, 1.0]
+    return DiscreteSS(
+        a_matrix=a,
+        b_matrix=b,
+        c_matrix=np.vstack([u_x, x_x]),
+        d_matrix=np.vstack([u_w, x_w]),
+        ts=plant_d.ts,
+    )
+
+
+def spectral_radius(block: DiscreteSS) -> float:
+    """Largest eigenvalue magnitude of a block's state matrix."""
+    return float(np.max(np.abs(np.linalg.eigvals(block.a_matrix))))
+
+
+def run_state_space(block: DiscreteSS, w) -> np.ndarray:
+    """Zero-state response of x+ = A x + B w, y = C x + D w to the rows of w.
+
+    ``w`` is (samples, inputs) and the result (samples, outputs); an input
+    delay shifts the record. The drive B w is
+    formed for the whole record first, so each sample costs one
+    vector-matrix product and one add; every state row is kept and the
+    outputs come from one matrix product at the end.
+    """
+    w = np.asarray(w, dtype=float)
+    nsamp = w.shape[0]
+    delay = min(block.input_delay_samples, nsamp)
+    if delay:
+        w = np.concatenate([np.zeros((delay, w.shape[1])), w[: nsamp - delay]])
+    states = np.empty((nsamp + 1, block.order))
+    states[0] = 0.0
+    a_t = block.a_matrix.T.copy()
+    rows = list(states)
+    for x, x_next, drive in zip(rows, rows[1:], w @ block.b_matrix.T):
+        np.dot(x, a_t, out=x_next)
+        x_next += drive
+    return states[:nsamp] @ block.c_matrix.T + w @ block.d_matrix.T
+
+
 def simulate_dual_loop(
     plant_d: DiscreteSS,
     tracker_d: DiscreteSS,
@@ -166,50 +250,20 @@ def simulate_dual_loop(
     n,
     absorb_loop_lag: bool = True,
 ) -> SimTrace:
-    """Run the dual loop sample by sample.
+    """Run the dual loop of ``dual_loop_state_space`` on (r, d, n).
 
-    Per sample: e = r - y[k-1]; u = tracker(e) - nrc(y[k-1]); the plant
-    integrates u + d (after its input-delay buffer) and y = x_true + n.
-    The causal ordering implies one sample of measurement lag; with
-    ``absorb_loop_lag`` (default) that sample is counted against the
-    plant's modeled delay buffer, so the simulated loop delay matches the
-    continuous model whenever the plant carries at least one delay sample.
+    Any loop runs, a diverging one included; ``spectral_radius`` of the
+    closed loop tells in advance.
     """
     r = np.asarray(r, dtype=float)
     d = np.asarray(d, dtype=float)
     n = np.asarray(n, dtype=float)
     if not (r.shape == d.shape == n.shape) or r.ndim != 1:
         raise ValueError("r, d, n must be 1-D arrays of equal length")
-    if not (plant_d.ts == tracker_d.ts == nrc_d.ts):
-        raise ValueError("all blocks must share the same sampling time")
-    ts = plant_d.ts
-    nsamp = r.size
-
-    plant = _Runner(plant_d)
-    tracker = _Runner(tracker_d)
-    damper = _Runner(nrc_d)
-
-    n_delay = plant_d.input_delay_samples
-    if absorb_loop_lag and n_delay >= 1:
-        n_delay -= 1
-    delay_line = deque([0.0] * n_delay)
-
-    u = np.empty(nsamp)
-    x_true = np.empty(nsamp)
-    y_meas = np.empty(nsamp)
-    y_prev = 0.0
-    for k in range(nsamp):
-        e_k = r[k] - y_prev
-        u_k = tracker.step(e_k) - damper.step(y_prev)
-        v = u_k + d[k]
-        delay_line.append(v)
-        v = delay_line.popleft()
-        x_k = plant.step(v)
-        y_prev = x_k + n[k]
-        u[k] = u_k
-        x_true[k] = x_k
-        y_meas[k] = y_prev
-    time_s = np.arange(nsamp) * ts
+    loop = dual_loop_state_space(plant_d, tracker_d, nrc_d, absorb_loop_lag)
+    u, x_true = run_state_space(loop, np.column_stack([r, d, n])).T
+    y_meas = x_true + n
+    time_s = np.arange(r.size) * loop.ts
     return SimTrace(
         time_s=time_s, r=r, d=d, n=n, u=u, x_true=x_true, y_meas=y_meas, e=r - y_meas
     )

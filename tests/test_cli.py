@@ -206,6 +206,69 @@ class TestCommands:
         assert "simulation diverged" in capsys.readouterr().err
         assert not (out / "metrics.json").exists()
 
+    @pytest.mark.parametrize("kp, rho", [(2.6, "1.00617"), (3.0, "1.00937")])
+    def test_unstable_loop_refused(self, tmp_path, surrogate_raw, capsys, kp, rho):
+        # such loops ran to exit 0 with e_max = 2.7e43 and 2.2e66
+        del surrogate_raw["tracker"]["omega_b_hz"]
+        surrogate_raw["tracker"]["kp"] = kp
+        out = tmp_path / "out"
+        assert run_command("simulate", write(tmp_path, surrogate_raw), out) == 1
+        err = capsys.readouterr().err
+        assert f"simulation diverged: closed-loop spectral radius {rho} > 1" in err
+        assert not (out / "metrics.json").exists() and not (out / "trace.csv").exists()
+
+    def test_simulate_reports_spectral_radius(self, tmp_path, surrogate_raw):
+        out = tmp_path / "out"
+        assert run_command("simulate", write(tmp_path, surrogate_raw), out) == 0
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert metrics["closed_loop_spectral_radius"] == pytest.approx(0.99432, abs=1e-4)
+
+    def test_margins_json_one_schema(self, tmp_path, surrogate_raw):
+        p = write(tmp_path, surrogate_raw)
+        assert run_command("design", p, tmp_path / "design") == 0
+        assert run_command("margins", p, tmp_path / "margins") == 0
+        design = (tmp_path / "design" / "margins.json").read_bytes()
+        assert design == (tmp_path / "margins" / "margins.json").read_bytes()
+        m = json.loads(design)
+        assert set(m["outer_loop"]) == {
+            "gain_margin_db", "crossovers", "meets_gm_target", "meets_pm_target"
+        }
+        assert set(m["dual_loop"]) == {
+            "gain_margin_db", "crossovers", "nyquist_net_crossings", "stable"
+        }
+
+    @pytest.mark.parametrize(
+        "cmd, drop, message",
+        [
+            ("design", "tracker", "config error at tracker: design needs a tracker section"),
+            ("design", "nrc", "config error at nrc: design needs an nrc section"),
+            ("sens", "nrc", "config error at nrc: sens needs an nrc section"),
+            ("margins", "nrc", "config error at nrc: margins needs an nrc section"),
+            ("rootlocus", "nrc", "config error at nrc: rootlocus needs an nrc section"),
+            ("simulate", "sim", "config error at sim: simulate needs a sim section"),
+            ("simulate", "nrc", "config error at nrc: simulate needs an nrc section"),
+            ("simulate", "tracker", "config error at tracker: simulate needs a tracker section"),
+            ("sweep", "tracker", "config error at tracker: design needs a tracker section"),
+        ],
+    )
+    def test_missing_section_leaves_no_out_dir(
+        self, tmp_path, surrogate_raw, capsys, cmd, drop, message
+    ):
+        del surrogate_raw[drop]
+        kwargs = {"param": "nrc.n", "values": ["4"]} if cmd == "sweep" else {}
+        out = tmp_path / "out"
+        assert run_command(cmd, write(tmp_path, surrogate_raw), out, **kwargs) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep_bad_value_leaves_no_out_dir(self, tmp_path, surrogate_raw, capsys):
+        # every value's config is validated before the first design runs
+        out = tmp_path / "out"
+        argv = ["sweep", str(write(tmp_path, surrogate_raw)), "--values=4,-1"]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert "config error at nrc.n: must be > 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_config_exit_code(self, tmp_path):
         raw = minimal_config()
         raw["nrc"] = {"gamma": 2.0, "n": 1.0}

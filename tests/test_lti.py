@@ -237,3 +237,44 @@ def test_log_grid_density():
     assert w[0] == pytest.approx(2 * np.pi)
     assert w[-1] == pytest.approx(2 * np.pi * 1000.0)
     assert np.all(np.diff(w) > 0)
+
+
+def rowwise_csv(path, names, columns):
+    """The row-at-a-time CSV writer that write_csv's chunked path replaced."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(names) + "\n")
+        fh.writelines(
+            ",".join(["" if v is None else "%.12g" % v for v in row]) + "\n"
+            for row in zip(*columns)
+        )
+
+
+class TestWriteCsv:
+    @pytest.mark.parametrize("nrows", [0, 1, 4095, 4096, 9001])
+    def test_bytes_match_rowwise_writer(self, tmp_path, nrows):
+        from nrcdamp.lti import write_csv
+
+        rng = np.random.default_rng(nrows)
+        special = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 1e-12, -1e-12, 1e6, 123456.789012345])
+        columns = [
+            np.resize(special, nrows),
+            rng.normal(size=nrows) * 10.0 ** rng.integers(-12, 7, nrows),
+            np.arange(nrows) * 30e-6,
+            np.arange(nrows),
+        ]
+        names = ("a", "b", "t", "k")
+        write_csv(tmp_path / "new.csv", names, columns)
+        rowwise_csv(tmp_path / "old.csv", names, columns)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    @pytest.mark.parametrize("with_none", [True, False])
+    def test_list_columns_match_rowwise_writer(self, tmp_path, with_none):
+        # sweep.csv: plain lists of floats and bools, None for a value the
+        # grid does not reach
+        from nrcdamp.lti import write_csv
+
+        names = ("value", "wc_3db_hz", "dual_stable")
+        columns = [[4.0, 8.0, 12.5], [901.25, None if with_none else 1e3, 2.5e-7], [True, False, True]]
+        write_csv(tmp_path / "new.csv", names, columns)
+        rowwise_csv(tmp_path / "old.csv", names, columns)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()

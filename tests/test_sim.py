@@ -1,4 +1,5 @@
 import warnings
+from collections import deque
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from nrcdamp import (
     dc_gain,
     discrete_frf,
     discretize,
+    dual_loop_state_space,
     freq_response,
     log_chirp,
     make_reference,
@@ -28,9 +30,11 @@ from nrcdamp import (
     nrc_gains,
     open_loop_response,
     phase_compensate,
+    run_state_space,
     simulate_dual_loop,
     sinusoid_amplitude,
     sinusoid_phasor,
+    spectral_radius,
     synthesize_nrc,
     tracking_metrics,
 )
@@ -59,10 +63,7 @@ class TestDiscretize:
     def test_integrator_accumulates(self):
         wi = TWO_PI * 28.0
         blk = discretize(RationalTF.from_coeffs([wi], [0.0, 1.0]), TS)
-        from nrcdamp.sim import _Runner
-
-        runner = _Runner(blk)
-        y = np.array([runner.step(1.0) for _ in range(1000)])
+        y = run_state_space(blk, np.ones((1000, 1)))[:, 0]
         growth = np.diff(y[10:])
         np.testing.assert_allclose(growth, wi * TS, rtol=1e-9)
 
@@ -246,6 +247,186 @@ class TestDualLoop:
             w = TWO_PI * f
             dphase = np.degrees(np.angle(gain * np.exp(-1j * w * ts) / target))
             assert abs(dphase) < 3.0
+
+
+# The three-runner sample loop that simulate_dual_loop replaced, kept as the
+# reference for the one-matrix closed loop.
+
+
+class _ReferenceRunner:
+    """One block of the reference loop, stepped a sample at a time."""
+
+    def __init__(self, block):
+        self.a = block.a_matrix
+        self.b = block.b_matrix[:, 0]
+        self.c = block.c_matrix[0]
+        self.d = block.d_matrix[0, 0]
+        self.x = np.zeros(block.order)
+
+    def step(self, u):
+        y = float(self.c @ self.x + self.d * u)
+        self.x = self.a @ self.x + self.b * u
+        return y
+
+
+def reference_dual_loop(plant_d, tracker_d, nrc_d, r, d, n, absorb_loop_lag=True):
+    """(u, x_true, y_meas) of the dual loop, block by block and sample by sample."""
+    plant, tracker, damper = (_ReferenceRunner(b) for b in (plant_d, tracker_d, nrc_d))
+    n_delay = plant_d.input_delay_samples
+    if absorb_loop_lag and n_delay >= 1:
+        n_delay -= 1
+    delay_line = deque([0.0] * n_delay)
+    u, x_true, y_meas = (np.empty(r.size) for _ in range(3))
+    y_prev = 0.0
+    for k in range(r.size):
+        u_k = tracker.step(r[k] - y_prev) - damper.step(y_prev)
+        delay_line.append(u_k + d[k])
+        x_k = plant.step(delay_line.popleft())
+        y_prev = x_k + n[k]
+        u[k], x_true[k], y_meas[k] = u_k, x_k, y_prev
+    return u, x_true, y_meas
+
+
+LOOP_VARIANTS = (
+    "surrogate", "no_delay", "one_sample_delay", "no_absorb", "step", "no_integrator"
+)
+
+
+def loop_case(raw, variant):
+    """Blocks, (r, d, n) and absorb_loop_lag of one closed-loop contract case:
+    the surrogate with noise and a 700 Hz disturbance, altered by variant."""
+    from nrcdamp.cli import _DesignContext, parse_config_dict
+
+    raw["sim"].update(noise_amplitude=0.01, disturbance_amplitude=0.2,
+                      disturbance_freq_hz=700.0)
+    if variant == "no_delay":
+        raw["plant"]["delay_us"] = 0.0
+    elif variant == "one_sample_delay":
+        raw["plant"]["delay_us"] = raw["sim"]["ts_us"]
+    elif variant == "step":
+        raw["sim"]["reference"] = {"kind": "step", "amplitude": 1.0}
+    elif variant == "no_integrator":
+        raw["tracker"]["omega_i_hz"] = 0.0
+    cfg = parse_config_dict(raw)
+    ctx = _DesignContext(cfg)
+    sim = cfg.sim
+    blocks = tuple(discretize(tf, sim.ts_s) for tf in (ctx.plant_tf, ctx.ct_tf, ctx.cd_tf))
+    ref = sim.reference
+    r = make_reference(ref.kind, ref.amplitude, sim.ts_s, sim.duration_s, ref.freq_hz)
+    t = np.arange(r.size) * sim.ts_s
+    d = sim.disturbance_amplitude * np.sin(TWO_PI * sim.disturbance_freq_hz * t)
+    n = make_uniform_noise(sim.seed, sim.noise_amplitude, r.size)
+    return blocks, (r, d, n), variant != "no_absorb"
+
+
+def closed_loop_frf(loop, omega, out, inp):
+    """One input-output pair of a multi-input, multi-output DiscreteSS."""
+    eye = np.eye(loop.order)
+    return np.array([
+        loop.c_matrix[out] @ np.linalg.solve(np.exp(1j * w * loop.ts) * eye - loop.a_matrix,
+                                             loop.b_matrix[:, inp])
+        + loop.d_matrix[out, inp]
+        for w in omega
+    ])
+
+
+class TestClosedLoopStateSpace:
+    @pytest.mark.parametrize("variant", LOOP_VARIANTS)
+    def test_trace_matches_reference_loop(self, surrogate_raw, variant):
+        # the output contract of simulate: u, x_true, y_meas within 1e-10 of
+        # their own max magnitude, e within 1e-10 of max|y_meas|, the metrics
+        # within 1e-10 relative
+        blocks, (r, d, n), absorb = loop_case(surrogate_raw, variant)
+        trace = simulate_dual_loop(*blocks, r, d, n, absorb_loop_lag=absorb)
+        u, x_true, y_meas = reference_dual_loop(*blocks, r, d, n, absorb_loop_lag=absorb)
+        for got, want in ((trace.u, u), (trace.x_true, x_true), (trace.y_meas, y_meas)):
+            assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+        e_ref = r - y_meas
+        assert np.max(np.abs(trace.e - e_ref)) <= 1e-10 * np.max(np.abs(y_meas))
+        assert np.array_equal(trace.y_meas, trace.x_true + n)
+        assert np.array_equal(trace.e, r - trace.y_meas)
+        got, want = tracking_metrics(r, trace.y_meas), tracking_metrics(r, y_meas)
+        if variant != "step":  # metrics.json's steady-state amplitude of a sine
+            got += (sinusoid_amplitude(trace.y_meas, 100.0, TS),)
+            want += (sinusoid_amplitude(y_meas, 100.0, TS),)
+        np.testing.assert_allclose(got, want, rtol=1e-10)
+
+    def test_simulate_artifacts_match_reference_loop(self, tmp_path, surrogate_raw):
+        import json
+
+        from nrcdamp.cli import run_command
+
+        blocks, (r, d, n), _ = loop_case(surrogate_raw, "surrogate")
+        p = tmp_path / "config.json"
+        p.write_text(json.dumps(surrogate_raw))
+        assert run_command("simulate", p, tmp_path / "out") == 0
+        u, x_true, y_meas = reference_dual_loop(*blocks, r, d, n)
+        trace = np.loadtxt(tmp_path / "out" / "trace.csv", delimiter=",", skiprows=1)
+        y_max = np.max(np.abs(y_meas))
+        scales = (np.max(np.abs(u)), np.max(np.abs(x_true)), y_max, y_max)
+        for col, want, scale in zip(trace[:, 4:].T, (u, x_true, y_meas, r - y_meas), scales):
+            assert np.max(np.abs(col - want)) <= 1e-10 * scale
+        metrics = json.loads((tmp_path / "out" / "metrics.json").read_text())
+        e_max, e_rms = tracking_metrics(r, y_meas)
+        amp = sinusoid_amplitude(y_meas, 100.0, TS)
+        for key, want in (("e_max", e_max), ("e_rms", e_rms),
+                          ("steady_state_amplitude", amp), ("steady_state_gain", amp)):
+            assert metrics[key] == pytest.approx(want, rel=1e-10)
+
+    def test_state_layout(self, surrogate_raw):
+        # plant 4 + tracker 6 + damper 1 + delay line 5 - 1 + y[k-1]
+        blocks, _, _ = loop_case(surrogate_raw, "surrogate")
+        loop = dual_loop_state_space(*blocks)
+        assert loop.order == 16
+        assert loop.b_matrix.shape == (16, 3) and loop.c_matrix.shape == (2, 16)
+        assert loop.d_matrix.shape == (2, 3) and loop.input_delay_samples == 0
+        assert dual_loop_state_space(*blocks, absorb_loop_lag=False).order == 17
+
+    @pytest.mark.parametrize("variant", ["surrogate", "no_delay", "one_sample_delay", "no_absorb"])
+    def test_frf_is_discrete_t_yr(self, surrogate_raw, variant):
+        # x_true/r of the closed loop against the block algebra: the plant
+        # (delay line included) acts on the tracker output, the controllers
+        # on the one-sample-old measurement, and an absorbed sample of the
+        # plant's delay leaves the measurement leading by one sample
+        blocks, _, absorb = loop_case(surrogate_raw, variant)
+        plant_d, tracker_d, nrc_d = blocks
+        loop = dual_loop_state_space(*blocks, absorb_loop_lag=absorb)
+        w = TWO_PI * np.geomspace(1.0, 16000.0, 60)
+        z = np.exp(1j * w * TS)
+        p = discrete_frf(plant_d, w)
+        if absorb and plant_d.input_delay_samples:
+            p = p * z
+        ct, cd = discrete_frf(tracker_d, w), discrete_frf(nrc_d, w)
+        t_yr = p * ct / (1.0 + p * (ct + cd) / z)
+        np.testing.assert_allclose(closed_loop_frf(loop, w, 1, 0), t_yr, rtol=1e-9)
+
+    def test_spectral_radius(self, surrogate_raw):
+        blocks, _, _ = loop_case(surrogate_raw, "surrogate")
+        assert spectral_radius(dual_loop_state_space(*blocks)) == pytest.approx(
+            0.99432, abs=1e-4
+        )
+        # criterion 9's proportional-only loop at kp = 298.36 diverges at 30 us
+        plant = single_mode(f_hz=100.0)
+        k, wa = nrc_gains(plant, NrcSpec(gamma=0.999, n=3.0))
+        ct = build_tracker(TrackerSpec(pi=PiSpec(kp=298.3569)))
+        loop = dual_loop_state_space(
+            discretize(build_plant(plant), TS), discretize(ct, TS), discretize(nrc(k, wa), TS)
+        )
+        assert spectral_radius(loop) > 1.0
+
+    def test_runner_applies_input_delay(self):
+        blk = discretize(RationalTF.from_coeffs([2.0], [1.0], delay_s=3 * TS), TS)
+        u = np.arange(1.0, 8.0)
+        np.testing.assert_array_equal(
+            run_state_space(blk, u[:, np.newaxis])[:, 0],
+            2.0 * np.concatenate([np.zeros(3), u[:-3]]),
+        )
+
+    def test_mismatched_sampling_rejected(self):
+        blk = discretize(build_plant(single_mode()), TS)
+        other = discretize(build_plant(single_mode()), 2 * TS)
+        with pytest.raises(ValueError, match="sampling time"):
+            dual_loop_state_space(blk, blk, other)
 
 
 class TestPhaseCompensate:
