@@ -60,7 +60,6 @@ from .tracking import (
     MarginsReport,
     NotchSpec,
     ObjectiveReport,
-    ObjectiveTargets,
     PiSpec,
     SensitivityBundle,
     TrackerSpec,

@@ -28,9 +28,9 @@ from .loops import (
     routh_cubic,
 )
 from .tracking import (
+    BandwidthReport,
     MarginsReport,
     NotchSpec,
-    ObjectiveTargets,
     PiSpec,
     TrackerSpec,
     bandwidth,
@@ -371,9 +371,9 @@ class _DesignContext:
     """One configured design, evaluated once.
 
     Holds the transfer functions, exact pointwise evaluators (delay
-    included) for refinement, and the FRFs ``g``, ``cd``, ``ct`` and ``gd``
-    on the config grid, each computed on first use. ``ct`` is zeros when
-    the config has no tracker.
+    included) for the analyses, and the FRFs ``g``, ``cd``, ``ct`` and
+    ``gd`` on the config grid, each computed on first use. ``ct`` is zeros
+    when the config has no tracker.
     """
 
     def __init__(self, cfg: ExperimentConfig):
@@ -450,10 +450,9 @@ class _DesignContext:
     def loop_margins(self) -> tuple[MarginsReport, MarginsReport, int]:
         """Margins of the outer loop C_t G_d and of the dual loop L_D, and
         the net Nyquist crossings of L_D."""
-        ld = self.g * (self.ct + self.cd)
-        outer = margins(self.grid, self.ct * self.gd, refine=self.outer_loop_eval)
-        dual = margins(self.grid, ld, refine=self.ld_eval)
-        return outer, dual, nyquist_net_crossings(self.grid, ld)
+        outer = margins(self.grid, self.outer_loop_eval)
+        dual = margins(self.grid, self.ld_eval)
+        return outer, dual, nyquist_net_crossings(self.grid, self.ld_eval)
 
     def margins_json(self) -> dict:
         """The ``margins.json`` payload of a design with a tracker: outer-loop
@@ -513,20 +512,16 @@ def run_design(cfg: ExperimentConfig, out_dir: Path, exact_tan60: bool = False) 
     peak_reduction_db = 20.0 * math.log10(peak_plant / peak_inner)
 
     bundle = dual_sensitivities(ctx.g, ctx.ct, ctx.cd, grid)
-    bw3 = bandwidth(grid, bundle.t_yr, 3.0, refine=ctx.t_yr_eval)
-    bw1 = bandwidth(grid, bundle.t_yr, 1.0, refine=ctx.t_yr_eval)
-    bw_target = bandwidth(grid, bundle.t_yr, cfg.targets.bound_db, refine=ctx.t_yr_eval)
+    bw = {  # each distinct bound bisected once
+        bound: bandwidth(grid, ctx.t_yr_eval, bound)
+        for bound in dict.fromkeys((3.0, 1.0, cfg.targets.bound_db))
+    }
 
     margins_out = ctx.margins_json()
 
     hi_band = (grid[-1] / math.sqrt(10.0), grid[-1])
     objectives = objective_report(
-        bundle,
-        ctx.ct,
-        ctx.omega_n,
-        hi_band,
-        ObjectiveTargets(min_bandwidth_rad_s=ctx.omega_n),
-        refine_t=ctx.t_yr_eval,
+        bundle, bw[3.0], ctx.ct_eval, ctx.ld_eval, ctx.omega_n, hi_band
     )
 
     feasibility = None
@@ -550,11 +545,9 @@ def run_design(cfg: ExperimentConfig, out_dir: Path, exact_tan60: bool = False) 
         },
         "outer_loop": margins_out["outer_loop"],
         "bandwidth": {
-            "wc_1db_hz": None if bw1.grid_end else bw1.omega_c_rad_s / TWO_PI,
-            "wc_3db_hz": None if bw3.grid_end else bw3.omega_c_rad_s / TWO_PI,
-            "wc_target_hz": None
-            if bw_target.grid_end
-            else bw_target.omega_c_rad_s / TWO_PI,
+            "wc_1db_hz": _hz(bw[1.0]),
+            "wc_3db_hz": _hz(bw[3.0]),
+            "wc_target_hz": _hz(bw[cfg.targets.bound_db]),
             "bound_db": cfg.targets.bound_db,
         },
         "objectives": {
@@ -574,6 +567,10 @@ def run_design(cfg: ExperimentConfig, out_dir: Path, exact_tan60: bool = False) 
     _write_json(out_dir / "summary.json", summary)
     (out_dir / "summary.txt").write_text(summarize(summary), encoding="utf-8")
     return summary
+
+
+def _hz(rep: BandwidthReport) -> float | None:
+    return None if rep.grid_end else rep.omega_c_rad_s / TWO_PI
 
 
 def _obj_dict(obj, scale: float = 1.0, unit: str = "") -> dict:
@@ -679,9 +676,7 @@ def run_sens(cfg: ExperimentConfig, out_dir: Path) -> dict:
 def run_margins(cfg: ExperimentConfig, out_dir: Path) -> dict:
     ctx = _DesignContext(cfg)
     if ctx.ct_tf is None:
-        inner = margins(
-            ctx.grid, ctx.g * ctx.cd, refine=lambda w: ctx.g_eval(w) * ctx.cd_eval(w)
-        )
+        inner = margins(ctx.grid, lambda w: ctx.g_eval(w) * ctx.cd_eval(w))
         out = {"inner_loop": _margins_dict(inner)}
     else:
         out = ctx.margins_json()
@@ -826,9 +821,18 @@ def run_command(cmd: str, cfg_path, out_dir, **kwargs) -> int:
 
     The config, the overrides and the sections the command needs are all
     checked before ``out_dir`` is made, so a config error leaves no
-    directory behind.
+    directory behind; a command that fails later removes ``out_dir`` if it
+    made it and nothing was written there.
     """
     out = Path(out_dir)
+    made = not out.exists()
+    status = _dispatch(cmd, cfg_path, out, kwargs)
+    if status and made and out.is_dir() and not any(out.iterdir()):
+        out.rmdir()
+    return status
+
+
+def _dispatch(cmd: str, cfg_path, out: Path, kwargs: dict) -> int:
     try:
         if cmd == "sweep":
             values = _sweep_values(kwargs["values"])
@@ -938,6 +942,10 @@ def main(argv=None) -> int:
         "--values", default=None,
         help="sweep: comma-separated numeric values for --param",
     )
+    argv = list(sys.argv[1:] if argv is None else argv)
+    if "--values" in argv[:-1]:  # argparse takes a list such as -3,6 for an option
+        i = argv.index("--values")
+        argv[i : i + 2] = ["--values=" + argv[i + 1]]
     args = parser.parse_args(argv)
 
     kwargs = dict(

@@ -101,22 +101,11 @@ def build_tracker(spec: TrackerSpec) -> RationalTF:
 def tune_kp(g_d, omega_b: float) -> float:
     """Proportional gain from a target crossover: kp = 1/|G_d(i*w_b)|.
 
-    Accepts the damped inner loop as a RationalTF, as a pointwise
-    evaluator (omega -> complex), or as an FRF pair (omega grid, complex
-    values); the FRF-pair path interpolates the magnitude log-log.
+    Accepts the damped inner loop as a RationalTF or as a pointwise
+    evaluator (omega -> complex).
     """
-    if isinstance(g_d, RationalTF):
-        mag = abs(freq_response(g_d, omega_b))
-    elif callable(g_d):
-        mag = abs(complex(np.asarray(g_d(omega_b)).reshape(())))
-    else:
-        omega, values = g_d
-        omega = np.asarray(omega, dtype=float)
-        if not (omega[0] <= omega_b <= omega[-1]):
-            raise ValueError("omega_b outside the FRF grid")
-        mag = float(
-            np.exp(np.interp(np.log(omega_b), np.log(omega), np.log(np.abs(values))))
-        )
+    value = freq_response(g_d, omega_b) if isinstance(g_d, RationalTF) else g_d(omega_b)
+    mag = abs(complex(np.asarray(value).reshape(())))
     if not np.isfinite(mag) or mag == 0.0:
         raise ValueError("|G_d| at omega_b must be finite and nonzero")
     return 1.0 / mag
@@ -221,6 +210,29 @@ def real_error_budget(bundle: SensitivityBundle, r_amp, d_amp, n_amp) -> np.ndar
     )
 
 
+def _bisect(grid, values, i, evaluator, side):
+    """Refine the crossings inside the brackets [grid[i], grid[i + 1]].
+
+    ``values`` is the evaluator on ``grid``; ``side`` maps values aligned
+    with ``i`` to booleans that differ at the two ends of each bracket.
+    All brackets are halved together at their geometric midpoints, one
+    evaluator call per step, until hi/lo < 1 + 1e-12 or 80 steps. Returns
+    the crossings and the evaluator's values there.
+    """
+    lo, hi = grid[i], grid[i + 1]
+    left = side(values[i])
+    for _ in range(80):
+        active = hi / lo >= 1.0 + 1e-12
+        if not active.any():
+            break
+        mid = np.sqrt(lo * hi)
+        stay = side(evaluator(mid)) == left
+        lo = np.where(active & stay, mid, lo)
+        hi = np.where(active & ~stay, mid, hi)
+    w = np.sqrt(lo * hi)
+    return w, evaluator(w)
+
+
 @dataclass(frozen=True)
 class BandwidthReport:
     """First departure of |T| from the +/- bound_db band.
@@ -234,41 +246,25 @@ class BandwidthReport:
     grid_end: bool
 
 
-def bandwidth(omega, t_values, bound_db: float, refine=None) -> BandwidthReport:
+def bandwidth(omega, evaluator, bound_db: float) -> BandwidthReport:
     """Band-exit bandwidth of a complementary-style response.
 
-    The grid must start inside the band (|T| within +/- bound_db). The exit
-    point is bracketed on the grid and refined by bisection on ``refine``
-    (a callable omega -> complex T) when provided, else by log-linear
-    interpolation of |T| in dB.
+    ``evaluator`` maps omega to complex T. The grid must start inside the
+    band (|T| within +/- bound_db); the first exit is bracketed on the grid
+    and refined by bisection.
     """
     if bound_db <= 0.0:
         raise ValueError("bound_db must be > 0")
     omega = np.asarray(omega, dtype=float)
-    m = mag_db(np.asarray(t_values, dtype=complex))
-    if abs(m[0]) > bound_db:
+    t = evaluator(omega)
+    outside = np.abs(mag_db(t)) > bound_db
+    if outside[0]:
         raise ValueError("|T| already outside the band at the grid start")
-    outside = np.abs(m) > bound_db
     if not outside.any():
         return BandwidthReport(bound_db=bound_db, omega_c_rad_s=None, grid_end=True)
-    i = int(np.argmax(outside))
-    lo, hi = omega[i - 1], omega[i]
-    if refine is not None:
-        for _ in range(80):
-            mid = math.sqrt(lo * hi)
-            if abs(mag_db(np.asarray([refine(mid)]))[0]) > bound_db:
-                hi = mid
-            else:
-                lo = mid
-            if hi / lo < 1.0 + 1e-12:
-                break
-        wc = math.sqrt(lo * hi)
-    else:
-        # log-linear interpolation of |m| in dB towards the crossed edge
-        edge = bound_db if m[i] > bound_db else -bound_db
-        t = (edge - m[i - 1]) / (m[i] - m[i - 1])
-        wc = lo * (hi / lo) ** t
-    return BandwidthReport(bound_db=bound_db, omega_c_rad_s=float(wc), grid_end=False)
+    i = np.argmax(outside, keepdims=True) - 1
+    wc, _ = _bisect(omega, t, i, evaluator, lambda v: np.abs(mag_db(v)) > bound_db)
+    return BandwidthReport(bound_db=bound_db, omega_c_rad_s=float(wc[0]), grid_end=False)
 
 
 @dataclass(frozen=True)
@@ -284,87 +280,65 @@ class MarginsReport:
     gain_margin_db: float | None
 
 
-def _interp_crossing(omega, values, i, refine):
-    """Refine |L| = 1 between grid points i, i+1; return (w, L(w))."""
-    lo, hi = omega[i], omega[i + 1]
-    if refine is not None:
-        flo = abs(refine(lo)) - 1.0
-        for _ in range(80):
-            mid = math.sqrt(lo * hi)
-            fm = abs(refine(mid)) - 1.0
-            if (fm > 0.0) == (flo > 0.0):
-                lo, flo = mid, fm
-            else:
-                hi = mid
-            if hi / lo < 1.0 + 1e-12:
-                break
-        w = math.sqrt(lo * hi)
-        return w, refine(w)
-    x0, x1 = math.log(abs(values[i])), math.log(abs(values[i + 1]))
-    t = -x0 / (x1 - x0)
-    w = lo * (hi / lo) ** t
-    return w, values[i] + t * (values[i + 1] - values[i])
+def _critical_crossings(omega, values, evaluator):
+    """Loop values where the grid-unwrapped phase passes -180 - 360k,
+    refined, and whether each passage runs downward."""
+    phase = unwrapped_phase_deg(values)
+    k = np.arange(
+        math.ceil((np.max(phase) + 180.0) / -360.0),
+        math.floor((np.min(phase) + 180.0) / -360.0) + 1,
+    )
+    targets = -180.0 - 360.0 * k
+    kk, i = np.nonzero(np.diff(np.sign(phase - targets[:, None]), axis=1))
+    middle, target = 0.5 * (phase[i] + phase[i + 1]), targets[kk]
+
+    def beyond(v):
+        # the wrapped phase, put on its bracket's grid-unwrapped branch
+        a = np.degrees(np.angle(v))
+        return a + 360.0 * np.round((middle - a) / 360.0) > target
+
+    _, lw = _bisect(omega, values, i, evaluator, beyond)
+    return lw, phase[i + 1] < phase[i]
 
 
-def margins(omega, loop_values, refine=None) -> MarginsReport:
-    """Gain/phase margins of a loop FRF.
+def margins(omega, evaluator) -> MarginsReport:
+    """Gain/phase margins of a loop given as an evaluator omega -> complex L.
 
-    Every unity-magnitude crossing is reported with its phase margin; the
-    gain margin is taken at the critical-phase crossing (odd multiples of
-    180 degrees of the unwrapped phase) with the least |log gain|.
-    ``refine`` (omega -> complex L) sharpens crossings past grid
-    resolution.
+    Every unity-magnitude crossing on the grid is refined and reported
+    with its phase margin; the gain margin is taken at the refined
+    critical-phase crossing (-180 - 360k of the unwrapped phase) with the
+    least |log gain|.
     """
     omega = np.asarray(omega, dtype=float)
-    values = np.asarray(loop_values, dtype=complex)
-    mag = np.abs(values)
-    crossings = []
-    sign = np.sign(mag - 1.0)
-    for i in np.flatnonzero(np.diff(sign) != 0):
-        w, lw = _interp_crossing(omega, values, i, refine)
-        pm = float(np.remainder(np.degrees(np.angle(lw)), 360.0) - 180.0)
-        crossings.append((float(w), pm))
-    crossings.sort()
-
-    phase = unwrapped_phase_deg(values)
-    gm_candidates = []
-    k_lo = int(np.ceil((np.min(phase) + 180.0) / -360.0))
-    k_hi = int(np.floor((np.max(phase) + 180.0) / -360.0))
-    for k in range(min(k_lo, 0), max(k_hi, 0) + 1):
-        target = -180.0 - 360.0 * k
-        for i in np.flatnonzero(np.diff(np.sign(phase - target)) != 0):
-            t = (target - phase[i]) / (phase[i + 1] - phase[i])
-            g = math.exp(
-                math.log(mag[i]) + t * (math.log(mag[i + 1]) - math.log(mag[i]))
-            )
-            gm_candidates.append(-20.0 * math.log10(g))
-    gm = min(gm_candidates, key=abs) if gm_candidates else None
+    values = evaluator(omega)
+    i = np.flatnonzero(np.diff(np.sign(np.abs(values) - 1.0)))
+    w, lw = _bisect(omega, values, i, evaluator, lambda v: np.abs(v) > 1.0)
+    pm = np.remainder(np.degrees(np.angle(lw)), 360.0) - 180.0
+    crossings = sorted(zip(w.tolist(), pm.tolist()))
+    critical, _ = _critical_crossings(omega, values, evaluator)
+    gms = (-20.0 * np.log10(np.abs(critical))).tolist()
+    gm = min(gms, key=abs) if gms else None
     return MarginsReport(crossovers=tuple(crossings), gain_margin_db=gm)
 
 
-def nyquist_net_crossings(omega, loop_values) -> int:
+def nyquist_net_crossings(omega, evaluator) -> int:
     """Net signed crossings of the critical rays (-inf, -1) by the loop FRF.
 
-    Counts unwrapped-phase passages of -180 - 360k with |L| > 1 over the
-    positive-frequency branch (downward negative). For an open-loop-stable
-    loop a nonzero net count means the closed loop is unstable.
+    Counts refined unwrapped-phase passages of -180 - 360k with |L| > 1
+    over the positive-frequency branch (downward negative). For an
+    open-loop-stable loop a nonzero net count means the closed loop is
+    unstable.
     """
-    values = np.asarray(loop_values, dtype=complex)
-    phase = unwrapped_phase_deg(values)
-    mag = np.abs(values)
-    net = 0
-    k_lo = int(math.floor((np.min(phase) + 180.0) / 360.0))
-    k_hi = int(math.ceil((np.max(phase) + 180.0) / 360.0))
-    for k in range(k_lo, k_hi + 1):
-        target = -180.0 + 360.0 * k
-        for i in np.flatnonzero(np.diff(np.sign(phase - target)) != 0):
-            t = (target - phase[i]) / (phase[i + 1] - phase[i])
-            g = math.exp(
-                math.log(mag[i]) + t * (math.log(mag[i + 1]) - math.log(mag[i]))
-            )
-            if g > 1.0:
-                net += -1 if phase[i + 1] < phase[i] else 1
-    return net
+    omega = np.asarray(omega, dtype=float)
+    lw, down = _critical_crossings(omega, evaluator(omega), evaluator)
+    return int(np.sum(np.where(down, -1, 1)[np.abs(lw) > 1.0]))
+
+
+# Pass thresholds of the objectives; the bandwidth target is the resonance.
+TRACKER_GAIN_THRESHOLD = 10.0  # |C_t| (absolute, 10 = 20 dB) at the tracker corner
+MIN_TRACKER_CORNER_RAD_S = 0.0
+MIN_RESONANCE_LOOP_GAIN = 10.0
+MAX_HIGHBAND_LOOP_GAIN = 1.0
 
 
 @dataclass(frozen=True)
@@ -372,22 +346,6 @@ class ObjectiveResult:
     value: float | None
     target: float
     passed: bool
-
-
-@dataclass(frozen=True)
-class ObjectiveTargets:
-    """Pass thresholds for the four loop-shaping objectives.
-
-    min_bandwidth_rad_s defaults to the plant resonance when None;
-    tracker_gain_threshold is the |C_t| level (absolute, 10 = 20 dB) that
-    defines the high-gain tracker corner.
-    """
-
-    min_bandwidth_rad_s: float | None = None
-    tracker_gain_threshold: float = 10.0
-    min_tracker_corner_rad_s: float = 0.0
-    min_resonance_loop_gain: float = 10.0
-    max_highband_loop_gain: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -408,42 +366,44 @@ class ObjectiveReport:
 
 def objective_report(
     bundle: SensitivityBundle,
-    ct_frf,
+    bw3: BandwidthReport,
+    ct_eval,
+    ld_eval,
     omega_n: float,
     hi_band,
-    targets: ObjectiveTargets = ObjectiveTargets(),
-    refine_t=None,
 ) -> ObjectiveReport:
-    """Evaluate the four shaping objectives against their targets."""
-    ct = np.asarray(ct_frf, dtype=complex)
+    """Evaluate the four shaping objectives against their targets.
+
+    ``bw3`` is the +/-3 dB bandwidth of T_yr; ``ct_eval`` and ``ld_eval``
+    map omega to C_t and L_D. The tracker corner is refined where |C_t|
+    crosses its threshold and the resonance loop gain is |L_D(i w_n)|.
+    """
     grid = bundle.grid
+    wc = float(grid[-1]) if bw3.grid_end else bw3.omega_c_rad_s
+    o1 = ObjectiveResult(value=wc, target=omega_n, passed=wc > omega_n)
 
-    bw = bandwidth(grid, bundle.t_yr, 3.0, refine=refine_t)
-    wc = bw.omega_c_rad_s if not bw.grid_end else float(grid[-1])
-    bw_target = (
-        targets.min_bandwidth_rad_s if targets.min_bandwidth_rad_s is not None else omega_n
-    )
-    o1 = ObjectiveResult(value=wc, target=bw_target, passed=wc > bw_target)
-
-    high = np.abs(ct) >= targets.tracker_gain_threshold
-    w_ct = float(grid[np.flatnonzero(high)[-1]]) if high.any() else 0.0
+    ct = ct_eval(grid)
+    high = np.flatnonzero(np.abs(ct) >= TRACKER_GAIN_THRESHOLD)
+    if high.size == 0:
+        w_ct = 0.0
+    elif high[-1] == grid.size - 1:
+        w_ct = float(grid[-1])
+    else:
+        w, _ = _bisect(
+            grid, ct, high[-1:], ct_eval, lambda v: np.abs(v) >= TRACKER_GAIN_THRESHOLD
+        )
+        w_ct = float(w[0])
     o2 = ObjectiveResult(
         value=w_ct,
-        target=targets.min_tracker_corner_rad_s,
-        passed=w_ct >= targets.min_tracker_corner_rad_s,
+        target=MIN_TRACKER_CORNER_RAD_S,
+        passed=w_ct >= MIN_TRACKER_CORNER_RAD_S,
     )
 
-    ld_res = float(
-        np.exp(
-            np.interp(
-                math.log(omega_n), np.log(grid), np.log(np.abs(bundle.loop_gain))
-            )
-        )
-    )
+    ld_res = float(np.abs(ld_eval(omega_n)))
     o3 = ObjectiveResult(
         value=ld_res,
-        target=targets.min_resonance_loop_gain,
-        passed=ld_res >= targets.min_resonance_loop_gain,
+        target=MIN_RESONANCE_LOOP_GAIN,
+        passed=ld_res >= MIN_RESONANCE_LOOP_GAIN,
     )
 
     lo, hi = hi_band
@@ -453,8 +413,8 @@ def objective_report(
     ld_hi = float(np.max(np.abs(bundle.loop_gain[sel])))
     o4 = ObjectiveResult(
         value=ld_hi,
-        target=targets.max_highband_loop_gain,
-        passed=ld_hi < targets.max_highband_loop_gain,
+        target=MAX_HIGHBAND_LOOP_GAIN,
+        passed=ld_hi < MAX_HIGHBAND_LOOP_GAIN,
     )
     return ObjectiveReport(
         bandwidth=o1, tracker_corner=o2, resonance_loop_gain=o3, highband_loop_gain=o4

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -182,6 +183,39 @@ class TestCommands:
         assert lines[0] == "value,wc_3db_hz,peak_reduction_db,gain_margin_db,dual_stable"
         assert len(lines) == 3
 
+    @pytest.mark.parametrize("values", [["--values", "-3,6"], ["--values=-3,6"]])
+    def test_sweep_negative_values(self, tmp_path, surrogate_raw, values):
+        p = write(tmp_path, surrogate_raw)
+        out = tmp_path / "out"
+        argv = ["sweep", str(p), "--out", str(out), "--param", "targets.gm_db"]
+        assert main(argv + values) == 0
+        rows = (out / "sweep.csv").read_text().splitlines()[1:]
+        assert [float(r.split(",")[0]) for r in rows] == [-3.0, 6.0]
+
+    def test_design_scalars_independent_of_grid(self, tmp_path, surrogate_raw):
+        # every design scalar is refined on exact evaluators, so the JSON
+        # artifacts agree across grid densities to 1e-6 relative
+        p = write(tmp_path, surrogate_raw)
+
+        def artifacts(ppd):
+            out = tmp_path / str(ppd)
+            assert run_command("design", p, out, grid_override=f"1,10000,{ppd}") == 0
+            names = ("summary.json", "margins.json")
+            return [json.loads((out / n).read_text()) for n in names]
+
+        def agree(a, b):
+            if isinstance(b, dict):
+                return a.keys() == b.keys() and all(agree(a[k], b[k]) for k in b)
+            if isinstance(b, list):
+                return len(a) == len(b) and all(map(agree, a, b))
+            if isinstance(b, float):
+                return type(a) is float and math.isclose(a, b, rel_tol=1e-6)
+            return type(a) is type(b) and a == b
+
+        fine = artifacts(4000)
+        for ppd in (50, 100):
+            assert agree(artifacts(ppd), fine), ppd
+
     @pytest.mark.parametrize("cmd", COMMANDS)
     def test_deterministic_outputs(self, tmp_path, surrogate_raw, cmd):
         kwargs = {
@@ -215,7 +249,16 @@ class TestCommands:
         assert run_command("simulate", write(tmp_path, surrogate_raw), out) == 1
         err = capsys.readouterr().err
         assert f"simulation diverged: closed-loop spectral radius {rho} > 1" in err
-        assert not (out / "metrics.json").exists() and not (out / "trace.csv").exists()
+        assert not out.exists()  # refused after the out directory was made
+
+    def test_failed_command_keeps_out_dir_it_did_not_make(self, tmp_path, surrogate_raw):
+        del surrogate_raw["tracker"]["omega_b_hz"]
+        surrogate_raw["tracker"]["kp"] = 2.6
+        p = write(tmp_path, surrogate_raw)
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["simulate", str(p), "--out", str(out)]) == 1
+        assert out.is_dir()
 
     def test_simulate_reports_spectral_radius(self, tmp_path, surrogate_raw):
         out = tmp_path / "out"

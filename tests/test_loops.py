@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nrcdamp import (
     ModeSpec,
@@ -86,6 +88,19 @@ class TestRouth:
         rep = routh_cubic(inner_charpoly(1.0, 0.01, 1.2, 3.0))
         assert not rep.stable and not rep.marginal
         assert rep.first_column[3] < 0.0
+
+    @settings(deadline=None)
+    @given(
+        omega_n=st.floats(1e-1, 1e4),
+        zeta=st.floats(0.0, 0.2),
+        gamma=st.one_of(st.floats(0.01, 0.98), st.floats(1.02, 3.0)),
+        n=st.floats(0.1, 20.0),
+    )
+    def test_verdict_matches_root_signs(self, omega_n, zeta, gamma, n):
+        charpoly = inner_charpoly(omega_n, zeta, gamma, n)
+        rep = routh_cubic(charpoly)
+        assert not rep.marginal
+        assert rep.stable == bool(np.all(poly_roots(charpoly).real < 0.0))
 
     def test_degree_check(self):
         from nrcdamp import Polynomial

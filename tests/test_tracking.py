@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nrcdamp import (
     ModeSpec,
     NotchSpec,
-    ObjectiveTargets,
     PiSpec,
     PlantSpec,
     RationalTF,
@@ -28,6 +29,7 @@ from nrcdamp import (
 )
 
 TWO_PI = 2.0 * np.pi
+COMPLEX = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
 
 
 def single_mode(g=1.0, wn=1.0, zeta=0.01):
@@ -90,22 +92,19 @@ class TestTuneKp:
     def test_unity_magnitude(self):
         assert tune_kp(RationalTF.gain(1.0), 5.0) == pytest.approx(1.0)
 
-    def test_rational_frf_and_callable_paths(self):
+    def test_rational_and_callable_paths(self):
         gd = tf_feedback(build_plant(single_mode()), nrc(1.0, 3.0))
         wb = 0.5
         direct = tune_kp(gd, wb)
-        grid = log_grid(0.001, 10.0, 400)
-        via_frf = tune_kp((grid, freq_response(gd, grid)), wb)
-        assert via_frf == pytest.approx(direct, rel=1e-4)
         via_eval = tune_kp(lambda w: freq_response(gd, w), wb)
         assert via_eval == pytest.approx(direct, rel=1e-12)
 
     def test_plant_inverse_approx(self):
         assert kp_plant_inverse_approx(1.0, 0.5) == pytest.approx(0.75)
 
-    def test_out_of_grid(self):
-        with pytest.raises(ValueError, match="outside"):
-            tune_kp((np.array([1.0, 2.0]), np.array([1.0 + 0j, 1.0 + 0j])), 5.0)
+    def test_zero_gain_rejected(self):
+        with pytest.raises(ValueError, match="nonzero"):
+            tune_kp(lambda w: 0j, 5.0)
 
 
 class TestPmFeasibility:
@@ -163,14 +162,19 @@ class TestDualSensitivities:
         np.testing.assert_allclose(b.s_yn, 1.0)
         np.testing.assert_allclose(b.t_yr, 0.0)
 
-    def test_complementarity_identities(self):
-        grid = log_grid(0.01, 100.0, 150)
-        g = build_plant(single_mode())
-        ct = build_tracker(TrackerSpec(pi=PiSpec(kp=2.0, omega_i_rad_s=0.3)))
-        cd = nrc(1.0, 3.0)
-        b = bundle_for(g, ct, cd, grid)
-        assert np.max(np.abs(b.t_yr + b.t_xr_comp - 1.0)) < 1e-9
-        assert np.max(np.abs(b.s_yn - b.s_xn - 1.0)) < 1e-9
+    @settings(deadline=None)
+    @given(st.lists(st.tuples(COMPLEX, COMPLEX, COMPLEX), min_size=1, max_size=16))
+    def test_complementarity_identities(self, points):
+        # T_yr + T'_xr = 1 and S_yn - S_xn = 1 wherever 1 + L_D != 0, to
+        # rounding relative to the magnitudes that cancel
+        g, ct, cd = np.array(points).T
+        b = dual_sensitivities(g, ct, cd, np.arange(1.0, g.size + 1.0))
+        ok = ~b.flagged
+        t_sum = np.abs(b.t_yr + b.t_xr_comp - 1.0)[ok]
+        t_scale = (1.0 + np.abs(b.s_yn) + np.abs(b.t_yr) + np.abs(b.t_xr_comp))[ok]
+        assert np.all(t_sum <= 1e-12 * t_scale)
+        s_diff = np.abs(b.s_yn - b.s_xn - 1.0)[ok]
+        assert np.all(s_diff <= 1e-12 * (1.0 + np.abs(b.s_yn) + np.abs(b.s_xn))[ok])
 
     def test_process_sensitivity_factorization(self):
         grid = log_grid(0.01, 100.0, 150)
@@ -244,51 +248,44 @@ class TestRealErrorBudget:
 class TestBandwidth:
     def test_flat_response_never_exits(self):
         grid = log_grid(0.1, 100.0, 50)
-        rep = bandwidth(grid, np.ones(grid.size, complex), 3.0)
+        rep = bandwidth(grid, lambda w: np.ones(np.shape(w), complex), 3.0)
         assert rep.grid_end and rep.omega_c_rad_s is None
 
     def test_second_order_reference(self):
         # T = 1/(1 - w^2 + i*sqrt(2)*w) leaves the +/-3 dB band at w ~ 1
-        grid = log_grid(1e-3 / TWO_PI, 10.0 / TWO_PI, 400)
-        t = 1.0 / (1.0 - grid**2 + 1j * np.sqrt(2.0) * grid)
-        rep = bandwidth(grid, t, 3.0)
-        assert not rep.grid_end
-        assert rep.omega_c_rad_s == pytest.approx(1.0, rel=0.02)
-
-    def test_refine_matches_interp(self):
-        grid = log_grid(1e-3 / TWO_PI, 10.0 / TWO_PI, 400)
-
         def t_eval(w):
             return 1.0 / (1.0 - w**2 + 1j * np.sqrt(2.0) * w)
 
-        t = t_eval(grid)
-        coarse = bandwidth(grid, t, 3.0)
-        fine = bandwidth(grid, t, 3.0, refine=t_eval)
-        assert fine.omega_c_rad_s == pytest.approx(coarse.omega_c_rad_s, rel=1e-3)
+        grid = log_grid(1e-3 / TWO_PI, 10.0 / TWO_PI, 400)
+        rep = bandwidth(grid, t_eval, 3.0)
+        assert not rep.grid_end
+        assert rep.omega_c_rad_s == pytest.approx(1.0, rel=0.02)
         # the refined point sits on the band edge
-        assert 20 * np.log10(abs(t_eval(fine.omega_c_rad_s))) == pytest.approx(
+        assert 20 * np.log10(abs(t_eval(rep.omega_c_rad_s))) == pytest.approx(
             -3.0, abs=1e-6
         )
 
     def test_monotone_in_bound(self):
         grid = log_grid(1e-3 / TWO_PI, 10.0 / TWO_PI, 400)
-        t = 1.0 / (1.0 - grid**2 + 1j * 0.8 * grid)
-        w1 = bandwidth(grid, t, 1.0).omega_c_rad_s
-        w3 = bandwidth(grid, t, 3.0).omega_c_rad_s
+
+        def t_eval(w):
+            return 1.0 / (1.0 - w**2 + 1j * 0.8 * w)
+
+        w1 = bandwidth(grid, t_eval, 1.0).omega_c_rad_s
+        w3 = bandwidth(grid, t_eval, 3.0).omega_c_rad_s
         assert w1 <= w3
 
     def test_out_of_band_start_rejected(self):
         grid = log_grid(0.1, 10.0, 50)
         with pytest.raises(ValueError, match="outside the band"):
-            bandwidth(grid, np.full(grid.size, 10.0 + 0j), 3.0)
+            bandwidth(grid, lambda w: np.full(np.shape(w), 10.0 + 0j), 3.0)
 
 
 class TestMargins:
     def test_integrator_loop(self):
         wb = 5.0
         grid = log_grid(0.01, 100.0, 400)
-        loop = wb / (1j * grid)
-        rep = margins(grid, loop, refine=lambda w: wb / (1j * w))
+        rep = margins(grid, lambda w: wb / (1j * w))
         assert len(rep.crossovers) == 1
         w, pm = rep.crossovers[0]
         assert w == pytest.approx(wb, rel=1e-9)
@@ -302,11 +299,13 @@ class TestMargins:
         grid = log_grid(1e-4 / TWO_PI, 100.0 / TWO_PI, 1000)
         g = build_plant(single_mode())
         ct = build_tracker(TrackerSpec(pi=PiSpec(kp=0.05, omega_i_rad_s=1e-3)))
-        ld = freq_response(g, grid) * (
-            freq_response(ct, grid) + freq_response(nrc(1.0, 3.0), grid)
-        )
-        expected = int(np.sum(np.diff(np.sign(np.abs(ld) - 1.0)) != 0))
-        rep = margins(grid, ld)
+        def ld_eval(w):
+            return freq_response(g, w) * (
+                freq_response(ct, w) + freq_response(nrc(1.0, 3.0), w)
+            )
+
+        expected = int(np.sum(np.diff(np.sign(np.abs(ld_eval(grid)) - 1.0)) != 0))
+        rep = margins(grid, ld_eval)
         assert expected >= 3
         assert len(rep.crossovers) == expected
 
@@ -317,7 +316,7 @@ class TestMargins:
             return freq_response(g, w) * (3.0 + freq_response(nrc(1.0, 3.0), w))
 
         grid = log_grid(1e-3 / TWO_PI, 100.0 / TWO_PI, 400)
-        rep = margins(grid, l_eval(grid), refine=l_eval)
+        rep = margins(grid, l_eval)
         for w, _ in rep.crossovers:
             assert abs(abs(complex(l_eval(w))) - 1.0) < 1e-4
 
@@ -325,42 +324,63 @@ class TestMargins:
         # L = k/(s+1)^3 crosses -180 deg at w = sqrt(3) where |L| = k/8
         grid = log_grid(0.001, 100.0, 600)
         k = 4.0
-        loop = k / (1j * grid + 1.0) ** 3
-        rep = margins(grid, loop)
-        assert rep.gain_margin_db == pytest.approx(20 * np.log10(8.0 / k), abs=1e-3)
+        rep = margins(grid, lambda w: k / (1j * w + 1.0) ** 3)
+        assert rep.gain_margin_db == pytest.approx(20 * np.log10(8.0 / k), abs=1e-9)
 
     def test_no_crossing_empty(self):
         grid = log_grid(0.1, 10.0, 50)
-        rep = margins(grid, np.full(grid.size, 0.1 + 0j))
+        rep = margins(grid, lambda w: np.full(np.shape(w), 0.1 + 0j))
         assert rep.crossovers == ()
 
 
 class TestNyquist:
     def test_stable_loop_no_net_crossings(self):
         grid = log_grid(0.001, 100.0, 400)
-        loop = 4.0 / (1j * grid + 1.0) ** 3  # GM = 2 -> stable
-        assert nyquist_net_crossings(grid, loop) == 0
+        # GM = 2 -> stable
+        assert nyquist_net_crossings(grid, lambda w: 4.0 / (1j * w + 1.0) ** 3) == 0
 
     def test_unstable_loop_detected(self):
         grid = log_grid(0.001, 100.0, 400)
-        loop = 10.0 / (1j * grid + 1.0) ** 3  # gain above 8 -> encirclement
-        assert nyquist_net_crossings(grid, loop) != 0
+        # gain above 8 -> encirclement
+        assert nyquist_net_crossings(grid, lambda w: 10.0 / (1j * w + 1.0) ** 3) != 0
 
 
 class TestObjectives:
+    @staticmethod
+    def report(grid, g_tf, ct_tf, cd_tf, omega_n, hi_band):
+        def ct_eval(w):
+            return freq_response(ct_tf, w)
+
+        def ld_eval(w):
+            cd = 0.0 if cd_tf is None else freq_response(cd_tf, w)
+            return freq_response(g_tf, w) * (ct_eval(w) + cd)
+
+        def t_yr_eval(w):
+            return freq_response(g_tf, w) * ct_eval(w) / (1.0 + ld_eval(w))
+
+        b = bundle_for(g_tf, ct_tf, cd_tf, grid)
+        bw3 = bandwidth(grid, t_yr_eval, 3.0)
+        return objective_report(b, bw3, ct_eval, ld_eval, omega_n, hi_band)
+
     def test_resonance_loop_gain_value(self):
         # damping off, proportional tracker: |L_D(i wn)| = kp*g/(2 zeta)
         kp, g0, zeta = 2.0, 1.5, 0.01
         grid = log_grid(1e-2 / TWO_PI, 100.0 / TWO_PI, 400)
         g = build_plant(single_mode(g=g0, zeta=zeta))
-        ct = np.full(grid.size, kp, dtype=complex)
-        b = dual_sensitivities(freq_response(g, grid), ct, np.zeros(grid.size, complex), grid)
-        rep = objective_report(
-            b, ct, 1.0, (grid[-1] / 3.0, grid[-1]), ObjectiveTargets()
-        )
+        ct = build_tracker(TrackerSpec(pi=PiSpec(kp=kp)))
+        rep = self.report(grid, g, ct, None, 1.0, (grid[-1] / 3.0, grid[-1]))
         assert rep.resonance_loop_gain.value == pytest.approx(
-            kp * g0 / (2 * zeta), rel=1e-3
+            kp * g0 / (2 * zeta), rel=1e-12
         )
+
+    def test_tracker_corner_on_threshold(self):
+        # |kp (1 + wi/s)| = 10 at w = wi / sqrt(99) for kp = 1
+        wi = 100.0
+        grid = log_grid(1e-2 / TWO_PI, 100.0 / TWO_PI, 50)
+        ct = build_tracker(TrackerSpec(pi=PiSpec(kp=1.0, omega_i_rad_s=wi)))
+        g = build_plant(single_mode())
+        rep = self.report(grid, g, ct, nrc(0.9, 3.0), 1.0, (10.0, grid[-1]))
+        assert rep.tracker_corner.value == pytest.approx(wi / np.sqrt(99.0), rel=1e-9)
 
     def test_highband_rolloff_objective(self):
         # tracker low-pass keeps the high band quiet
@@ -369,11 +389,6 @@ class TestObjectives:
         ct_tf = build_tracker(
             TrackerSpec(pi=PiSpec(kp=1.0), lowpass_corner_rad_s=5.0)
         )
-        ct = freq_response(ct_tf, grid)
-        cd = freq_response(nrc(0.9, 3.0), grid)
-        b = dual_sensitivities(freq_response(g, grid), ct, cd, grid)
-        rep = objective_report(
-            b, ct, 1.0, (100.0, grid[-1]), ObjectiveTargets()
-        )
+        rep = self.report(grid, g, ct_tf, nrc(0.9, 3.0), 1.0, (100.0, grid[-1]))
         assert rep.highband_loop_gain.value < 1.0
         assert rep.highband_loop_gain.passed
