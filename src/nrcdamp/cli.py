@@ -15,6 +15,7 @@ import sys
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -86,6 +87,10 @@ class ConfigError(ValueError):
     """Configuration rejected; message names the offending key."""
 
 
+def _fail(at: str, message: str):
+    raise ConfigError(f"config error at {at}: {message}")
+
+
 @dataclass(frozen=True)
 class PlantConfig:
     """Plant section with parsed modes; ``to_spec`` converts the rest to SI units."""
@@ -106,246 +111,156 @@ class PlantConfig:
         )
 
 
-@dataclass(frozen=True)
-class ReferenceSpec:
-    kind: str
-    amplitude: float
-    freq_hz: float = 0.0
+# Leaf rules of the schema; a value that breaks one "must be <rule>".
+NUMBER, POSITIVE, NONNEG = "a number", "> 0", ">= 0"
+INT_GE2, INT_GE0, KIND = "an integer >= 2", "an integer >= 0", "'step' or 'sine'"
+REQUIRED = object()  # the default of a key that must be given
+
+_MODE = {"freq_hz": (POSITIVE, REQUIRED), "zeta": (NONNEG, REQUIRED), "weight": (NONNEG, 1.0)}
+_NOTCH = {key: (POSITIVE, REQUIRED) for key in ("freq_hz", "q_num", "q_den")}
+_REFERENCE = {"kind": (KIND, "step"), "amplitude": (NUMBER, 1.0), "freq_hz": (NONNEG, 0.0)}
+
+# The one config schema: section -> (schema, default), and in a schema
+# key -> (rule, default). A rule is a leaf rule, a nested schema (an object)
+# or [schema] (a list of objects, nonempty when required). An absent key
+# takes its default, which passes the rule too; a default of None leaves it
+# None. JSON null counts as absent unless the key is REQUIRED.
+SCHEMA = {
+    "plant": ({
+        "gain": (POSITIVE, REQUIRED), "modes": ([_MODE], REQUIRED),
+        "amp_corner_hz": (POSITIVE, None), "delay_us": (NONNEG, 0.0),
+    }, REQUIRED),
+    "nrc": ({
+        "gamma": (NUMBER, REQUIRED), "n": (POSITIVE, REQUIRED), "taming_l": (POSITIVE, None),
+    }, None),
+    "tracker": ({
+        "kp": (POSITIVE, None), "omega_b_hz": (POSITIVE, None), "omega_i_hz": (NONNEG, REQUIRED),
+        "notches": ([_NOTCH], []), "lowpass_hz": (POSITIVE, None),
+    }, None),
+    "grid": ({
+        "f_min_hz": (POSITIVE, 1.0), "f_max_hz": (POSITIVE, 10000.0),
+        "pts_per_decade": (INT_GE2, 400),
+    }, {}),
+    "sim": ({
+        "ts_us": (POSITIVE, REQUIRED), "duration_s": (POSITIVE, REQUIRED),
+        "reference": (_REFERENCE, {}), "seed": (INT_GE0, 0), "noise_amplitude": (NONNEG, 0.0),
+        "disturbance_amplitude": (NONNEG, 0.0), "disturbance_freq_hz": (NONNEG, 0.0),
+    }, None),
+    "targets": ({
+        "gm_db": (NUMBER, 6.0), "pm_deg": (NUMBER, 60.0), "bound_db": (POSITIVE, 3.0),
+    }, {}),
+}
 
 
-@dataclass(frozen=True)
-class SimConfig:
-    ts_us: float
-    duration_s: float
-    reference: ReferenceSpec
-    seed: int = 0
-    noise_amplitude: float = 0.0
-    disturbance_amplitude: float = 0.0
-    disturbance_freq_hz: float = 0.0
-
-    @property
-    def ts_s(self) -> float:
-        return self.ts_us * 1e-6
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    f_min_hz: float
-    f_max_hz: float
-    pts_per_decade: int
-
-
-@dataclass(frozen=True)
-class TargetSpec:
-    gm_db: float = 6.0
-    pm_deg: float = 60.0
-    bound_db: float = 3.0
-
-
-@dataclass(frozen=True)
-class TrackerConfig:
-    """Raw tracker configuration: explicit kp or tune-by-bandwidth."""
-
-    kp: float | None
-    omega_b_hz: float | None
-    omega_i_hz: float
-    notches: tuple
-    lowpass_hz: float | None
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    plant: PlantConfig
-    nrc: NrcSpec | None
-    tracker: TrackerConfig | None
-    grid: GridSpec
-    sim: SimConfig | None
-    targets: TargetSpec
-
-
-def _num(mapping, key, where, *, positive=False, nonneg=False, default=None):
-    if key not in mapping:
-        if default is not None:
-            return default
-        raise ConfigError(f"config error at {where}.{key}: required key missing")
-    value = mapping[key]
+def _leaf(rule: str, value, at: str):
+    """``value`` checked against a leaf rule; numbers come back as float,
+    integers as int."""
+    if rule == KIND:
+        if value not in ("step", "sine"):
+            _fail(at, f"must be {rule}")
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"config error at {where}.{key}: must be a number")
-    value = float(value)
-    if not math.isfinite(value):
-        raise ConfigError(f"config error at {where}.{key}: must be finite")
-    if positive and value <= 0.0:
-        raise ConfigError(f"config error at {where}.{key}: must be > 0")
-    if nonneg and value < 0.0:
-        raise ConfigError(f"config error at {where}.{key}: must be >= 0")
-    return value
+        _fail(at, "must be a number")
+    try:
+        x = float(value)
+    except OverflowError:  # an integer beyond the float range
+        x = math.inf
+    if not math.isfinite(x):
+        _fail(at, "must be finite")
+    if rule in (POSITIVE, INT_GE2) and x <= 0.0:
+        _fail(at, "must be > 0")
+    if rule in (NONNEG, INT_GE0) and x < 0.0:
+        _fail(at, "must be >= 0")
+    if rule in (INT_GE2, INT_GE0):
+        if not x.is_integer() or rule == INT_GE2 and x < 2.0:
+            _fail(at, f"must be {rule}")
+        return int(x)
+    return x
 
 
-def _check_keys(mapping, allowed, where):
-    unknown = set(mapping) - set(allowed)
+def _walk(schema: dict, raw, at: str) -> SimpleNamespace:
+    """The JSON object ``raw`` checked against ``schema``; every message
+    names ``at.key``."""
+    if not isinstance(raw, dict):
+        _fail(at, "must be an object")
+    unknown = sorted(set(raw) - set(schema))
     if unknown:
-        raise ConfigError(
-            f"config error at {where}: unknown key '{sorted(unknown)[0]}'"
-        )
+        _fail(at or "config", f"unknown key '{unknown[0]}'")
+    out = {}
+    for key, (rule, default) in schema.items():
+        path = f"{at}.{key}" if at else key
+        value = raw.get(key)
+        if value is None and default is not REQUIRED:
+            value = default
+        elif key not in raw:
+            _fail(path, "required key missing")
+        if value is None and default is None:
+            out[key] = None
+        elif isinstance(rule, dict):
+            out[key] = _walk(rule, value, path)
+        elif isinstance(rule, list):
+            if not isinstance(value, list) or not value and default is REQUIRED:
+                _fail(path, "need a nonempty list" if default is REQUIRED else "need a list")
+            out[key] = tuple(_walk(rule[0], v, f"{path}[{i}]") for i, v in enumerate(value))
+        else:
+            out[key] = _leaf(rule, value, path)
+    return SimpleNamespace(**out)
 
 
-def parse_config_dict(raw: dict) -> ExperimentConfig:
-    """Validate a configuration dictionary into an ExperimentConfig."""
+def _build(section: str, spec, **fields):
+    """``spec(**fields)``; a library invariant it breaks is a config error
+    at ``section``."""
+    try:
+        return spec(**fields)
+    except ValueError as exc:
+        raise ConfigError(f"config error at {section}: {exc}") from exc
+
+
+def parse_config_dict(raw: dict) -> SimpleNamespace:
+    """Validate a configuration dictionary against ``SCHEMA``, then the
+    checks that span keys. Returns one namespace per section (None for an
+    absent optional one); ``plant`` is a ``PlantConfig``, ``nrc`` an
+    ``NrcSpec``, the tracker's notches ``NotchSpec``s, and ``sim`` gains
+    ``ts_s``."""
     if not isinstance(raw, dict):
         raise ConfigError("config error at top level: expected a JSON object")
-    _check_keys(raw, ("plant", "nrc", "tracker", "grid", "sim", "targets"), "config")
+    cfg = _walk(SCHEMA, raw, "")
+    p = cfg.plant
+    modes = tuple(ModeSpec(TWO_PI * m.freq_hz, m.zeta, m.weight) for m in p.modes)
+    cfg.plant = PlantConfig(p.gain, modes, p.amp_corner_hz, p.delay_us)
+    _build("plant", cfg.plant.to_spec)  # enforce the library invariants at load time
 
-    if "plant" not in raw:
-        raise ConfigError("config error at plant: required key missing")
-    praw = raw["plant"]
-    _check_keys(praw, ("gain", "modes", "amp_corner_hz", "delay_us"), "plant")
-    gain = _num(praw, "gain", "plant", positive=True)
-    modes_raw = praw.get("modes")
-    if not isinstance(modes_raw, list) or not modes_raw:
-        raise ConfigError("config error at plant.modes: need a nonempty list")
-    modes = []
-    for i, m in enumerate(modes_raw):
-        where = f"plant.modes[{i}]"
-        _check_keys(m, ("freq_hz", "zeta", "weight"), where)
-        modes.append(
-            ModeSpec(
-                omega_rad_s=TWO_PI * _num(m, "freq_hz", where, positive=True),
-                zeta=_num(m, "zeta", where, nonneg=True),
-                weight=_num(m, "weight", where, nonneg=True, default=1.0),
+    if cfg.nrc is not None:
+        if not 0.0 < cfg.nrc.gamma <= 1.0:
+            _fail(
+                "nrc.gamma",
+                "gamma must lie in (0,1]; the damping loop loses stability for gamma > 1",
             )
-        )
-    amp_hz = praw.get("amp_corner_hz")
-    if amp_hz is not None:
-        amp_hz = _num(praw, "amp_corner_hz", "plant", positive=True)
-    delay_us = _num(praw, "delay_us", "plant", nonneg=True, default=0.0)
-    plant = PlantConfig(
-        gain=gain, modes=tuple(modes), amp_corner_hz=amp_hz, delay_us=delay_us
-    )
-    try:
-        plant.to_spec()  # enforce the library invariants at load time
-    except ValueError as exc:
-        raise ConfigError(f"config error at plant: {exc}") from exc
+        cfg.nrc = _build("nrc", NrcSpec, **vars(cfg.nrc))
 
-    nrc_spec = None
-    if "nrc" in raw:
-        nraw = raw["nrc"]
-        _check_keys(nraw, ("gamma", "n", "taming_l"), "nrc")
-        gamma = _num(nraw, "gamma", "nrc")
-        if not (0.0 < gamma <= 1.0):
-            raise ConfigError(
-                "config error at nrc.gamma: gamma must lie in (0,1]; "
-                "the damping loop loses stability for gamma > 1"
-            )
-        n = _num(nraw, "n", "nrc", positive=True)
-        taming_l = nraw.get("taming_l")
-        if taming_l is not None:
-            taming_l = _num(nraw, "taming_l", "nrc", positive=True)
-        nrc_spec = NrcSpec(gamma=gamma, n=n, taming_l=taming_l)
-
-    tracker = None
-    if "tracker" in raw:
-        traw = raw["tracker"]
-        _check_keys(
-            traw, ("kp", "omega_b_hz", "omega_i_hz", "notches", "lowpass_hz"), "tracker"
+    tr = cfg.tracker
+    if tr is not None:
+        if (tr.kp is None) == (tr.omega_b_hz is None):
+            _fail("tracker", "exactly one of kp / omega_b_hz required")
+        tr.notches = tuple(
+            NotchSpec(TWO_PI * nt.freq_hz, nt.q_num, nt.q_den) for nt in tr.notches
         )
-        has_kp = "kp" in traw
-        has_wb = "omega_b_hz" in traw
-        if has_kp == has_wb:
-            raise ConfigError(
-                "config error at tracker: exactly one of kp / omega_b_hz required"
-            )
-        kp = _num(traw, "kp", "tracker", positive=True) if has_kp else None
-        wb = _num(traw, "omega_b_hz", "tracker", positive=True) if has_wb else None
-        wi = _num(traw, "omega_i_hz", "tracker", nonneg=True)
-        notches = []
-        for i, nt in enumerate(traw.get("notches", [])):
-            where = f"tracker.notches[{i}]"
-            _check_keys(nt, ("freq_hz", "q_num", "q_den"), where)
-            notches.append(
-                NotchSpec(
-                    omega_rad_s=TWO_PI * _num(nt, "freq_hz", where, positive=True),
-                    q_num=_num(nt, "q_num", where, positive=True),
-                    q_den=_num(nt, "q_den", where, positive=True),
-                )
-            )
-        lp = traw.get("lowpass_hz")
-        if lp is not None:
-            lp = _num(traw, "lowpass_hz", "tracker", positive=True)
-        tracker = TrackerConfig(
-            kp=kp, omega_b_hz=wb, omega_i_hz=wi, notches=tuple(notches), lowpass_hz=lp
-        )
+        # kp is not known before tuning; 1 stands in while the notches are checked
+        _build("tracker", TrackerSpec, pi=PiSpec(kp=1.0), notches=tr.notches)
 
-    graw = raw.get("grid", {})
-    _check_keys(graw, ("f_min_hz", "f_max_hz", "pts_per_decade"), "grid")
-    grid = GridSpec(
-        f_min_hz=_num(graw, "f_min_hz", "grid", positive=True, default=1.0),
-        f_max_hz=_num(graw, "f_max_hz", "grid", positive=True, default=10000.0),
-        pts_per_decade=int(_num(graw, "pts_per_decade", "grid", positive=True, default=400)),
-    )
-    if grid.f_min_hz >= grid.f_max_hz:
-        raise ConfigError("config error at grid: f_min_hz must be < f_max_hz")
+    if cfg.grid.f_min_hz >= cfg.grid.f_max_hz:
+        _fail("grid", "f_min_hz must be < f_max_hz")
 
-    sim = None
-    if "sim" in raw:
-        sraw = raw["sim"]
-        _check_keys(
-            sraw,
-            (
-                "ts_us",
-                "duration_s",
-                "reference",
-                "seed",
-                "noise_amplitude",
-                "disturbance_amplitude",
-                "disturbance_freq_hz",
-            ),
-            "sim",
-        )
-        ts_us = _num(sraw, "ts_us", "sim", positive=True)
-        ts_s = ts_us * 1e-6
-        rraw = sraw.get("reference", {})
-        _check_keys(rraw, ("kind", "amplitude", "freq_hz"), "sim.reference")
-        kind = rraw.get("kind", "step")
-        if kind not in ("step", "sine"):
-            raise ConfigError(
-                "config error at sim.reference.kind: must be 'step' or 'sine'"
-            )
-        ref = ReferenceSpec(
-            kind=kind,
-            amplitude=_num(rraw, "amplitude", "sim.reference", default=1.0),
-            freq_hz=_num(rraw, "freq_hz", "sim.reference", nonneg=True, default=0.0),
-        )
-        if kind == "sine" and ref.freq_hz <= 0.0:
-            raise ConfigError("config error at sim.reference.freq_hz: must be > 0")
-        sim = SimConfig(
-            ts_us=ts_us,
-            duration_s=_num(sraw, "duration_s", "sim", positive=True),
-            reference=ref,
-            seed=int(_num(sraw, "seed", "sim", nonneg=True, default=0.0)),
-            noise_amplitude=_num(sraw, "noise_amplitude", "sim", nonneg=True, default=0.0),
-            disturbance_amplitude=_num(
-                sraw, "disturbance_amplitude", "sim", nonneg=True, default=0.0
-            ),
-            disturbance_freq_hz=_num(
-                sraw, "disturbance_freq_hz", "sim", nonneg=True, default=0.0
-            ),
-        )
-        if ts_s >= 1.0 / (2.0 * grid.f_max_hz):
-            raise ConfigError(
-                "config error at sim.ts_us: need ts < 1/(2*f_max_hz) of the grid"
-            )
-
-    traw = raw.get("targets", {})
-    _check_keys(traw, ("gm_db", "pm_deg", "bound_db"), "targets")
-    targets = TargetSpec(
-        gm_db=_num(traw, "gm_db", "targets", default=6.0),
-        pm_deg=_num(traw, "pm_deg", "targets", default=60.0),
-        bound_db=_num(traw, "bound_db", "targets", positive=True, default=3.0),
-    )
-
-    return ExperimentConfig(
-        plant=plant, nrc=nrc_spec, tracker=tracker, grid=grid, sim=sim, targets=targets
-    )
+    sim = cfg.sim
+    if sim is not None:
+        sim.ts_s = sim.ts_us * 1e-6
+        if sim.reference.kind == "sine" and sim.reference.freq_hz <= 0.0:
+            _fail("sim.reference.freq_hz", "must be > 0")
+        if round(sim.duration_s / sim.ts_s) < 1:
+            _fail("sim.duration_s", "must last at least one sample of ts_us")
+        if sim.ts_s >= 1.0 / (2.0 * cfg.grid.f_max_hz):
+            _fail("sim.ts_us", "need ts < 1/(2*f_max_hz) of the grid")
+    return cfg
 
 
 def _read_config_json(path):
@@ -358,7 +273,7 @@ def _read_config_json(path):
         raise ConfigError(f"config error: invalid JSON ({exc})")
 
 
-def parse_config(path) -> ExperimentConfig:
+def parse_config(path) -> SimpleNamespace:
     """Load and validate a JSON config file."""
     return parse_config_dict(_read_config_json(path))
 
@@ -376,7 +291,7 @@ class _DesignContext:
     when the config has no tracker.
     """
 
-    def __init__(self, cfg: ExperimentConfig):
+    def __init__(self, cfg: SimpleNamespace):
         self.cfg = cfg
         self.plant_spec = cfg.plant.to_spec()
         self.plant_tf = build_plant(self.plant_spec)
@@ -501,7 +416,7 @@ def _fmt(x, digits=6):
     return f"{x:.{digits}g}"
 
 
-def run_design(cfg: ExperimentConfig, out_dir: Path, exact_tan60: bool = False) -> dict:
+def run_design(cfg: SimpleNamespace, out_dir: Path, exact_tan60: bool = False) -> dict:
     """Full pipeline: damping synthesis, inner-loop report, tracker tuning,
     sensitivities, margins/bandwidth and the objective scorecard."""
     ctx = _DesignContext(cfg)
@@ -632,7 +547,7 @@ def summarize(summary: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run_bode(cfg: ExperimentConfig, out_dir: Path) -> dict:
+def run_bode(cfg: SimpleNamespace, out_dir: Path) -> dict:
     if cfg.nrc is None:
         grid = log_grid(cfg.grid.f_min_hz, cfg.grid.f_max_hz, cfg.grid.pts_per_decade)
         cols = {"plant": freq_response(build_plant(cfg.plant.to_spec()), grid)}
@@ -644,7 +559,7 @@ def run_bode(cfg: ExperimentConfig, out_dir: Path) -> dict:
 
 
 def run_rootlocus(
-    cfg: ExperimentConfig, out_dir: Path, n_min=0.1, n_max=10.0, n_points=500
+    cfg: SimpleNamespace, out_dir: Path, n_min=0.1, n_max=10.0, n_points=500
 ) -> dict:
     first = cfg.plant.to_spec().modes[0]
     single = PlantSpec(gain=cfg.plant.gain, modes=(first,))
@@ -666,14 +581,14 @@ def run_rootlocus(
     return summary
 
 
-def run_sens(cfg: ExperimentConfig, out_dir: Path) -> dict:
+def run_sens(cfg: SimpleNamespace, out_dir: Path) -> dict:
     ctx = _DesignContext(cfg)
     bundle = dual_sensitivities(ctx.g, ctx.ct, ctx.cd, ctx.grid)
     bundle_to_csv(bundle, out_dir / "sensitivities.csv")
     return {"files": ["sensitivities.csv"], "points": int(ctx.grid.size)}
 
 
-def run_margins(cfg: ExperimentConfig, out_dir: Path) -> dict:
+def run_margins(cfg: SimpleNamespace, out_dir: Path) -> dict:
     ctx = _DesignContext(cfg)
     if ctx.ct_tf is None:
         inner = margins(ctx.grid, lambda w: ctx.g_eval(w) * ctx.cd_eval(w))
@@ -692,7 +607,7 @@ def _margins_dict(rep: MarginsReport) -> dict:
     return {"gain_margin_db": rep.gain_margin_db, "crossovers": _crossovers(rep)}
 
 
-def run_simulate(cfg: ExperimentConfig, out_dir: Path, seed=None) -> dict:
+def run_simulate(cfg: SimpleNamespace, out_dir: Path, seed=None) -> dict:
     """Simulate the sampled dual loop; a loop whose closed-loop spectral
     radius exceeds 1 diverges and is refused before it runs."""
     ctx = _DesignContext(cfg)
@@ -740,7 +655,7 @@ def run_simulate(cfg: ExperimentConfig, out_dir: Path, seed=None) -> dict:
     return metrics
 
 
-def run_identify(cfg: ExperimentConfig, out_dir: Path) -> dict:
+def run_identify(cfg: SimpleNamespace, out_dir: Path) -> dict:
     fs = 1.0 / cfg.sim.ts_s if cfg.sim is not None else 33300.0
     duration = 10.0  # fixed sweep preset: 10 Hz .. 5 kHz over 10 s
     f_hi = min(5000.0, 0.4 * fs)
@@ -766,12 +681,16 @@ def _sweep_configs(cfg_raw: dict, param: str, values) -> list:
     """The validated config of each sweep value: ``cfg_raw`` with the dotted
     key ``param`` set to it."""
     configs = []
+    *head, last = param.split(".")
     for v in values:
         raw = json.loads(json.dumps(cfg_raw))
         node = raw
-        *head, last = param.split(".")
         for key in head:
-            node = node.setdefault(key, {})
+            if node.get(key) is None:  # null counts as absent
+                node[key] = {}
+            node = node[key]
+            if not isinstance(node, dict):
+                _fail("--param", f"{param!r} passes through {key!r}, which is not an object")
         node[last] = v
         cfg = parse_config_dict(raw)
         _require_sections("design", cfg)
@@ -807,7 +726,7 @@ def _write_json(path: Path, payload) -> None:
     )
 
 
-def _require_sections(cmd: str, cfg: ExperimentConfig) -> None:
+def _require_sections(cmd: str, cfg: SimpleNamespace) -> None:
     for section in REQUIRED_SECTIONS.get(cmd, ()):
         if getattr(cfg, section) is None:
             article = "an" if section == "nrc" else "a"
@@ -848,22 +767,17 @@ def _dispatch(cmd: str, cfg_path, out: Path, kwargs: dict) -> int:
                 exact_tan60=kwargs.get("exact_tan60", False),
             )
             return 0
-        cfg = parse_config(cfg_path)
-        cfg = _apply_overrides(cfg, kwargs.get("grid_override"))
+        raw = _read_config_json(cfg_path)
+        cfg = _parse_with_grid_override(raw, kwargs.get("grid_override"))
         _require_sections(cmd, cfg)
+        locus = _locus_flags(kwargs) if cmd == "rootlocus" else ()
         out.mkdir(parents=True, exist_ok=True)
         if cmd == "bode":
             run_bode(cfg, out)
         elif cmd == "design":
             run_design(cfg, out, exact_tan60=kwargs.get("exact_tan60", False))
         elif cmd == "rootlocus":
-            run_rootlocus(
-                cfg,
-                out,
-                n_min=kwargs.get("n_min", 0.1),
-                n_max=kwargs.get("n_max", 10.0),
-                n_points=kwargs.get("n_points", 500),
-            )
+            run_rootlocus(cfg, out, *locus)
         elif cmd == "sens":
             run_sens(cfg, out)
         elif cmd == "margins":
@@ -885,8 +799,9 @@ def _dispatch(cmd: str, cfg_path, out: Path, kwargs: dict) -> int:
 
 
 def _sweep_values(values) -> list:
-    """The ``--values`` items as finite floats."""
-    out = []
+    """The ``--values`` items as finite floats whose ``%g`` forms, which
+    name their output directories, are distinct."""
+    out, seen = [], {}
     for v in values:
         try:
             x = float(v)
@@ -894,25 +809,41 @@ def _sweep_values(values) -> list:
             raise ConfigError(f"config error at --values: {v!r} is not a number") from None
         if not math.isfinite(x):
             raise ConfigError(f"config error at --values: {v!r} is not finite")
+        name = f"{x:g}"
+        if name in seen:
+            _fail("--values", f"{seen[name]!r} and {v!r} share one output directory")
+        seen[name] = v
         out.append(x)
     return out
 
 
-def _apply_overrides(cfg: ExperimentConfig, grid_override):
+def _parse_with_grid_override(raw: dict, grid_override):
+    """The config ``raw``, validated, then again with its grid replaced by
+    ``--grid-override``; a grid the schema rejects names the flag."""
+    cfg = parse_config_dict(raw)
     if grid_override is None:
         return cfg
-    from dataclasses import replace
-
     try:
         fmin, fmax, ppd = grid_override.split(",")
-        grid = GridSpec(
-            f_min_hz=float(fmin), f_max_hz=float(fmax), pts_per_decade=int(ppd)
-        )
+        grid = {"f_min_hz": float(fmin), "f_max_hz": float(fmax), "pts_per_decade": int(ppd)}
     except ValueError:
         raise ConfigError("config error at --grid-override: expected fmin,fmax,ppd")
-    if not 0.0 < grid.f_min_hz < grid.f_max_hz < math.inf or grid.pts_per_decade < 2:
-        raise ConfigError("config error at --grid-override: invalid grid")
-    return replace(cfg, grid=grid)
+    try:
+        return parse_config_dict({**raw, "grid": grid})
+    except ConfigError as exc:
+        if str(exc).startswith("config error at grid"):
+            raise ConfigError("config error at --grid-override: invalid grid") from None
+        raise  # a check across sections, such as the sim Nyquist guard
+
+
+def _locus_flags(kwargs: dict) -> tuple:
+    """The rootlocus ``--n-min``, ``--n-max`` and ``--n-points``, checked
+    like config keys."""
+    n_min = _leaf(POSITIVE, kwargs.get("n_min", 0.1), "--n-min")
+    n_max = _leaf(POSITIVE, kwargs.get("n_max", 10.0), "--n-max")
+    if n_max <= n_min:
+        _fail("--n-max", "must be > --n-min")
+    return n_min, n_max, _leaf(INT_GE2, kwargs.get("n_points", 500), "--n-points")
 
 
 def main(argv=None) -> int:

@@ -34,6 +34,45 @@ def write(tmp_path, cfg, name="config.json"):
     return p
 
 
+NOTCH = {"freq_hz": 1000.0, "q_num": 1.1, "q_den": 1.0}
+PPD_RULE = "config error at grid.pts_per_decade: must be an integer >= 2"
+
+# (command, dotted key of the surrogate config, its bad value, message)
+MALFORMED = [
+    ("design", "nrc", None, "config error at nrc: design needs an nrc section"),
+    ("design", "nrc", [], "config error at nrc: must be an object"),
+    ("design", "nrc", 5, "config error at nrc: must be an object"),
+    ("design", "tracker", None, "config error at tracker: design needs a tracker section"),
+    ("design", "tracker", [], "config error at tracker: must be an object"),
+    ("design", "tracker", 5, "config error at tracker: must be an object"),
+    ("simulate", "sim", None, "config error at sim: simulate needs a sim section"),
+    ("simulate", "sim", [], "config error at sim: must be an object"),
+    ("simulate", "sim", 5, "config error at sim: must be an object"),
+    ("design", "grid", [], "config error at grid: must be an object"),
+    ("design", "grid", 5, "config error at grid: must be an object"),
+    ("design", "plant.modes", [5], "config error at plant.modes[0]: must be an object"),
+    ("design", "tracker.notches", [5], "config error at tracker.notches[0]: must be an object"),
+    ("design", "tracker.notches", 5, "config error at tracker.notches: need a list"),
+    ("simulate", "sim.reference", 5, "config error at sim.reference: must be an object"),
+    ("design", "grid.pts_per_decade", 1, PPD_RULE),
+    ("design", "grid.pts_per_decade", 0.5, PPD_RULE),
+    ("design", "grid.pts_per_decade", 400.7, PPD_RULE),
+    ("simulate", "sim.seed", 1.5, "config error at sim.seed: must be an integer >= 0"),
+    (
+        "design",
+        "tracker.notches",
+        [NOTCH, NOTCH],
+        "config error at tracker: notch frequencies must be distinct",
+    ),
+    (
+        "simulate",
+        "sim.duration_s",
+        1e-5,
+        "config error at sim.duration_s: must last at least one sample of ts_us",
+    ),
+]
+
+
 class TestParseConfig:
     def test_minimal_plant_only(self):
         cfg = parse_config_dict(minimal_config())
@@ -78,6 +117,12 @@ class TestParseConfig:
         }
         with pytest.raises(ConfigError, match="ts_us"):
             parse_config_dict(raw)
+
+    def test_null_means_absent(self):
+        raw = minimal_config()
+        raw.update(nrc=None, tracker=None, grid=None, sim=None, targets=None)
+        raw["plant"]["amp_corner_hz"] = None
+        assert parse_config_dict(raw) == parse_config_dict(minimal_config())
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
@@ -372,6 +417,50 @@ class TestCommands:
         assert run_command("bode", p, tmp_path / "out", grid_override=override) == 2
         assert "config error at --grid-override" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("cmd, key, value, message", MALFORMED)
+    def test_malformed_config_leaves_no_out_dir(
+        self, tmp_path, surrogate_raw, capsys, cmd, key, value, message
+    ):
+        *head, last = key.split(".")
+        node = surrogate_raw
+        for k in head:
+            node = node[k]
+        node[last] = value
+        out = tmp_path / "out"
+        assert run_command(cmd, write(tmp_path, surrogate_raw), out) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (
+                ["simulate", "--grid-override", "1,20000,50"],
+                "config error at sim.ts_us: need ts < 1/(2*f_max_hz) of the grid",
+            ),
+            (["rootlocus", "--n-points", "1"], "at --n-points: must be an integer >= 2"),
+            (["rootlocus", "--n-min", "5", "--n-max", "1"], "at --n-max: must be > --n-min"),
+            (["rootlocus", "--n-min", "-1"], "config error at --n-min: must be > 0"),
+            (
+                ["sweep", "--param", "plant.modes.0", "--values", "1,2"],
+                "config error at --param: 'plant.modes.0' passes through 'modes'",
+            ),
+            (
+                ["sweep", "--values", "4,4.0000001"],
+                "config error at --values: '4' and '4.0000001' share one output directory",
+            ),
+        ],
+    )
+    def test_malformed_flag_leaves_no_out_dir(
+        self, tmp_path, surrogate_raw, capsys, args, message
+    ):
+        out = tmp_path / "out"
+        argv = [args[0], str(write(tmp_path, surrogate_raw)), "--out", str(out)] + args[1:]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Warning" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("cmd", ["design", "identify"])
     def test_missing_config_file_leaves_no_out_dir(self, tmp_path, capsys, cmd):
