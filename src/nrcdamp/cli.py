@@ -39,12 +39,12 @@ from .tracking import (
     bundle_to_csv,
     dual_sensitivities,
     margins,
-    nyquist_net_crossings,
     objective_report,
     pm_feasibility,
     tune_kp,
 )
 from .sim import (
+    SINE_SKIP_FRAC,
     chirp_identify,
     discretize,
     dual_loop_state_space,
@@ -256,8 +256,12 @@ def parse_config_dict(raw: dict) -> SimpleNamespace:
         sim.ts_s = sim.ts_us * 1e-6
         if sim.reference.kind == "sine" and sim.reference.freq_hz <= 0.0:
             _fail("sim.reference.freq_hz", "must be > 0")
-        if round(sim.duration_s / sim.ts_s) < 1:
+        nsamp = round(sim.duration_s / sim.ts_s)
+        if nsamp < 1:
             _fail("sim.duration_s", "must last at least one sample of ts_us")
+        tail = nsamp - int(nsamp * SINE_SKIP_FRAC)
+        if sim.reference.kind == "sine" and tail * sim.ts_s * sim.reference.freq_hz < 1.0:
+            _fail("sim.duration_s", "must hold one whole sine cycle after the skipped transient")
         if sim.ts_s >= 1.0 / (2.0 * cfg.grid.f_max_hz):
             _fail("sim.ts_us", "need ts < 1/(2*f_max_hz) of the grid")
     return cfg
@@ -286,9 +290,9 @@ class _DesignContext:
     """One configured design, evaluated once.
 
     Holds the transfer functions, exact pointwise evaluators (delay
-    included) for the analyses, and the FRFs ``g``, ``cd``, ``ct`` and
-    ``gd`` on the config grid, each computed on first use. ``ct`` is zeros
-    when the config has no tracker.
+    included) for the analyses' refinements, and the FRFs ``g``, ``cd``,
+    ``ct``, ``gd`` and the sensitivity ``bundle`` on the config grid, each
+    computed on first use. ``ct`` is zeros when the config has no tracker.
     """
 
     def __init__(self, cfg: SimpleNamespace):
@@ -362,18 +366,16 @@ class _DesignContext:
     def gd(self):
         return self.g / (1.0 + self.g * self.cd)
 
-    def loop_margins(self) -> tuple[MarginsReport, MarginsReport, int]:
-        """Margins of the outer loop C_t G_d and of the dual loop L_D, and
-        the net Nyquist crossings of L_D."""
-        outer = margins(self.grid, self.outer_loop_eval)
-        dual = margins(self.grid, self.ld_eval)
-        return outer, dual, nyquist_net_crossings(self.grid, self.ld_eval)
+    @cached_property
+    def bundle(self):
+        return dual_sensitivities(self.g, self.ct, self.cd, self.grid)
 
     def margins_json(self) -> dict:
         """The ``margins.json`` payload of a design with a tracker: outer-loop
         margins with their target flags, dual-loop margins with the Nyquist
         verdict."""
-        outer, dual, net = self.loop_margins()
+        outer = margins(self.grid, self.ct * self.gd, self.outer_loop_eval)
+        dual = margins(self.grid, self.bundle.loop_gain, self.ld_eval)
         targets = self.cfg.targets
         return {
             "outer_loop": {
@@ -385,8 +387,8 @@ class _DesignContext:
             },
             "dual_loop": {
                 **_margins_dict(dual),
-                "nyquist_net_crossings": net,
-                "stable": net == 0,
+                "nyquist_net_crossings": dual.nyquist_net_crossings,
+                "stable": dual.nyquist_net_crossings == 0,
             },
         }
 
@@ -426,9 +428,9 @@ def run_design(cfg: SimpleNamespace, out_dir: Path, exact_tan60: bool = False) -
     peak_inner = abs(complex(ctx.gd_eval(ctx.omega_n)))
     peak_reduction_db = 20.0 * math.log10(peak_plant / peak_inner)
 
-    bundle = dual_sensitivities(ctx.g, ctx.ct, ctx.cd, grid)
+    bundle = ctx.bundle
     bw = {  # each distinct bound bisected once
-        bound: bandwidth(grid, ctx.t_yr_eval, bound)
+        bound: bandwidth(grid, bundle.t_yr, ctx.t_yr_eval, bound)
         for bound in dict.fromkeys((3.0, 1.0, cfg.targets.bound_db))
     }
 
@@ -436,7 +438,7 @@ def run_design(cfg: SimpleNamespace, out_dir: Path, exact_tan60: bool = False) -
 
     hi_band = (grid[-1] / math.sqrt(10.0), grid[-1])
     objectives = objective_report(
-        bundle, bw[3.0], ctx.ct_eval, ctx.ld_eval, ctx.omega_n, hi_band
+        bundle, bw[3.0], ctx.ct, ctx.ct_eval, ctx.ld_eval, ctx.omega_n, hi_band
     )
 
     feasibility = None
@@ -583,15 +585,14 @@ def run_rootlocus(
 
 def run_sens(cfg: SimpleNamespace, out_dir: Path) -> dict:
     ctx = _DesignContext(cfg)
-    bundle = dual_sensitivities(ctx.g, ctx.ct, ctx.cd, ctx.grid)
-    bundle_to_csv(bundle, out_dir / "sensitivities.csv")
+    bundle_to_csv(ctx.bundle, out_dir / "sensitivities.csv")
     return {"files": ["sensitivities.csv"], "points": int(ctx.grid.size)}
 
 
 def run_margins(cfg: SimpleNamespace, out_dir: Path) -> dict:
     ctx = _DesignContext(cfg)
     if ctx.ct_tf is None:
-        inner = margins(ctx.grid, lambda w: ctx.g_eval(w) * ctx.cd_eval(w))
+        inner = margins(ctx.grid, ctx.g * ctx.cd, lambda w: ctx.g_eval(w) * ctx.cd_eval(w))
         out = {"inner_loop": _margins_dict(inner)}
     else:
         out = ctx.margins_json()
@@ -753,12 +754,14 @@ def run_command(cmd: str, cfg_path, out_dir, **kwargs) -> int:
 
 def _dispatch(cmd: str, cfg_path, out: Path, kwargs: dict) -> int:
     try:
+        values = _sweep_values(kwargs["values"]) if cmd == "sweep" else ()
+        raw = _read_config_json(cfg_path)
+        raw, cfg = _parse_with_grid_override(raw, kwargs.get("grid_override"))
+        _require_sections(cmd, cfg)
+        locus = _locus_flags(kwargs) if cmd == "rootlocus" else ()
+        configs = _sweep_configs(raw, kwargs["param"], values) if cmd == "sweep" else ()
+        out.mkdir(parents=True, exist_ok=True)
         if cmd == "sweep":
-            values = _sweep_values(kwargs["values"])
-            raw = _read_config_json(cfg_path)
-            parse_config_dict(raw)  # validate before mutating
-            configs = _sweep_configs(raw, kwargs["param"], values)
-            out.mkdir(parents=True, exist_ok=True)
             run_sweep(
                 configs,
                 out,
@@ -766,13 +769,7 @@ def _dispatch(cmd: str, cfg_path, out: Path, kwargs: dict) -> int:
                 values,
                 exact_tan60=kwargs.get("exact_tan60", False),
             )
-            return 0
-        raw = _read_config_json(cfg_path)
-        cfg = _parse_with_grid_override(raw, kwargs.get("grid_override"))
-        _require_sections(cmd, cfg)
-        locus = _locus_flags(kwargs) if cmd == "rootlocus" else ()
-        out.mkdir(parents=True, exist_ok=True)
-        if cmd == "bode":
+        elif cmd == "bode":
             run_bode(cfg, out)
         elif cmd == "design":
             run_design(cfg, out, exact_tan60=kwargs.get("exact_tan60", False))
@@ -817,19 +814,21 @@ def _sweep_values(values) -> list:
     return out
 
 
-def _parse_with_grid_override(raw: dict, grid_override):
+def _parse_with_grid_override(raw: dict, grid_override) -> tuple:
     """The config ``raw``, validated, then again with its grid replaced by
-    ``--grid-override``; a grid the schema rejects names the flag."""
+    ``--grid-override``; a grid the schema rejects names the flag. Returns
+    the raw config with the override applied and its validated form."""
     cfg = parse_config_dict(raw)
     if grid_override is None:
-        return cfg
+        return raw, cfg
     try:
         fmin, fmax, ppd = grid_override.split(",")
         grid = {"f_min_hz": float(fmin), "f_max_hz": float(fmax), "pts_per_decade": int(ppd)}
     except ValueError:
         raise ConfigError("config error at --grid-override: expected fmin,fmax,ppd")
+    raw = {**raw, "grid": grid}
     try:
-        return parse_config_dict({**raw, "grid": grid})
+        return raw, parse_config_dict(raw)
     except ConfigError as exc:
         if str(exc).startswith("config error at grid"):
             raise ConfigError("config error at --grid-override: invalid grid") from None

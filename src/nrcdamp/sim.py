@@ -17,6 +17,8 @@ import numpy as np
 from .lti import RationalTF, write_csv
 from .plants import PlantSpec, modal_state_space
 
+SINE_SKIP_FRAC = 0.6  # share of a record sinusoid_phasor skips as start-up transient
+
 
 @dataclass(frozen=True)
 class DiscreteSS:
@@ -322,7 +324,7 @@ def tracking_metrics(r, y) -> tuple[float, float]:
     return float(np.max(np.abs(e))), float(np.sqrt(np.mean(e * e)))
 
 
-def sinusoid_phasor(x, f_hz: float, ts: float, skip_frac: float = 0.6) -> complex:
+def sinusoid_phasor(x, f_hz: float, ts: float, skip_frac: float = SINE_SKIP_FRAC) -> complex:
     """Steady-state complex amplitude of x at frequency f.
 
     Projects the tail of the record (after skip_frac of it) onto the
@@ -343,7 +345,7 @@ def sinusoid_phasor(x, f_hz: float, ts: float, skip_frac: float = 0.6) -> comple
     return complex(2.0 * np.mean(tail * np.exp(-1j * ph)))
 
 
-def sinusoid_amplitude(x, f_hz: float, ts: float, skip_frac: float = 0.6) -> float:
+def sinusoid_amplitude(x, f_hz: float, ts: float, skip_frac: float = SINE_SKIP_FRAC) -> float:
     """Steady-state amplitude of x at frequency f (see sinusoid_phasor)."""
     return abs(sinusoid_phasor(x, f_hz, ts, skip_frac))
 

@@ -246,17 +246,16 @@ class BandwidthReport:
     grid_end: bool
 
 
-def bandwidth(omega, evaluator, bound_db: float) -> BandwidthReport:
+def bandwidth(omega, values, evaluator, bound_db: float) -> BandwidthReport:
     """Band-exit bandwidth of a complementary-style response.
 
-    ``evaluator`` maps omega to complex T. The grid must start inside the
-    band (|T| within +/- bound_db); the first exit is bracketed on the grid
-    and refined by bisection.
+    ``values`` is T on the grid ``omega``; ``evaluator`` maps omega to T.
+    The grid must start inside the band (|T| within +/- bound_db); the
+    first exit is bracketed on the grid and refined by bisection.
     """
     if bound_db <= 0.0:
         raise ValueError("bound_db must be > 0")
-    omega = np.asarray(omega, dtype=float)
-    t = evaluator(omega)
+    omega, t = np.asarray(omega, dtype=float), np.asarray(values)
     outside = np.abs(mag_db(t)) > bound_db
     if outside[0]:
         raise ValueError("|T| already outside the band at the grid start")
@@ -269,7 +268,7 @@ def bandwidth(omega, evaluator, bound_db: float) -> BandwidthReport:
 
 @dataclass(frozen=True)
 class MarginsReport:
-    """Unity-gain crossings with phase margins, plus the worst gain margin.
+    """Unity-gain crossings with phase margins, worst gain margin, Nyquist count.
 
     Phase margin at each crossing follows the standard convention
     PM = (angle mod 360) - 180; an empty crossing list means |L| never
@@ -278,6 +277,7 @@ class MarginsReport:
 
     crossovers: tuple
     gain_margin_db: float | None
+    nyquist_net_crossings: int
 
 
 def _critical_crossings(omega, values, evaluator):
@@ -301,37 +301,32 @@ def _critical_crossings(omega, values, evaluator):
     return lw, phase[i + 1] < phase[i]
 
 
-def margins(omega, evaluator) -> MarginsReport:
-    """Gain/phase margins of a loop given as an evaluator omega -> complex L.
+def margins(omega, values, evaluator) -> MarginsReport:
+    """Gain/phase margins of a loop L: ``values`` is L on the grid
+    ``omega``; ``evaluator`` maps omega to L.
 
     Every unity-magnitude crossing on the grid is refined and reported
     with its phase margin; the gain margin is taken at the refined
     critical-phase crossing (-180 - 360k of the unwrapped phase) with the
-    least |log gain|.
+    least |log gain|. The passages there with |L| > 1, downward negative,
+    sum to the net crossings of the critical rays (-inf, -1); for an
+    open-loop-stable loop a nonzero count means an unstable closed loop.
     """
-    omega = np.asarray(omega, dtype=float)
-    values = evaluator(omega)
+    omega, values = np.asarray(omega, dtype=float), np.asarray(values)
     i = np.flatnonzero(np.diff(np.sign(np.abs(values) - 1.0)))
     w, lw = _bisect(omega, values, i, evaluator, lambda v: np.abs(v) > 1.0)
     pm = np.remainder(np.degrees(np.angle(lw)), 360.0) - 180.0
     crossings = sorted(zip(w.tolist(), pm.tolist()))
-    critical, _ = _critical_crossings(omega, values, evaluator)
+    critical, down = _critical_crossings(omega, values, evaluator)
     gms = (-20.0 * np.log10(np.abs(critical))).tolist()
     gm = min(gms, key=abs) if gms else None
-    return MarginsReport(crossovers=tuple(crossings), gain_margin_db=gm)
+    net = int(np.sum(np.where(down, -1, 1)[np.abs(critical) > 1.0]))
+    return MarginsReport(crossovers=tuple(crossings), gain_margin_db=gm, nyquist_net_crossings=net)
 
 
-def nyquist_net_crossings(omega, evaluator) -> int:
-    """Net signed crossings of the critical rays (-inf, -1) by the loop FRF.
-
-    Counts refined unwrapped-phase passages of -180 - 360k with |L| > 1
-    over the positive-frequency branch (downward negative). For an
-    open-loop-stable loop a nonzero net count means the closed loop is
-    unstable.
-    """
-    omega = np.asarray(omega, dtype=float)
-    lw, down = _critical_crossings(omega, evaluator(omega), evaluator)
-    return int(np.sum(np.where(down, -1, 1)[np.abs(lw) > 1.0]))
+def nyquist_net_crossings(omega, values, evaluator) -> int:
+    """Net signed crossings of the critical rays by the loop (see ``margins``)."""
+    return margins(omega, values, evaluator).nyquist_net_crossings
 
 
 # Pass thresholds of the objectives; the bandwidth target is the resonance.
@@ -367,6 +362,7 @@ class ObjectiveReport:
 def objective_report(
     bundle: SensitivityBundle,
     bw3: BandwidthReport,
+    ct,
     ct_eval,
     ld_eval,
     omega_n: float,
@@ -374,15 +370,15 @@ def objective_report(
 ) -> ObjectiveReport:
     """Evaluate the four shaping objectives against their targets.
 
-    ``bw3`` is the +/-3 dB bandwidth of T_yr; ``ct_eval`` and ``ld_eval``
-    map omega to C_t and L_D. The tracker corner is refined where |C_t|
-    crosses its threshold and the resonance loop gain is |L_D(i w_n)|.
+    ``bw3`` is the +/-3 dB bandwidth of T_yr and ``ct`` is C_t on the grid;
+    ``ct_eval`` and ``ld_eval`` map omega to C_t and L_D. The tracker corner
+    is refined where |C_t| crosses its threshold and the resonance loop
+    gain is |L_D(i w_n)|.
     """
     grid = bundle.grid
     wc = float(grid[-1]) if bw3.grid_end else bw3.omega_c_rad_s
     o1 = ObjectiveResult(value=wc, target=omega_n, passed=wc > omega_n)
 
-    ct = ct_eval(grid)
     high = np.flatnonzero(np.abs(ct) >= TRACKER_GAIN_THRESHOLD)
     if high.size == 0:
         w_ct = 0.0

@@ -300,7 +300,7 @@ def test_criterion_12_pm_feasibility_boundary():
     def l_eval(w):
         return kp * nd.freq_response(gd, w)
 
-    rep = nd.margins(grid, l_eval)
+    rep = nd.margins(grid, l_eval(grid), l_eval)
     cross = min(rep.crossovers, key=lambda c: abs(c[0] - wb))
     ok &= abs(cross[0] - wb) < 1e-6
     ok &= abs(cross[1] - 60.0) <= 2.0

@@ -5,9 +5,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import nrcdamp
+from nrcdamp import freq_response, log_grid
 from nrcdamp.cli import (
     COMMANDS,
     ConfigError,
@@ -69,6 +71,13 @@ MALFORMED = [
         "sim.duration_s",
         1e-5,
         "config error at sim.duration_s: must last at least one sample of ts_us",
+    ),
+    (  # three samples of the 100 Hz sine; simulate exited 1 and left a trace.csv
+        "simulate",
+        "sim.duration_s",
+        9e-5,
+        "config error at sim.duration_s: must hold one whole sine cycle after the skipped "
+        "transient",
     ),
 ]
 
@@ -228,6 +237,13 @@ class TestCommands:
         assert lines[0] == "value,wc_3db_hz,peak_reduction_db,gain_margin_db,dual_stable"
         assert len(lines) == 3
 
+    def test_sweep_grid_override(self, tmp_path, surrogate_raw):
+        out = tmp_path / "out"
+        argv = ["sweep", str(write(tmp_path, surrogate_raw)), "--values", "4"]
+        assert main(argv + ["--grid-override", "1,100,50", "--out", str(out)]) == 0
+        # a header and 101 points: two decades at 50 per decade
+        assert len((out / "nrc_n_4" / "sensitivities.csv").read_text().splitlines()) == 102
+
     @pytest.mark.parametrize("values", [["--values", "-3,6"], ["--values=-3,6"]])
     def test_sweep_negative_values(self, tmp_path, surrogate_raw, values):
         p = write(tmp_path, surrogate_raw)
@@ -276,6 +292,46 @@ class TestCommands:
         assert files == sorted(f.relative_to(out2) for f in out2.rglob("*") if f.is_file())
         for f in files:
             assert (out1 / f).read_bytes() == (out2 / f).read_bytes(), f
+
+    @pytest.mark.parametrize("cmd", ["design", "margins"])
+    def test_one_grid_frf_per_transfer_function(self, tmp_path, surrogate_raw, monkeypatch, cmd):
+        # G, C_d and C_t are each evaluated once on the grid; the analyses
+        # read those arrays and call the evaluators only to refine
+        sizes = []
+
+        def counted(tf, omega):
+            sizes.append(np.size(omega))
+            return freq_response(tf, omega)
+
+        monkeypatch.setattr(nrcdamp.cli, "freq_response", counted)
+        getattr(nrcdamp.cli, f"run_{cmd}")(parse_config_dict(surrogate_raw), tmp_path)
+        grid_size = len(log_grid(1.0, 10000.0, 400))
+        assert sizes.count(grid_size) == 3
+
+    @pytest.mark.parametrize("omega_b_hz, net", [(380.0, 0), (800.0, -1)])
+    def test_dual_loop_verdict(self, tmp_path, surrogate_raw, omega_b_hz, net):
+        surrogate_raw["tracker"]["omega_b_hz"] = omega_b_hz
+        out = tmp_path / "out"
+        assert run_command("design", write(tmp_path, surrogate_raw), out) == 0
+        summary = json.loads((out / "summary.json").read_text())["dual_loop"]
+        dual = json.loads((out / "margins.json").read_text())["dual_loop"]
+        for verdict in (summary, dual):
+            assert verdict["nyquist_net_crossings"] == net
+            assert verdict["stable"] is (net == 0)
+        assert summary["crossovers"] == dual["crossovers"]
+        text = (out / "summary.txt").read_text()
+        assert ("dual loop: UNSTABLE" in text) is (net != 0)
+
+    def test_short_sine_boundary(self, tmp_path, surrogate_raw):
+        # at ts = 30 us a 100 Hz cycle is 333.3 samples; 833 samples leave
+        # 334 after the skipped 60 %, 832 leave 333
+        sim = surrogate_raw["sim"]
+        sim["duration_s"] = 833 * 30e-6
+        out = tmp_path / "out"
+        assert run_command("simulate", write(tmp_path, surrogate_raw), out) == 0
+        assert "steady_state_gain" in json.loads((out / "metrics.json").read_text())
+        sim["duration_s"] = 832 * 30e-6
+        assert run_command("simulate", write(tmp_path, surrogate_raw), tmp_path / "b") == 2
 
     def test_diverging_simulation_exit_code(self, tmp_path, surrogate_raw, capsys):
         surrogate_raw["tracker"]["omega_b_hz"] = 20000.0
@@ -449,6 +505,10 @@ class TestCommands:
             (
                 ["sweep", "--values", "4,4.0000001"],
                 "config error at --values: '4' and '4.0000001' share one output directory",
+            ),
+            (
+                ["sweep", "--values", "4", "--grid-override", "0,100,50"],
+                "config error at --grid-override: invalid grid",
             ),
         ],
     )

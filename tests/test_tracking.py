@@ -248,7 +248,10 @@ class TestRealErrorBudget:
 class TestBandwidth:
     def test_flat_response_never_exits(self):
         grid = log_grid(0.1, 100.0, 50)
-        rep = bandwidth(grid, lambda w: np.ones(np.shape(w), complex), 3.0)
+        def t_eval(w):
+            return np.ones(np.shape(w), complex)
+
+        rep = bandwidth(grid, t_eval(grid), t_eval, 3.0)
         assert rep.grid_end and rep.omega_c_rad_s is None
 
     def test_second_order_reference(self):
@@ -257,7 +260,7 @@ class TestBandwidth:
             return 1.0 / (1.0 - w**2 + 1j * np.sqrt(2.0) * w)
 
         grid = log_grid(1e-3 / TWO_PI, 10.0 / TWO_PI, 400)
-        rep = bandwidth(grid, t_eval, 3.0)
+        rep = bandwidth(grid, t_eval(grid), t_eval, 3.0)
         assert not rep.grid_end
         assert rep.omega_c_rad_s == pytest.approx(1.0, rel=0.02)
         # the refined point sits on the band edge
@@ -271,21 +274,27 @@ class TestBandwidth:
         def t_eval(w):
             return 1.0 / (1.0 - w**2 + 1j * 0.8 * w)
 
-        w1 = bandwidth(grid, t_eval, 1.0).omega_c_rad_s
-        w3 = bandwidth(grid, t_eval, 3.0).omega_c_rad_s
+        w1 = bandwidth(grid, t_eval(grid), t_eval, 1.0).omega_c_rad_s
+        w3 = bandwidth(grid, t_eval(grid), t_eval, 3.0).omega_c_rad_s
         assert w1 <= w3
 
     def test_out_of_band_start_rejected(self):
         grid = log_grid(0.1, 10.0, 50)
+        def t_eval(w):
+            return np.full(np.shape(w), 10.0 + 0j)
+
         with pytest.raises(ValueError, match="outside the band"):
-            bandwidth(grid, lambda w: np.full(np.shape(w), 10.0 + 0j), 3.0)
+            bandwidth(grid, t_eval(grid), t_eval, 3.0)
 
 
 class TestMargins:
     def test_integrator_loop(self):
         wb = 5.0
         grid = log_grid(0.01, 100.0, 400)
-        rep = margins(grid, lambda w: wb / (1j * w))
+        def l_eval(w):
+            return wb / (1j * w)
+
+        rep = margins(grid, l_eval(grid), l_eval)
         assert len(rep.crossovers) == 1
         w, pm = rep.crossovers[0]
         assert w == pytest.approx(wb, rel=1e-9)
@@ -305,7 +314,7 @@ class TestMargins:
             )
 
         expected = int(np.sum(np.diff(np.sign(np.abs(ld_eval(grid)) - 1.0)) != 0))
-        rep = margins(grid, ld_eval)
+        rep = margins(grid, ld_eval(grid), ld_eval)
         assert expected >= 3
         assert len(rep.crossovers) == expected
 
@@ -316,7 +325,7 @@ class TestMargins:
             return freq_response(g, w) * (3.0 + freq_response(nrc(1.0, 3.0), w))
 
         grid = log_grid(1e-3 / TWO_PI, 100.0 / TWO_PI, 400)
-        rep = margins(grid, l_eval)
+        rep = margins(grid, l_eval(grid), l_eval)
         for w, _ in rep.crossovers:
             assert abs(abs(complex(l_eval(w))) - 1.0) < 1e-4
 
@@ -324,25 +333,38 @@ class TestMargins:
         # L = k/(s+1)^3 crosses -180 deg at w = sqrt(3) where |L| = k/8
         grid = log_grid(0.001, 100.0, 600)
         k = 4.0
-        rep = margins(grid, lambda w: k / (1j * w + 1.0) ** 3)
+        def l_eval(w):
+            return k / (1j * w + 1.0) ** 3
+
+        rep = margins(grid, l_eval(grid), l_eval)
         assert rep.gain_margin_db == pytest.approx(20 * np.log10(8.0 / k), abs=1e-9)
 
     def test_no_crossing_empty(self):
         grid = log_grid(0.1, 10.0, 50)
-        rep = margins(grid, lambda w: np.full(np.shape(w), 0.1 + 0j))
+        def l_eval(w):
+            return np.full(np.shape(w), 0.1 + 0j)
+
+        rep = margins(grid, l_eval(grid), l_eval)
         assert rep.crossovers == ()
 
 
 class TestNyquist:
     def test_stable_loop_no_net_crossings(self):
         grid = log_grid(0.001, 100.0, 400)
-        # GM = 2 -> stable
-        assert nyquist_net_crossings(grid, lambda w: 4.0 / (1j * w + 1.0) ** 3) == 0
+        def l_eval(w):  # GM = 2 -> stable
+            return 4.0 / (1j * w + 1.0) ** 3
+
+        assert nyquist_net_crossings(grid, l_eval(grid), l_eval) == 0
 
     def test_unstable_loop_detected(self):
         grid = log_grid(0.001, 100.0, 400)
-        # gain above 8 -> encirclement
-        assert nyquist_net_crossings(grid, lambda w: 10.0 / (1j * w + 1.0) ** 3) != 0
+        def l_eval(w):  # gain above 8 -> encirclement
+            return 10.0 / (1j * w + 1.0) ** 3
+
+        net = nyquist_net_crossings(grid, l_eval(grid), l_eval)
+        assert net != 0
+        # one critical-crossing pass gives the margins and the count
+        assert margins(grid, l_eval(grid), l_eval).nyquist_net_crossings == net
 
 
 class TestObjectives:
@@ -359,8 +381,8 @@ class TestObjectives:
             return freq_response(g_tf, w) * ct_eval(w) / (1.0 + ld_eval(w))
 
         b = bundle_for(g_tf, ct_tf, cd_tf, grid)
-        bw3 = bandwidth(grid, t_yr_eval, 3.0)
-        return objective_report(b, bw3, ct_eval, ld_eval, omega_n, hi_band)
+        bw3 = bandwidth(grid, t_yr_eval(grid), t_yr_eval, 3.0)
+        return objective_report(b, bw3, ct_eval(grid), ct_eval, ld_eval, omega_n, hi_band)
 
     def test_resonance_loop_gain_value(self):
         # damping off, proportional tracker: |L_D(i wn)| = kp*g/(2 zeta)
