@@ -759,6 +759,9 @@ def _dispatch(cmd: str, cfg_path, out: Path, kwargs: dict) -> int:
         raw, cfg = _parse_with_grid_override(raw, kwargs.get("grid_override"))
         _require_sections(cmd, cfg)
         locus = _locus_flags(kwargs) if cmd == "rootlocus" else ()
+        seed = kwargs.get("seed")
+        if cmd == "simulate" and seed is not None:
+            seed = _leaf(INT_GE0, seed, "--seed")
         configs = _sweep_configs(raw, kwargs["param"], values) if cmd == "sweep" else ()
         out.mkdir(parents=True, exist_ok=True)
         if cmd == "sweep":
@@ -780,7 +783,7 @@ def _dispatch(cmd: str, cfg_path, out: Path, kwargs: dict) -> int:
         elif cmd == "margins":
             run_margins(cfg, out)
         elif cmd == "simulate":
-            run_simulate(cfg, out, seed=kwargs.get("seed"))
+            run_simulate(cfg, out, seed=seed)
         elif cmd == "identify":
             run_identify(cfg, out)
         else:

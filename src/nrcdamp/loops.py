@@ -188,9 +188,10 @@ def root_locus_n(plant: PlantSpec, gamma: float, n_grid) -> RootLocusTrace:
 
     Single-mode, delay-free plants only. Pole branches are continued by
     nearest-neighbor matching between consecutive grid points; the
-    bifurcation ratio (first n at which the pair lands on the real axis) is
-    refined by bisection on the characteristic cubic's discriminant down to
-    1e-6 in n. None is reported when the pair never bifurcates on the grid.
+    bifurcation ratio (first n at which the characteristic cubic's
+    discriminant is >= 0, so the pair is real) is refined by bisection on
+    that sign down to 1e-6 in n, or to the float spacing of n where that is
+    wider. None is reported when the pair never bifurcates on the grid.
     """
     if len(plant.modes) != 1:
         raise ValueError("root_locus_n expects a single-mode plant")
@@ -230,18 +231,19 @@ def root_locus_n(plant: PlantSpec, gamma: float, n_grid) -> RootLocusTrace:
             p2[i], p3[i] = best[1], best[2]
         prev = (p2[i], p3[i])
 
-    real_pair = np.abs(p2.imag) < REAL_POLE_REL_TOL * w
+    real_pair = [_pair_discriminant(zeta, gamma, n) >= 0.0 for n in n_values]
     bifurcation_n = None
-    hits = np.where(real_pair)[0]
+    hits = np.flatnonzero(real_pair)
     if hits.size and hits[0] > 0:
         lo, hi = n_values[hits[0] - 1], n_values[hits[0]]
-        while hi - lo > 1e-6:
-            mid = 0.5 * (lo + hi)
+        mid = 0.5 * (lo + hi)
+        while hi - lo > 1e-6 and lo < mid < hi:
             if _pair_discriminant(zeta, gamma, mid) >= 0.0:
                 hi = mid
             else:
                 lo = mid
-        bifurcation_n = 0.5 * (lo + hi)
+            mid = 0.5 * (lo + hi)
+        bifurcation_n = mid
     elif hits.size and hits[0] == 0:
         bifurcation_n = float(n_values[0])
     return RootLocusTrace(n_values=n_values, p2=p2, p3=p3, bifurcation_n=bifurcation_n)

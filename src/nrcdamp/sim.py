@@ -36,24 +36,6 @@ class DiscreteSS:
         return self.a_matrix.shape[0]
 
 
-def _bilinear_poly(coeffs_s: np.ndarray, c: float, n_total: int) -> np.ndarray:
-    """Map an ascending s-polynomial through s = c(z-1)/(z+1).
-
-    Returns ascending z-coefficients of sum_i a_i c^i (z-1)^i (z+1)^(n-i).
-    """
-    zm1 = np.array([-1.0, 1.0])
-    zp1 = np.array([1.0, 1.0])
-    out = np.zeros(n_total + 1)
-    for i, a in enumerate(coeffs_s):
-        term = np.array([a * c**i])
-        for _ in range(i):
-            term = np.convolve(term, zm1)
-        for _ in range(n_total - i):
-            term = np.convolve(term, zp1)
-        out[: term.size] += term
-    return out
-
-
 def _controller_canonical(num: np.ndarray, den: np.ndarray):
     """(A, B, C, D) of descending num/den in controller-canonical form.
 
@@ -79,33 +61,26 @@ def _controller_canonical(num: np.ndarray, den: np.ndarray):
     return a, np.eye(k - 1, 1), c, d
 
 
-def discretize(
-    tf: RationalTF, ts: float, prewarp_rad_s: float | None = None
-) -> DiscreteSS:
+def discretize(tf: RationalTF, ts: float) -> DiscreteSS:
     """Bilinear discretization of a proper (or biproper) RationalTF.
 
-    The map is s = c(z-1)/(z+1) with c = 2/ts, or c = w0/tan(w0 ts/2) when
-    a prewarp frequency is given; DC is preserved exactly either way. The
-    pure delay rounds to input_delay_samples = round(delay_s/ts).
+    The controller-canonical realization goes through the Tustin map
+    s = (2/ts)(z-1)/(z+1) of ``_bilinear_state_space``, which preserves
+    DC. A pure gain keeps its 1x1 zero state unmapped: mapped, that state
+    would become an eigenvalue at 1. The pure delay rounds to
+    input_delay_samples = round(delay_s/ts).
     """
     if ts <= 0.0:
         raise ValueError("ts must be > 0")
     if tf.num.degree > tf.den.degree:
         raise ValueError("improper transfer function cannot be discretized")
-    if prewarp_rad_s is not None:
-        if not (0.0 < prewarp_rad_s < math.pi / ts):
-            raise ValueError("prewarp frequency must lie below Nyquist")
-        c = prewarp_rad_s / math.tan(prewarp_rad_s * ts / 2.0)
-    else:
-        c = 2.0 / ts
-    n_total = tf.den.degree
-    num_z = _bilinear_poly(tf.num.coeffs, c, n_total)
-    den_z = _bilinear_poly(tf.den.coeffs, c, n_total)
-    a, b, cm, d = _controller_canonical(num_z[::-1], den_z[::-1])
+    a, b, c, d = _controller_canonical(tf.num.coeffs[::-1], tf.den.coeffs[::-1])
+    if tf.den.degree:
+        a, b, c, d = _bilinear_state_space(a, b, c, d, ts)
     return DiscreteSS(
         a_matrix=a,
         b_matrix=b,
-        c_matrix=cm,
+        c_matrix=c,
         d_matrix=d,
         ts=ts,
         input_delay_samples=int(round(tf.delay_s / ts)),
@@ -143,10 +118,7 @@ class SimTrace:
 
 
 def dual_loop_state_space(
-    plant_d: DiscreteSS,
-    tracker_d: DiscreteSS,
-    nrc_d: DiscreteSS,
-    absorb_loop_lag: bool = True,
+    plant_d: DiscreteSS, tracker_d: DiscreteSS, nrc_d: DiscreteSS
 ) -> DiscreteSS:
     """The sampled dual loop as one discrete system.
 
@@ -155,17 +127,15 @@ def dual_loop_state_space(
     (oldest sample first) and the last measurement y[k-1]. Per sample:
     e = r - y[k-1]; u = tracker(e) - nrc(y[k-1]); the plant integrates
     u + d after its delay line, and y[k] = x_true + n. This strictly causal
-    ordering implies one sample of measurement lag; with ``absorb_loop_lag``
-    (default) that sample is counted against the plant's modeled delay, so
-    the loop delay matches the continuous model whenever the plant carries
-    at least one delay sample. The spectral radius of the state matrix is
-    the exact stability verdict of the sampled loop.
+    ordering implies one sample of measurement lag; that sample is counted
+    against the plant's modeled delay, so the loop delay matches the
+    continuous model whenever the plant carries at least one delay sample.
+    The spectral radius of the state matrix is the exact stability verdict
+    of the sampled loop.
     """
     if not (plant_d.ts == tracker_d.ts == nrc_d.ts):
         raise ValueError("all blocks must share the same sampling time")
-    n_delay = plant_d.input_delay_samples
-    if absorb_loop_lag and n_delay >= 1:
-        n_delay -= 1
+    n_delay = max(plant_d.input_delay_samples - 1, 0)
     n_p, n_t, n_c = plant_d.order, tracker_d.order, nrc_d.order
     p = slice(0, n_p)
     t = slice(n_p, n_p + n_t)
@@ -244,13 +214,7 @@ def run_state_space(block: DiscreteSS, w) -> np.ndarray:
 
 
 def simulate_dual_loop(
-    plant_d: DiscreteSS,
-    tracker_d: DiscreteSS,
-    nrc_d: DiscreteSS,
-    r,
-    d,
-    n,
-    absorb_loop_lag: bool = True,
+    plant_d: DiscreteSS, tracker_d: DiscreteSS, nrc_d: DiscreteSS, r, d, n
 ) -> SimTrace:
     """Run the dual loop of ``dual_loop_state_space`` on (r, d, n).
 
@@ -262,7 +226,7 @@ def simulate_dual_loop(
     n = np.asarray(n, dtype=float)
     if not (r.shape == d.shape == n.shape) or r.ndim != 1:
         raise ValueError("r, d, n must be 1-D arrays of equal length")
-    loop = dual_loop_state_space(plant_d, tracker_d, nrc_d, absorb_loop_lag)
+    loop = dual_loop_state_space(plant_d, tracker_d, nrc_d)
     u, x_true = run_state_space(loop, np.column_stack([r, d, n])).T
     y_meas = x_true + n
     time_s = np.arange(r.size) * loop.ts
@@ -388,17 +352,18 @@ def log_chirp(
     return u
 
 
-def _bilinear_state_space(a: np.ndarray, b: np.ndarray, c: np.ndarray, ts: float):
-    """Tustin map (c = 2/ts, as in discretize) of a strictly proper (A, B, C).
+def _bilinear_state_space(a: np.ndarray, b: np.ndarray, c: np.ndarray, d, ts: float):
+    """Tustin map s = (2/ts)(z-1)/(z+1) of a continuous (A, B, C, D).
 
-    Returns (A_d, B_d, C_d, D_d) whose transfer function is G(2/ts (z-1)/(z+1)).
-    A contraction A + A^T <= 0 maps to ||A_d|| <= 1.
+    Returns (A_d, B_d, C_d, D_d) whose transfer function is G(2/ts (z-1)/(z+1)),
+    with D_d = D + C B_d / 2. B and C may be vectors or single-column and
+    single-row matrices. A contraction A + A^T <= 0 maps to ||A_d|| <= 1.
     """
     m = np.eye(a.shape[0]) - (ts / 2.0) * a
     a_d = np.linalg.solve(m, np.eye(a.shape[0]) + (ts / 2.0) * a)
     b_d = np.linalg.solve(m, ts * b)
-    c_d = np.linalg.solve(m.T, c)
-    return a_d, b_d, c_d, 0.5 * float(c @ b_d)
+    c_d = np.linalg.solve(m.T, c.T).T
+    return a_d, b_d, c_d, d + 0.5 * (c @ b_d)
 
 
 def _power_columns(a: np.ndarray, v: np.ndarray, count: int) -> np.ndarray:
@@ -474,7 +439,7 @@ def open_loop_response(
     fs_fine = fs * oversample
     u_fine = log_chirp(fs_fine, duration_s, f0=f0, f1=f1, amplitude=amplitude)
     ts_fine = 1.0 / fs_fine
-    a, b, c, d = _bilinear_state_space(*modal_state_space(plant), ts_fine)
+    a, b, c, d = _bilinear_state_space(*modal_state_space(plant), 0.0, ts_fine)
     y_fine = _blocked_response(a, b, c, d, u_fine)
     n_delay = int(round(plant.delay_s / ts_fine))
     if n_delay:

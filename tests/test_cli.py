@@ -151,6 +151,21 @@ class TestCommands:
         header = (out / "rootlocus.csv").read_text().splitlines()[0]
         assert header == "n,re_p2,im_p2,re_p3,im_p3"
 
+    def test_rootlocus_wide_n_range_ends(self, tmp_path, surrogate_raw):
+        # far out in n the pole pair looks real to rounding while the cubic's
+        # discriminant says complex; at gamma 0.999 it is complex again from
+        # n = 3.2e14, so no grid point of 0.1 .. 1e60 bifurcates
+        out = tmp_path / "out"
+        src = str(Path(nrcdamp.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "nrcdamp.cli", "rootlocus", str(write(tmp_path, surrogate_raw)),
+             "--n-max", "1e60", "--n-points", "5", "--out", str(out)],
+            env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads((out / "summary.json").read_text())["bifurcation_n"] is None
+
     def test_design_pipeline_outputs(self, tmp_path, surrogate_raw):
         p = write(tmp_path, surrogate_raw)
         out = tmp_path / "out"
@@ -510,6 +525,7 @@ class TestCommands:
                 ["sweep", "--values", "4", "--grid-override", "0,100,50"],
                 "config error at --grid-override: invalid grid",
             ),
+            (["simulate", "--seed", "-1"], "config error at --seed: must be >= 0"),
         ],
     )
     def test_malformed_flag_leaves_no_out_dir(

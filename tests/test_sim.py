@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy import signal as sps
 
 from nrcdamp import (
+    DiscreteSS,
     ModeSpec,
     NrcSpec,
     PiSpec,
@@ -54,16 +55,40 @@ def single_mode(g=1.0, f_hz=100.0, zeta=0.0):
     return PlantSpec(gain=g, modes=(ModeSpec(TWO_PI * f_hz, zeta),))
 
 
+# The polynomial path discretize took before it realized the continuous
+# transfer function and mapped the realization, kept as the reference of
+# simulate's contract against the previous release.
+
+
+def _bilinear_poly(coeffs_s: np.ndarray, c: float, n_total: int) -> np.ndarray:
+    """Ascending z-coefficients of sum_i a_i c^i (z-1)^i (z+1)^(n-i)."""
+    out = np.zeros(n_total + 1)
+    for i, a in enumerate(coeffs_s):
+        term = np.array([a * c**i])
+        for _ in range(i):
+            term = np.convolve(term, [-1.0, 1.0])
+        for _ in range(n_total - i):
+            term = np.convolve(term, [1.0, 1.0])
+        out[: term.size] += term
+    return out
+
+
+def old_discretize(tf, ts):
+    """num and den expanded through s = (2/ts)(z-1)/(z+1), then tf2ss."""
+    n = tf.den.degree
+    num_z = _bilinear_poly(tf.num.coeffs, 2.0 / ts, n)
+    den_z = _bilinear_poly(tf.den.coeffs, 2.0 / ts, n)
+    a, b, c, d = sps.tf2ss(num_z[::-1], den_z[::-1])
+    return DiscreteSS(a, b, c, d, ts, int(round(tf.delay_s / ts)))
+
+
 class TestDiscretize:
-    # The companion form loses DC accuracy as (w ts)^-order when the modes
-    # sit far below the sampling rate: 1e-5 relative for two modes at
-    # w ts = 0.003, 1e-7 at 0.01. The drawn slowest mode stays at w ts >=
-    # 0.05 (the surrogate's is 0.14 at 30 us); the example is one below it.
     @settings(deadline=None)
     @example(gain=2.5, wts=TWO_PI * 100.0 * TS, zeta=0.01, second=None, ts=TS)
+    @example(gain=1.0, wts=TWO_PI * 50.0 * 5e-6, zeta=0.01, second=(2.0, 0.3), ts=5e-6)
     @given(
         gain=st.floats(0.1, 10.0),
-        wts=st.floats(0.05, 1.0),
+        wts=st.floats(1e-3, 1.0),
         zeta=st.floats(0.005, 0.5),
         second=st.none() | st.tuples(st.floats(1.1, 3.0), st.floats(0.05, 1.0)),
         ts=st.floats(5e-6, 1e-4),
@@ -118,24 +143,21 @@ class TestDiscretize:
         assert np.max(np.abs(disc / cont - 1.0)) < 0.01
 
     @pytest.mark.parametrize("oversample", [1, 8])
-    def test_surrogate_blocks_match_scipy_tf2ss(self, surrogate_raw, oversample):
+    def test_surrogate_blocks_match_exact_map(self, surrogate_raw, oversample):
         # the plant, tracker and damper at the sim rate and at identify's
-        # oversampled rate, against the scipy path discretize used to take
+        # oversampled rate against G(s) at s = (2/ts)(z-1)/(z+1), which on
+        # the unit circle is s = i (2/ts) tan(w ts/2), from 1 Hz to 0.49 fs
         from nrcdamp.cli import _DesignContext, parse_config_dict
-        from nrcdamp.sim import _bilinear_poly
 
         cfg = parse_config_dict(surrogate_raw)
         ctx = _DesignContext(cfg)
         ts = 1.0 / ((1.0 / cfg.sim.ts_s) * oversample)
-        for tf in (ctx.plant_tf, ctx.ct_tf, ctx.cd_tf):
-            n = tf.den.degree
-            num_z = _bilinear_poly(tf.num.coeffs, 2.0 / ts, n)
-            den_z = _bilinear_poly(tf.den.coeffs, 2.0 / ts, n)
-            expected = sps.tf2ss(num_z[::-1], den_z[::-1])
-            blk = discretize(tf, ts)
-            got = (blk.a_matrix, blk.b_matrix, blk.c_matrix, blk.d_matrix)
-            for g, e in zip(got, expected):
-                assert g.shape == e.shape and np.array_equal(g, e)
+        w = TWO_PI * np.geomspace(1.0, 0.49 / ts, 500)
+        warped = (2.0 / ts) * np.tan(w * ts / 2.0)
+        for tf in (ctx.plant_tf.without_delay(), ctx.ct_tf, ctx.cd_tf):
+            np.testing.assert_allclose(
+                discrete_frf(discretize(tf, ts), w), freq_response(tf, warped), rtol=1e-9
+            )
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -157,14 +179,6 @@ class TestDiscretize:
             got = _controller_canonical(num, den)
         for g, e in zip(got, expected):  # a subnormal den[0] gives the same nan
             assert g.shape == e.shape and np.array_equal(g, e, equal_nan=True)
-
-    def test_prewarp_exact_at_frequency(self):
-        g = build_plant(single_mode(zeta=0.05))
-        w0 = TWO_PI * 100.0
-        blk = discretize(g, TS, prewarp_rad_s=w0)
-        assert discrete_frf(blk, w0) == pytest.approx(
-            freq_response(g, w0), rel=1e-9
-        )
 
 
 def run_step_loop(kp, gamma=0.999, n=3.0, omega_i=0.0, duration=0.3, f_hz=100.0):
@@ -286,13 +300,10 @@ class _ReferenceRunner:
         return y
 
 
-def reference_dual_loop(plant_d, tracker_d, nrc_d, r, d, n, absorb_loop_lag=True):
+def reference_dual_loop(plant_d, tracker_d, nrc_d, r, d, n):
     """(u, x_true, y_meas) of the dual loop, block by block and sample by sample."""
     plant, tracker, damper = (_ReferenceRunner(b) for b in (plant_d, tracker_d, nrc_d))
-    n_delay = plant_d.input_delay_samples
-    if absorb_loop_lag and n_delay >= 1:
-        n_delay -= 1
-    delay_line = deque([0.0] * n_delay)
+    delay_line = deque([0.0] * max(plant_d.input_delay_samples - 1, 0))
     u, x_true, y_meas = (np.empty(r.size) for _ in range(3))
     y_prev = 0.0
     for k in range(r.size):
@@ -304,13 +315,11 @@ def reference_dual_loop(plant_d, tracker_d, nrc_d, r, d, n, absorb_loop_lag=True
     return u, x_true, y_meas
 
 
-LOOP_VARIANTS = (
-    "surrogate", "no_delay", "one_sample_delay", "no_absorb", "step", "no_integrator"
-)
+LOOP_VARIANTS = ("surrogate", "no_delay", "one_sample_delay", "step", "no_integrator", "p_only")
 
 
-def loop_case(raw, variant):
-    """Blocks, (r, d, n) and absorb_loop_lag of one closed-loop contract case:
+def loop_case(raw, variant, disc=discretize):
+    """Blocks, by ``disc``, and (r, d, n) of one closed-loop contract case:
     the surrogate with noise and a 700 Hz disturbance, altered by variant."""
     from nrcdamp.cli import _DesignContext, parse_config_dict
 
@@ -324,16 +333,18 @@ def loop_case(raw, variant):
         raw["sim"]["reference"] = {"kind": "step", "amplitude": 1.0}
     elif variant == "no_integrator":
         raw["tracker"]["omega_i_hz"] = 0.0
+    elif variant == "p_only":  # a pure-gain tracker
+        raw["tracker"] = {"kp": 1.0, "omega_i_hz": 0.0}
     cfg = parse_config_dict(raw)
     ctx = _DesignContext(cfg)
     sim = cfg.sim
-    blocks = tuple(discretize(tf, sim.ts_s) for tf in (ctx.plant_tf, ctx.ct_tf, ctx.cd_tf))
+    blocks = tuple(disc(tf, sim.ts_s) for tf in (ctx.plant_tf, ctx.ct_tf, ctx.cd_tf))
     ref = sim.reference
     r = make_reference(ref.kind, ref.amplitude, sim.ts_s, sim.duration_s, ref.freq_hz)
     t = np.arange(r.size) * sim.ts_s
     d = sim.disturbance_amplitude * np.sin(TWO_PI * sim.disturbance_freq_hz * t)
     n = make_uniform_noise(sim.seed, sim.noise_amplitude, r.size)
-    return blocks, (r, d, n), variant != "no_absorb"
+    return blocks, (r, d, n)
 
 
 def closed_loop_frf(loop, omega, out, inp):
@@ -347,33 +358,52 @@ def closed_loop_frf(loop, omega, out, inp):
     ])
 
 
+def assert_trace_contract(trace, want, r, variant):
+    """The output contract of simulate: u, x_true, y_meas within 1e-10 of
+    the max magnitude of ``want``'s (u, x_true, y_meas), the metrics within
+    1e-10 relative."""
+    for got, ref in zip((trace.u, trace.x_true, trace.y_meas), want):
+        assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
+    y_meas = want[2]
+    got, ref = tracking_metrics(r, trace.y_meas), tracking_metrics(r, y_meas)
+    if variant != "step":  # metrics.json's steady-state amplitude of a sine
+        got += (sinusoid_amplitude(trace.y_meas, 100.0, TS),)
+        ref += (sinusoid_amplitude(y_meas, 100.0, TS),)
+    np.testing.assert_allclose(got, ref, rtol=1e-10)
+
+
 class TestClosedLoopStateSpace:
     @pytest.mark.parametrize("variant", LOOP_VARIANTS)
     def test_trace_matches_reference_loop(self, surrogate_raw, variant):
-        # the output contract of simulate: u, x_true, y_meas within 1e-10 of
-        # their own max magnitude, e within 1e-10 of max|y_meas|, the metrics
-        # within 1e-10 relative
-        blocks, (r, d, n), absorb = loop_case(surrogate_raw, variant)
-        trace = simulate_dual_loop(*blocks, r, d, n, absorb_loop_lag=absorb)
-        u, x_true, y_meas = reference_dual_loop(*blocks, r, d, n, absorb_loop_lag=absorb)
-        for got, want in ((trace.u, u), (trace.x_true, x_true), (trace.y_meas, y_meas)):
-            assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
-        e_ref = r - y_meas
-        assert np.max(np.abs(trace.e - e_ref)) <= 1e-10 * np.max(np.abs(y_meas))
+        # simulate's contract, and e within 1e-10 of max|y_meas|
+        blocks, (r, d, n) = loop_case(surrogate_raw, variant)
+        trace = simulate_dual_loop(*blocks, r, d, n)
+        want = reference_dual_loop(*blocks, r, d, n)
+        assert_trace_contract(trace, want, r, variant)
+        y_meas = want[2]
+        assert np.max(np.abs(trace.e - (r - y_meas))) <= 1e-10 * np.max(np.abs(y_meas))
         assert np.array_equal(trace.y_meas, trace.x_true + n)
         assert np.array_equal(trace.e, r - trace.y_meas)
-        got, want = tracking_metrics(r, trace.y_meas), tracking_metrics(r, y_meas)
-        if variant != "step":  # metrics.json's steady-state amplitude of a sine
-            got += (sinusoid_amplitude(trace.y_meas, 100.0, TS),)
-            want += (sinusoid_amplitude(y_meas, 100.0, TS),)
-        np.testing.assert_allclose(got, want, rtol=1e-10)
+
+    @pytest.mark.parametrize("variant", LOOP_VARIANTS)
+    def test_trace_matches_previous_discretization(self, surrogate_raw, variant):
+        # simulate's contract against the blocks of the polynomial path, and
+        # the closed-loop spectral radius within 1e-10 relative
+        blocks, (r, d, n) = loop_case(surrogate_raw, variant)
+        old, _ = loop_case(surrogate_raw, variant, old_discretize)
+        trace = simulate_dual_loop(*blocks, r, d, n)
+        want = simulate_dual_loop(*old, r, d, n)
+        assert_trace_contract(trace, (want.u, want.x_true, want.y_meas), r, variant)
+        assert spectral_radius(dual_loop_state_space(*blocks)) == pytest.approx(
+            spectral_radius(dual_loop_state_space(*old)), rel=1e-10
+        )
 
     def test_simulate_artifacts_match_reference_loop(self, tmp_path, surrogate_raw):
         import json
 
         from nrcdamp.cli import run_command
 
-        blocks, (r, d, n), _ = loop_case(surrogate_raw, "surrogate")
+        blocks, (r, d, n) = loop_case(surrogate_raw, "surrogate")
         p = tmp_path / "config.json"
         p.write_text(json.dumps(surrogate_raw))
         assert run_command("simulate", p, tmp_path / "out") == 0
@@ -392,35 +422,40 @@ class TestClosedLoopStateSpace:
 
     def test_state_layout(self, surrogate_raw):
         # plant 4 + tracker 6 + damper 1 + delay line 5 - 1 + y[k-1]
-        blocks, _, _ = loop_case(surrogate_raw, "surrogate")
+        blocks, _ = loop_case(surrogate_raw, "surrogate")
         loop = dual_loop_state_space(*blocks)
         assert loop.order == 16
         assert loop.b_matrix.shape == (16, 3) and loop.c_matrix.shape == (2, 16)
         assert loop.d_matrix.shape == (2, 3) and loop.input_delay_samples == 0
-        assert dual_loop_state_space(*blocks, absorb_loop_lag=False).order == 17
 
-    @pytest.mark.parametrize("variant", ["surrogate", "no_delay", "one_sample_delay", "no_absorb"])
+    @pytest.mark.parametrize("variant", ["surrogate", "no_delay", "one_sample_delay"])
     def test_frf_is_discrete_t_yr(self, surrogate_raw, variant):
         # x_true/r of the closed loop against the block algebra: the plant
         # (delay line included) acts on the tracker output, the controllers
         # on the one-sample-old measurement, and an absorbed sample of the
         # plant's delay leaves the measurement leading by one sample
-        blocks, _, absorb = loop_case(surrogate_raw, variant)
+        blocks, _ = loop_case(surrogate_raw, variant)
         plant_d, tracker_d, nrc_d = blocks
-        loop = dual_loop_state_space(*blocks, absorb_loop_lag=absorb)
+        loop = dual_loop_state_space(*blocks)
         w = TWO_PI * np.geomspace(1.0, 16000.0, 60)
         z = np.exp(1j * w * TS)
         p = discrete_frf(plant_d, w)
-        if absorb and plant_d.input_delay_samples:
+        if plant_d.input_delay_samples:
             p = p * z
         ct, cd = discrete_frf(tracker_d, w), discrete_frf(nrc_d, w)
         t_yr = p * ct / (1.0 + p * (ct + cd) / z)
         np.testing.assert_allclose(closed_loop_frf(loop, w, 1, 0), t_yr, rtol=1e-9)
 
     def test_spectral_radius(self, surrogate_raw):
-        blocks, _, _ = loop_case(surrogate_raw, "surrogate")
+        blocks, _ = loop_case(surrogate_raw, "surrogate")
         assert spectral_radius(dual_loop_state_space(*blocks)) == pytest.approx(
             0.99432, abs=1e-4
+        )
+        # a pure-gain tracker keeps its 1x1 zero state unmapped; mapped, that
+        # state would put an eigenvalue at 1 into the loop
+        blocks, _ = loop_case(surrogate_raw, "p_only")
+        assert spectral_radius(dual_loop_state_space(*blocks)) == pytest.approx(
+            0.98947, abs=1e-5
         )
         # criterion 9's proportional-only loop at kp = 298.36 diverges at 30 us
         plant = single_mode(f_hz=100.0)
@@ -632,7 +667,7 @@ def scipy_open_loop(plant, fs, duration_s, f1, oversample):
     t = np.arange(nsamp) / fs_fine
     u = 0.1 * sps.chirp(t, f0=10.0, t1=duration_s, f1=f1, method="logarithmic")
     u = u * sps.windows.tukey(nsamp, alpha=0.1)
-    blk = discretize(build_plant(plant).without_delay(), 1.0 / fs_fine)
+    blk = old_discretize(build_plant(plant).without_delay(), 1.0 / fs_fine)
     num, den = sps.ss2tf(blk.a_matrix, blk.b_matrix, blk.c_matrix, blk.d_matrix)
     y = delay_shift(sps.lfilter(num[0], den, u), int(round(plant.delay_s * fs_fine)))
     return u[::oversample], y[::oversample]
@@ -750,7 +785,7 @@ class TestIdentifyMatchesScipyReference:
         from nrcdamp.sim import _bilinear_state_space
 
         plant = parse_config_dict(contract_config(surrogate_raw, variant)).plant.to_spec()
-        a, _, _, _ = _bilinear_state_space(*modal_state_space(plant), TS / 8)
+        a, _, _, _ = _bilinear_state_space(*modal_state_space(plant), 0.0, TS / 8)
         if plant.amp_corner_rad_s is None:  # a contraction: ||A^k|| <= 1 for all k
             assert np.linalg.norm(a, 2) <= 1.0 + 1e-12
         power = a
