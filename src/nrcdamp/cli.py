@@ -12,7 +12,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
 from types import SimpleNamespace
@@ -24,6 +24,7 @@ from .plants import ModeSpec, PlantSpec, build_plant
 from .nrc import NrcSpec, nrc_gains, synthesize_nrc
 from .loops import (
     inner_charpoly,
+    inner_closed_loop,
     locus_to_csv,
     root_locus_n,
     routh_cubic,
@@ -289,10 +290,10 @@ def parse_config(path) -> SimpleNamespace:
 class _DesignContext:
     """One configured design, evaluated once.
 
-    Holds the transfer functions, exact pointwise evaluators (delay
-    included) for the analyses' refinements, and the FRFs ``g``, ``cd``,
-    ``ct``, ``gd`` and the sensitivity ``bundle`` on the config grid, each
-    computed on first use. ``ct`` is zeros when the config has no tracker.
+    Holds the transfer functions, the exact pointwise evaluator ``at``
+    (delay included) for the analyses' refinements, and its value ``frf``
+    on the config grid and the sensitivity ``bundle``, each computed on
+    first use.
     """
 
     def __init__(self, cfg: SimpleNamespace):
@@ -313,7 +314,7 @@ class _DesignContext:
                 self.kp = cfg.tracker.kp
             else:
                 wb = TWO_PI * cfg.tracker.omega_b_hz
-                self.kp = tune_kp(self.gd_eval, wb)
+                self.kp = tune_kp(lambda w: self.at(w).gd, wb)
                 self.nu = self.omega_n / wb
             self.ct_tf = build_tracker(
                 TrackerSpec(
@@ -325,57 +326,34 @@ class _DesignContext:
                 )
             )
 
-    # pointwise evaluators (vector-safe)
-    def g_eval(self, omega):
-        return freq_response(self.plant_tf, omega)
-
-    def cd_eval(self, omega):
-        return freq_response(self.cd_tf, omega)
-
-    def gd_eval(self, omega):
-        g = self.g_eval(omega)
-        return g / (1.0 + g * self.cd_eval(omega))
-
-    def ct_eval(self, omega):
-        return freq_response(self.ct_tf, omega)
-
-    def ld_eval(self, omega):
-        return self.g_eval(omega) * (self.ct_eval(omega) + self.cd_eval(omega))
-
-    def t_yr_eval(self, omega):
-        g = self.g_eval(omega)
-        ct = self.ct_eval(omega)
-        return g * ct / (1.0 + g * (ct + self.cd_eval(omega)))
-
-    def outer_loop_eval(self, omega):
-        return self.ct_eval(omega) * self.gd_eval(omega)
+    def at(self, omega) -> SimpleNamespace:
+        """G, C_d and C_t at ``omega`` (vector-safe), each evaluated once, and
+        from them G_d = G/(1+G C_d), the inner loop G C_d, the outer loop
+        C_t G_d, L_D = G (C_t + C_d) and T_yr; C_t is zeros without a tracker."""
+        g = freq_response(self.plant_tf, omega)
+        cd = freq_response(self.cd_tf, omega)
+        ct = np.zeros_like(g) if self.ct_tf is None else freq_response(self.ct_tf, omega)
+        gd = g / (1.0 + g * cd)
+        return SimpleNamespace(
+            g=g, cd=cd, ct=ct, gd=gd, inner=g * cd, outer=ct * gd,
+            ld=g * (ct + cd), t_yr=g * ct / (1.0 + g * (ct + cd)),
+        )
 
     @cached_property
-    def g(self):
-        return self.g_eval(self.grid)
-
-    @cached_property
-    def cd(self):
-        return self.cd_eval(self.grid)
-
-    @cached_property
-    def ct(self):
-        return np.zeros_like(self.g) if self.ct_tf is None else self.ct_eval(self.grid)
-
-    @cached_property
-    def gd(self):
-        return self.g / (1.0 + self.g * self.cd)
+    def frf(self) -> SimpleNamespace:
+        return self.at(self.grid)
 
     @cached_property
     def bundle(self):
-        return dual_sensitivities(self.g, self.ct, self.cd, self.grid)
+        return dual_sensitivities(self.frf.g, self.frf.ct, self.frf.cd, self.grid)
 
     def margins_json(self) -> dict:
         """The ``margins.json`` payload of a design with a tracker: outer-loop
         margins with their target flags, dual-loop margins with the Nyquist
         verdict."""
-        outer = margins(self.grid, self.ct * self.gd, self.outer_loop_eval)
-        dual = margins(self.grid, self.bundle.loop_gain, self.ld_eval)
+        frf = self.frf
+        outer = margins(self.grid, frf.outer, lambda w: self.at(w).outer)
+        dual = margins(self.grid, frf.ld, lambda w: self.at(w).ld)
         targets = self.cfg.targets
         return {
             "outer_loop": {
@@ -395,10 +373,6 @@ class _DesignContext:
 
 def _stability_verdict(ctx: _DesignContext) -> str:
     """Inner-loop verdict from the delay-free rational closure."""
-    from dataclasses import replace
-
-    from .loops import inner_closed_loop
-
     delay_free = replace(ctx.plant_spec, delay_s=0.0)
     result = inner_closed_loop(delay_free, ctx.cd_tf)
     poles = result.poles
@@ -424,21 +398,21 @@ def run_design(cfg: SimpleNamespace, out_dir: Path, exact_tan60: bool = False) -
     ctx = _DesignContext(cfg)
     grid = ctx.grid
 
-    peak_plant = abs(complex(ctx.g_eval(ctx.omega_n)))
-    peak_inner = abs(complex(ctx.gd_eval(ctx.omega_n)))
-    peak_reduction_db = 20.0 * math.log10(peak_plant / peak_inner)
+    at_n = ctx.at(ctx.omega_n)
+    peak_reduction_db = 20.0 * math.log10(abs(complex(at_n.g)) / abs(complex(at_n.gd)))
 
-    bundle = ctx.bundle
+    bundle, frf = ctx.bundle, ctx.frf
     bw = {  # each distinct bound bisected once
-        bound: bandwidth(grid, bundle.t_yr, ctx.t_yr_eval, bound)
+        bound: bandwidth(grid, frf.t_yr, lambda w: ctx.at(w).t_yr, bound)
         for bound in dict.fromkeys((3.0, 1.0, cfg.targets.bound_db))
     }
 
     margins_out = ctx.margins_json()
 
     hi_band = (grid[-1] / math.sqrt(10.0), grid[-1])
-    objectives = objective_report(
-        bundle, bw[3.0], ctx.ct, ctx.ct_eval, ctx.ld_eval, ctx.omega_n, hi_band
+    objectives = objective_report(  # O2 bisects on C_t alone
+        bundle, bw[3.0], frf.ct, lambda w: freq_response(ctx.ct_tf, w),
+        lambda w: ctx.at(w).ld, ctx.omega_n, hi_band,
     )
 
     feasibility = None
@@ -555,7 +529,7 @@ def run_bode(cfg: SimpleNamespace, out_dir: Path) -> dict:
         cols = {"plant": freq_response(build_plant(cfg.plant.to_spec()), grid)}
     else:
         ctx = _DesignContext(cfg)
-        grid, cols = ctx.grid, {"plant": ctx.g, "nrc": ctx.cd, "inner_loop": ctx.gd}
+        grid, cols = ctx.grid, {"plant": ctx.frf.g, "nrc": ctx.frf.cd, "inner_loop": ctx.frf.gd}
     bode_to_csv(out_dir / "bode.csv", grid, cols)
     return {"files": ["bode.csv"], "columns": list(cols)}
 
@@ -592,7 +566,7 @@ def run_sens(cfg: SimpleNamespace, out_dir: Path) -> dict:
 def run_margins(cfg: SimpleNamespace, out_dir: Path) -> dict:
     ctx = _DesignContext(cfg)
     if ctx.ct_tf is None:
-        inner = margins(ctx.grid, ctx.g * ctx.cd, lambda w: ctx.g_eval(w) * ctx.cd_eval(w))
+        inner = margins(ctx.grid, ctx.frf.inner, lambda w: ctx.at(w).inner)
         out = {"inner_loop": _margins_dict(inner)}
     else:
         out = ctx.margins_json()
@@ -660,13 +634,18 @@ def run_identify(cfg: SimpleNamespace, out_dir: Path) -> dict:
     fs = 1.0 / cfg.sim.ts_s if cfg.sim is not None else 33300.0
     duration = 10.0  # fixed sweep preset: 10 Hz .. 5 kHz over 10 s
     f_hi = min(5000.0, 0.4 * fs)
+    # the record open_loop_response returns, sampled 8x finer then decimated
+    size = len(range(0, round(duration * (fs * 8)), 8))
+    seg = min(1 << max(10, int(math.log2(size / 5.0))), size // 2)
+    freqs = np.fft.rfftfreq(seg, 1.0 / fs)  # the Welch bins
+    band = (freqs > 50.0) & (freqs < f_hi)
+    if not band.any():  # also when f_hi <= 10 Hz, the sweep's start
+        _fail("sim.ts_us", "too slow to identify: no Welch bin in (50 Hz, 0.4/ts)")
     u, y = open_loop_response(
         cfg.plant.to_spec(), fs=fs, duration_s=duration, f1=f_hi
     )
-    seg = 1 << max(10, int(math.log2(u.size / 5.0)))
-    est = chirp_identify(u, y, fs, min(seg, u.size // 2))
+    est = chirp_identify(u, y, fs, seg)
     frf_to_csv(est, out_dir / "frf.csv")
-    band = (est.freq_hz > 50.0) & (est.freq_hz < f_hi)
     peak_hz = float(est.freq_hz[band][np.argmax(est.mag_db[band])])
     summary = {
         "files": ["frf.csv"],

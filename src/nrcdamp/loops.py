@@ -12,6 +12,8 @@ here cover that analysis plus the delay (first-order all-pass), load
 from __future__ import annotations
 
 import cmath
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -19,6 +21,7 @@ import numpy as np
 
 from .lti import Polynomial, RationalTF, dc_gain, poly_roots, poles_zeros, tf_feedback
 from .plants import PlantSpec, build_plant, two_mode_zero
+from .tracking import _bisect
 from .lti import freq_response, write_csv
 
 # |Im(pole)| below this times the pole scale counts as real.
@@ -167,31 +170,34 @@ def inner_poles_closed_form(omega_n: float, zeta_n: float, n: float):
     return 0.0 + 0.0j, p2, p3
 
 
-def _pair_discriminant(zeta_n: float, gamma: float, n: float) -> float:
-    """Discriminant of the inner cubic (omega-normalized); < 0 means a
-    complex pole pair survives, >= 0 means complete damping."""
-    # cubic s^3 + b s^2 + c s + d with wn = 1
-    b = n + 2.0 * zeta_n
-    c = 2.0 * zeta_n * n + 1.0 + gamma
-    d = n * (1.0 - gamma)
+def _pair_discriminant(zeta_n: float, gamma: float, n):
+    """Discriminant of the inner cubic (omega-normalized) over arrays of n,
+    times (1 + n)^-4; < 0 means a complex pole pair survives, >= 0 means
+    complete damping."""
+    # a s^3 + b s^2 + c s + d with wn = 1, each coefficient over (1 + n): the
+    # discriminant is quartic in them, so its sign holds and no term overflows
+    a = 1.0 / (1.0 + n)
+    b = (n + 2.0 * zeta_n) * a
+    c = (2.0 * zeta_n * n + 1.0 + gamma) * a
+    d = n * (1.0 - gamma) * a
     return (
-        18.0 * b * c * d
+        18.0 * a * b * c * d
         - 4.0 * b**3 * d
         + b * b * c * c
-        - 4.0 * c**3
-        - 27.0 * d * d
+        - 4.0 * a * c**3
+        - 27.0 * a * a * d * d
     )
 
 
 def root_locus_n(plant: PlantSpec, gamma: float, n_grid) -> RootLocusTrace:
     """Track the resonant pole pair of the inner loop over corner ratios n.
 
-    Single-mode, delay-free plants only. Pole branches are continued by
-    nearest-neighbor matching between consecutive grid points; the
-    bifurcation ratio (first n at which the characteristic cubic's
-    discriminant is >= 0, so the pair is real) is refined by bisection on
-    that sign down to 1e-6 in n, or to the float spacing of n where that is
-    wider. None is reported when the pair never bifurcates on the grid.
+    Single-mode, delay-free plants and n > 0 only. Pole branches are
+    continued by nearest-neighbor matching between consecutive grid points;
+    the bifurcation ratio (first n at which the characteristic cubic's
+    discriminant is >= 0, so the pair is real) is refined by the geometric
+    bisection of :func:`tracking._bisect`, to 1e-12 relative. None is
+    reported when the pair never bifurcates on the grid.
     """
     if len(plant.modes) != 1:
         raise ValueError("root_locus_n expects a single-mode plant")
@@ -200,6 +206,8 @@ def root_locus_n(plant: PlantSpec, gamma: float, n_grid) -> RootLocusTrace:
     n_values = np.asarray(list(n_grid), dtype=float)
     if n_values.size < 2 or np.any(np.diff(n_values) <= 0.0):
         raise ValueError("n_grid must be strictly increasing with >= 2 points")
+    if n_values[0] <= 0.0:
+        raise ValueError("n_grid must be > 0")
 
     w = plant.omega_n
     zeta = plant.modes[0].zeta
@@ -220,30 +228,19 @@ def root_locus_n(plant: PlantSpec, gamma: float, n_grid) -> RootLocusTrace:
         else:
             # choose the assignment of the three new roots to (p2, p3) that
             # moves the pair the least
-            best = None
-            for a in range(3):
-                for b in range(3):
-                    if a == b:
-                        continue
-                    cost = abs(roots[a] - prev[0]) + abs(roots[b] - prev[1])
-                    if best is None or cost < best[0]:
-                        best = (cost, roots[a], roots[b])
-            p2[i], p3[i] = best[1], best[2]
+            p2[i], p3[i] = min(
+                itertools.permutations(roots, 2),
+                key=lambda pair: abs(pair[0] - prev[0]) + abs(pair[1] - prev[1]),
+            )
         prev = (p2[i], p3[i])
 
-    real_pair = [_pair_discriminant(zeta, gamma, n) >= 0.0 for n in n_values]
+    disc = functools.partial(_pair_discriminant, zeta, gamma)
+    values = disc(n_values)
+    hits = np.flatnonzero(values >= 0.0)
     bifurcation_n = None
-    hits = np.flatnonzero(real_pair)
     if hits.size and hits[0] > 0:
-        lo, hi = n_values[hits[0] - 1], n_values[hits[0]]
-        mid = 0.5 * (lo + hi)
-        while hi - lo > 1e-6 and lo < mid < hi:
-            if _pair_discriminant(zeta, gamma, mid) >= 0.0:
-                hi = mid
-            else:
-                lo = mid
-            mid = 0.5 * (lo + hi)
-        bifurcation_n = mid
+        n_bif, _ = _bisect(n_values, values, hits[:1] - 1, disc, lambda v: v >= 0.0)
+        bifurcation_n = float(n_bif[0])
     elif hits.size and hits[0] == 0:
         bifurcation_n = float(n_values[0])
     return RootLocusTrace(n_values=n_values, p2=p2, p3=p3, bifurcation_n=bifurcation_n)

@@ -321,6 +321,6 @@ def test_criterion_13_simulation_matches_frf(surrogate_raw):
         z = np.zeros(r.size)
         trace = nd.simulate_dual_loop(plant_d, tracker_d, nrc_d, r, z, z)
         amp = nd.sinusoid_amplitude(trace.y_meas, f, ts)
-        target = abs(complex(ctx.t_yr_eval(TWO_PI * f)))
+        target = abs(complex(ctx.at(TWO_PI * f).t_yr))
         ok &= abs(amp - target) <= 0.02 * target
     assert record(13, desc, bool(ok))

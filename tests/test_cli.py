@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -154,7 +155,7 @@ class TestCommands:
     def test_rootlocus_wide_n_range_ends(self, tmp_path, surrogate_raw):
         # far out in n the pole pair looks real to rounding while the cubic's
         # discriminant says complex; at gamma 0.999 it is complex again from
-        # n = 3.2e14, so no grid point of 0.1 .. 1e60 bifurcates
+        # n = 46.2, so no grid point of 0.1 .. 1e60 bifurcates
         out = tmp_path / "out"
         src = str(Path(nrcdamp.__file__).resolve().parent.parent)
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -164,6 +165,17 @@ class TestCommands:
             env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
+        assert json.loads((out / "summary.json").read_text())["bifurcation_n"] is None
+
+    def test_rootlocus_far_n_is_quiet(self, tmp_path, surrogate_raw, capsys):
+        # the discriminant stays finite up to n = 1e300: no overflow warning
+        out = tmp_path / "out"
+        argv = ["rootlocus", str(write(tmp_path, surrogate_raw)), "--out", str(out),
+                "--n-max", "1e300", "--n-points", "5"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 0
+        assert capsys.readouterr().err == ""
         assert json.loads((out / "summary.json").read_text())["bifurcation_n"] is None
 
     def test_design_pipeline_outputs(self, tmp_path, surrogate_raw):
@@ -225,6 +237,18 @@ class TestCommands:
         assert header == "freq_hz,mag_db,phase_deg,coherence"
         summary = json.loads((out / "summary.json").read_text())
         assert summary["peak_freq_hz"] == pytest.approx(739.0, rel=0.01)
+
+    @pytest.mark.parametrize("ts_us", [8000.0, 40000.0])
+    def test_identify_too_slow_leaves_no_out_dir(self, tmp_path, surrogate_raw, capsys, ts_us):
+        # both pass the grid's Nyquist guard at f_max_hz 10; at 8000 us no
+        # Welch bin lies in (50 Hz, 0.4/ts), at 40000 us the sweep would end
+        # at its 10 Hz start
+        surrogate_raw["grid"]["f_max_hz"] = 10.0
+        surrogate_raw["sim"]["ts_us"] = ts_us
+        out = tmp_path / "out"
+        assert run_command("identify", write(tmp_path, surrogate_raw), out) == 2
+        assert "config error at sim.ts_us" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bode_plant_only(self, tmp_path):
         p = write(tmp_path, minimal_config())

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,6 +34,7 @@ from nrcdamp import (
     tf_series,
     two_mode_inner_loop,
 )
+from nrcdamp.loops import _pair_discriminant
 
 TWO_PI = 2.0 * np.pi
 
@@ -166,7 +169,7 @@ class TestRootLocus:
         for zeta in (0.0, 0.01, 0.05, 0.1):
             trace = root_locus_n(single_mode(zeta=zeta), 1.0, grid)
             assert trace.bifurcation_n == pytest.approx(
-                2.0 * (np.sqrt(2.0) + zeta), abs=1e-3
+                2.0 * (np.sqrt(2.0) + zeta), rel=1e-10
             )
 
     def test_pair_structure_across_bifurcation(self):
@@ -190,6 +193,19 @@ class TestRootLocus:
         delayed = PlantSpec(gain=1.0, modes=(ModeSpec(1.0, 0.0),), delay_s=1e-4)
         with pytest.raises(ValueError, match="delay-free"):
             root_locus_n(delayed, 1.0, [1.0, 2.0])
+        for grid in ([0.0, 1.0], [-1.0, 1.0]):
+            with pytest.raises(ValueError, match="> 0"):
+                root_locus_n(single_mode(), 1.0, grid)
+
+    @pytest.mark.parametrize("zeta, gamma", [(0.01, 0.999), (0.1, 0.5)])
+    def test_scaled_discriminant_finite_with_exact_sign(self, zeta, gamma):
+        for n in (1.0, 2.85, 10.0, 1e14, 1e75, 1e300):
+            scaled = _pair_discriminant(zeta, gamma, n)
+            assert np.isfinite(scaled)
+            z, g, x = Fraction(zeta), Fraction(gamma), Fraction(n)
+            b, c, d = x + 2 * z, 2 * z * x + 1 + g, x * (1 - g)
+            exact = 18 * b * c * d - 4 * b**3 * d + b * b * c * c - 4 * c**3 - 27 * d * d
+            assert np.sign(scaled) == np.sign(exact)
 
 
 class TestDelayedLoop:

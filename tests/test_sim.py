@@ -273,7 +273,7 @@ class TestDualLoop:
             gain = sinusoid_phasor(trace.y_meas, f, ts) / sinusoid_phasor(
                 trace.r, f, ts
             )
-            target = complex(ctx.t_yr_eval(TWO_PI * f))
+            target = complex(ctx.at(TWO_PI * f).t_yr)
             assert abs(gain) == pytest.approx(abs(target), rel=0.02)
             w = TWO_PI * f
             dphase = np.degrees(np.angle(gain * np.exp(-1j * w * ts) / target))
