@@ -35,12 +35,14 @@ from .tracking import (
     NotchSpec,
     PiSpec,
     TrackerSpec,
-    bandwidth,
+    _bandwidth_plan,
+    _corner_plan,
+    _margins_plan,
+    _refine,
+    _scorecard,
     build_tracker,
     bundle_to_csv,
     dual_sensitivities,
-    margins,
-    objective_report,
     pm_feasibility,
     tune_kp,
 )
@@ -347,13 +349,14 @@ class _DesignContext:
     def bundle(self):
         return dual_sensitivities(self.frf.g, self.frf.ct, self.frf.cd, self.grid)
 
-    def margins_json(self) -> dict:
+    def margins_plans(self, *loops) -> list:
+        """The ``margins`` plans of the named ``at`` fields, on the grid."""
+        return [_margins_plan(self.grid, getattr(self.frf, f), f) for f in loops]
+
+    def margins_json(self, outer: MarginsReport, dual: MarginsReport) -> dict:
         """The ``margins.json`` payload of a design with a tracker: outer-loop
         margins with their target flags, dual-loop margins with the Nyquist
         verdict."""
-        frf = self.frf
-        outer = margins(self.grid, frf.outer, lambda w: self.at(w).outer)
-        dual = margins(self.grid, frf.ld, lambda w: self.at(w).ld)
         targets = self.cfg.targets
         return {
             "outer_loop": {
@@ -402,17 +405,19 @@ def run_design(cfg: SimpleNamespace, out_dir: Path, exact_tan60: bool = False) -
     peak_reduction_db = 20.0 * math.log10(abs(complex(at_n.g)) / abs(complex(at_n.gd)))
 
     bundle, frf = ctx.bundle, ctx.frf
-    bw = {  # each distinct bound bisected once
-        bound: bandwidth(grid, frf.t_yr, lambda w: ctx.at(w).t_yr, bound)
-        for bound in dict.fromkeys((3.0, 1.0, cfg.targets.bound_db))
-    }
-
-    margins_out = ctx.margins_json()
+    bounds = tuple(dict.fromkeys((3.0, 1.0, cfg.targets.bound_db)))  # each distinct one once
+    *bws, outer, dual, w_ct = _refine(  # one bisection pass refines every bracket
+        [_bandwidth_plan(grid, frf.t_yr, bound, "t_yr") for bound in bounds]
+        + ctx.margins_plans("outer", "ld")
+        + [_corner_plan(grid, frf.ct, "ct")],
+        ctx.at,
+    )
+    bw = dict(zip(bounds, bws))
+    margins_out = ctx.margins_json(outer, dual)
 
     hi_band = (grid[-1] / math.sqrt(10.0), grid[-1])
-    objectives = objective_report(  # O2 bisects on C_t alone
-        bundle, bw[3.0], frf.ct, lambda w: freq_response(ctx.ct_tf, w),
-        lambda w: ctx.at(w).ld, ctx.omega_n, hi_band,
+    objectives = _scorecard(
+        bundle, bw[3.0], w_ct, float(np.abs(at_n.ld)), ctx.omega_n, hi_band
     )
 
     feasibility = None
@@ -566,10 +571,10 @@ def run_sens(cfg: SimpleNamespace, out_dir: Path) -> dict:
 def run_margins(cfg: SimpleNamespace, out_dir: Path) -> dict:
     ctx = _DesignContext(cfg)
     if ctx.ct_tf is None:
-        inner = margins(ctx.grid, ctx.frf.inner, lambda w: ctx.at(w).inner)
+        (inner,) = _refine(ctx.margins_plans("inner"), ctx.at)
         out = {"inner_loop": _margins_dict(inner)}
     else:
-        out = ctx.margins_json()
+        out = ctx.margins_json(*_refine(ctx.margins_plans("outer", "ld"), ctx.at))
     _write_json(out_dir / "margins.json", out)
     return out
 
@@ -817,6 +822,11 @@ def _parse_with_grid_override(raw: dict, grid_override) -> tuple:
         raise  # a check across sections, such as the sim Nyquist guard
 
 
+# The batched root locus peaks at about 270 bytes per point of n, so this
+# bounds it near 270 MB.
+MAX_LOCUS_POINTS = 1_000_000
+
+
 def _locus_flags(kwargs: dict) -> tuple:
     """The rootlocus ``--n-min``, ``--n-max`` and ``--n-points``, checked
     like config keys."""
@@ -824,7 +834,10 @@ def _locus_flags(kwargs: dict) -> tuple:
     n_max = _leaf(POSITIVE, kwargs.get("n_max", 10.0), "--n-max")
     if n_max <= n_min:
         _fail("--n-max", "must be > --n-min")
-    return n_min, n_max, _leaf(INT_GE2, kwargs.get("n_points", 500), "--n-points")
+    n_points = _leaf(INT_GE2, kwargs.get("n_points", 500), "--n-points")
+    if n_points > MAX_LOCUS_POINTS:
+        _fail("--n-points", f"must be <= {MAX_LOCUS_POINTS}")
+    return n_min, n_max, n_points
 
 
 def main(argv=None) -> int:

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lti import Polynomial, RationalTF, dc_gain, poly_roots, poles_zeros, tf_feedback
+from .lti import Polynomial, RationalTF, dc_gain, poles_zeros, tf_feedback
 from .plants import PlantSpec, build_plant, two_mode_zero
-from .tracking import _bisect
+from .tracking import _Brackets, _bisect
 from .lti import freq_response, write_csv
 
 # |Im(pole)| below this times the pole scale counts as real.
@@ -120,15 +120,18 @@ def inner_charpoly(omega_n: float, zeta_n: float, gamma: float, n: float) -> Pol
     Exact construction (no feedback arithmetic), so the gamma = 1 constant
     term is exactly zero.
     """
+    return Polynomial(_charpoly_coeffs(omega_n, zeta_n, gamma, n))
+
+
+def _charpoly_coeffs(omega_n, zeta_n, gamma, n) -> list:
+    """Ascending coefficients of :func:`inner_charpoly`; ``n`` may be an array."""
     w = omega_n
-    return Polynomial(
-        [
-            n * (1.0 - gamma) * w**3,
-            (2.0 * zeta_n * n + 1.0 + gamma) * w**2,
-            (n + 2.0 * zeta_n) * w,
-            1.0,
-        ]
-    )
+    return [
+        n * (1.0 - gamma) * w**3,
+        (2.0 * zeta_n * n + 1.0 + gamma) * w**2,
+        (n + 2.0 * zeta_n) * w,
+        1.0,
+    ]
 
 
 def routh_cubic(charpoly: Polynomial) -> RouthReport:
@@ -189,6 +192,24 @@ def _pair_discriminant(zeta_n: float, gamma: float, n):
     )
 
 
+# the ordered pairs of three roots, in itertools.permutations order
+_ROOT_PAIRS = np.array(list(itertools.permutations(range(3), 2)))
+
+
+def _cubic_roots(coeffs) -> np.ndarray:
+    """Roots of the monic cubics with ascending coefficient arrays
+    ``coeffs``, one row per cubic sorted by (real, imag): the bits of
+    :func:`lti.poly_roots` on each, from one batched ``eigvals`` call on
+    the companion matrices as numpy's ``polycompanion`` builds them."""
+    c = np.stack(np.broadcast_arrays(*coeffs), axis=-1)
+    companion = np.zeros(c.shape[:-1] + (3, 3))
+    companion[..., [1, 2], [0, 1]] = 1.0
+    companion[..., -1] -= c[..., :-1] / c[..., -1:]
+    roots = np.linalg.eigvals(companion).astype(complex)
+    order = np.lexsort((roots.imag, roots.real), axis=-1)
+    return np.take_along_axis(roots, order, axis=-1)
+
+
 def root_locus_n(plant: PlantSpec, gamma: float, n_grid) -> RootLocusTrace:
     """Track the resonant pole pair of the inner loop over corner ratios n.
 
@@ -211,35 +232,31 @@ def root_locus_n(plant: PlantSpec, gamma: float, n_grid) -> RootLocusTrace:
 
     w = plant.omega_n
     zeta = plant.modes[0].zeta
+    roots = _cubic_roots(_charpoly_coeffs(w, zeta, gamma, n_values))
     p2 = np.empty(n_values.size, dtype=complex)
     p3 = np.empty(n_values.size, dtype=complex)
-    prev = None
-    for i, n in enumerate(n_values):
-        roots = poly_roots(inner_charpoly(w, zeta, gamma, n))
-        if prev is None:
-            # start the pair on the conjugate roots; fall back to the two
-            # largest-magnitude roots when the pair is already real
-            by_imag = sorted(roots, key=lambda r: -abs(r.imag))
-            if abs(by_imag[0].imag) > REAL_POLE_REL_TOL * w:
-                pair = sorted(by_imag[:2], key=lambda r: -r.imag)
-            else:
-                pair = sorted(roots, key=lambda r: -abs(r))[:2]
-            p2[i], p3[i] = pair
-        else:
-            # choose the assignment of the three new roots to (p2, p3) that
-            # moves the pair the least
-            p2[i], p3[i] = min(
-                itertools.permutations(roots, 2),
-                key=lambda pair: abs(pair[0] - prev[0]) + abs(pair[1] - prev[1]),
-            )
-        prev = (p2[i], p3[i])
+    # start the pair on the conjugate roots; fall back to the two
+    # largest-magnitude roots when the pair is already real
+    by_imag = sorted(roots[0], key=lambda r: -abs(r.imag))
+    if abs(by_imag[0].imag) > REAL_POLE_REL_TOL * w:
+        p2[0], p3[0] = sorted(by_imag[:2], key=lambda r: -r.imag)
+    else:
+        p2[0], p3[0] = sorted(roots[0], key=lambda r: -abs(r))[:2]
+    for i in range(1, n_values.size):
+        # choose the assignment of the three new roots to (p2, p3) that
+        # moves the pair the least; argmin keeps the first of equal costs
+        pairs = roots[i][_ROOT_PAIRS]
+        cost = np.abs(pairs[:, 0] - p2[i - 1]) + np.abs(pairs[:, 1] - p3[i - 1])
+        p2[i], p3[i] = pairs[cost.argmin()]
 
     disc = functools.partial(_pair_discriminant, zeta, gamma)
     values = disc(n_values)
     hits = np.flatnonzero(values >= 0.0)
     bifurcation_n = None
     if hits.size and hits[0] > 0:
-        n_bif, _ = _bisect(n_values, values, hits[:1] - 1, disc, lambda v: v >= 0.0)
+        ((n_bif, _),) = _bisect(
+            [_Brackets(n_values, values, hits[:1] - 1, lambda v: v >= 0.0)], disc
+        )
         bifurcation_n = float(n_bif[0])
     elif hits.size and hits[0] == 0:
         bifurcation_n = float(n_values[0])

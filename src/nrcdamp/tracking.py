@@ -19,6 +19,7 @@ assumption.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -210,17 +211,49 @@ def real_error_budget(bundle: SensitivityBundle, r_amp, d_amp, n_amp) -> np.ndar
     )
 
 
-def _bisect(grid, values, i, evaluator, side):
-    """Refine the crossings inside the brackets [grid[i], grid[i + 1]].
+@dataclass(frozen=True)
+class _Brackets:
+    """Grid brackets [grid[i], grid[i + 1]] of one response, across which
+    ``side`` changes.
 
-    ``values`` is the evaluator on ``grid``; ``side`` maps values aligned
-    with ``i`` to booleans that differ at the two ends of each bracket.
-    All brackets are halved together at their geometric midpoints, one
-    evaluator call per step, until hi/lo < 1 + 1e-12 or 80 steps. Returns
-    the crossings and the evaluator's values there.
+    ``values`` is the response on ``grid``; ``side`` maps values aligned
+    with ``i`` to booleans. ``field`` names the response among the fields
+    of an evaluator that returns several (such as ``cli._DesignContext.at``);
+    None reads the evaluator's value itself.
     """
-    lo, hi = grid[i], grid[i + 1]
-    left = side(values[i])
+
+    grid: np.ndarray
+    values: np.ndarray
+    i: np.ndarray
+    side: Callable
+    field: str | None = None
+
+    def pick(self, evaluated):
+        return evaluated if self.field is None else getattr(evaluated, self.field)
+
+
+def _bisect(brackets, evaluator):
+    """Refine the crossings inside every bracket of the ``_Brackets`` sets.
+
+    All brackets are halved together at their geometric midpoints, one
+    evaluator call per step on the midpoints of every set, until
+    hi/lo < 1 + 1e-12 or 80 steps. Each bracket halves by its own side
+    test, so sets refined together or apart give the same bits. Returns,
+    for each set, the crossings and its response there.
+    """
+    if not brackets:
+        return []
+    ends = np.cumsum([0] + [b.i.size for b in brackets]).tolist()
+    cuts = [slice(a, z) for a, z in zip(ends[:-1], ends[1:])]
+
+    def side(evaluated):
+        return np.concatenate(
+            [b.side(b.pick(evaluated)[cut]) for b, cut in zip(brackets, cuts)]
+        )
+
+    lo = np.concatenate([b.grid[b.i] for b in brackets])
+    hi = np.concatenate([b.grid[b.i + 1] for b in brackets])
+    left = np.concatenate([b.side(b.values[b.i]) for b in brackets])
     for _ in range(80):
         active = hi / lo >= 1.0 + 1e-12
         if not active.any():
@@ -230,7 +263,19 @@ def _bisect(grid, values, i, evaluator, side):
         lo = np.where(active & stay, mid, lo)
         hi = np.where(active & ~stay, mid, hi)
     w = np.sqrt(lo * hi)
-    return w, evaluator(w)
+    evaluated = evaluator(w)
+    return [(w[cut], b.pick(evaluated)[cut]) for b, cut in zip(brackets, cuts)]
+
+
+def _refine(plans, evaluator) -> list:
+    """The result of each plan, refined with every other in one ``_bisect``.
+
+    A plan is a pair (brackets, report): a list of ``_Brackets`` sets and
+    the function that builds the result from their refined crossings and
+    responses.
+    """
+    refined = iter(_bisect([b for brackets, _ in plans for b in brackets], evaluator))
+    return [report([next(refined) for _ in brackets]) for brackets, report in plans]
 
 
 @dataclass(frozen=True)
@@ -246,13 +291,9 @@ class BandwidthReport:
     grid_end: bool
 
 
-def bandwidth(omega, values, evaluator, bound_db: float) -> BandwidthReport:
-    """Band-exit bandwidth of a complementary-style response.
-
-    ``values`` is T on the grid ``omega``; ``evaluator`` maps omega to T.
-    The grid must start inside the band (|T| within +/- bound_db); the
-    first exit is bracketed on the grid and refined by bisection.
-    """
+def _bandwidth_plan(omega, values, bound_db: float, field=None):
+    """``bandwidth``'s plan (see ``_refine``): the bracket of the first band
+    exit, none when |T| stays in the band."""
     if bound_db <= 0.0:
         raise ValueError("bound_db must be > 0")
     omega, t = np.asarray(omega, dtype=float), np.asarray(values)
@@ -260,10 +301,26 @@ def bandwidth(omega, values, evaluator, bound_db: float) -> BandwidthReport:
     if outside[0]:
         raise ValueError("|T| already outside the band at the grid start")
     if not outside.any():
-        return BandwidthReport(bound_db=bound_db, omega_c_rad_s=None, grid_end=True)
+        return [], lambda _: BandwidthReport(bound_db=bound_db, omega_c_rad_s=None, grid_end=True)
     i = np.argmax(outside, keepdims=True) - 1
-    wc, _ = _bisect(omega, t, i, evaluator, lambda v: np.abs(mag_db(v)) > bound_db)
-    return BandwidthReport(bound_db=bound_db, omega_c_rad_s=float(wc[0]), grid_end=False)
+    band_exit = _Brackets(omega, t, i, lambda v: np.abs(mag_db(v)) > bound_db, field)
+
+    def report(refined):
+        ((wc, _),) = refined
+        return BandwidthReport(bound_db=bound_db, omega_c_rad_s=float(wc[0]), grid_end=False)
+
+    return [band_exit], report
+
+
+def bandwidth(omega, values, evaluator, bound_db: float) -> BandwidthReport:
+    """Band-exit bandwidth of a complementary-style response.
+
+    ``values`` is T on the grid ``omega``; ``evaluator`` maps omega to T.
+    The grid must start inside the band (|T| within +/- bound_db); the
+    first exit is bracketed on the grid and refined by bisection.
+    """
+    (report,) = _refine([_bandwidth_plan(omega, values, bound_db)], evaluator)
+    return report
 
 
 @dataclass(frozen=True)
@@ -280,9 +337,9 @@ class MarginsReport:
     nyquist_net_crossings: int
 
 
-def _critical_crossings(omega, values, evaluator):
-    """Loop values where the grid-unwrapped phase passes -180 - 360k,
-    refined, and whether each passage runs downward."""
+def _critical_brackets(omega, values, field):
+    """Brackets where the grid-unwrapped phase of a loop passes
+    -180 - 360k, and whether each passage runs downward."""
     phase = unwrapped_phase_deg(values)
     k = np.arange(
         math.ceil((np.max(phase) + 180.0) / -360.0),
@@ -297,8 +354,29 @@ def _critical_crossings(omega, values, evaluator):
         a = np.degrees(np.angle(v))
         return a + 360.0 * np.round((middle - a) / 360.0) > target
 
-    _, lw = _bisect(omega, values, i, evaluator, beyond)
-    return lw, phase[i + 1] < phase[i]
+    return _Brackets(omega, values, i, beyond, field), phase[i + 1] < phase[i]
+
+
+def _margins_plan(omega, values, field=None):
+    """``margins``' plan (see ``_refine``): the unity-gain and critical-phase
+    brackets of the loop."""
+    omega, values = np.asarray(omega, dtype=float), np.asarray(values)
+    i = np.flatnonzero(np.diff(np.sign(np.abs(values) - 1.0)))
+    unity = _Brackets(omega, values, i, lambda v: np.abs(v) > 1.0, field)
+    critical, down = _critical_brackets(omega, values, field)
+
+    def report(refined):
+        (w, lw), (_, lc) = refined
+        pm = np.remainder(np.degrees(np.angle(lw)), 360.0) - 180.0
+        crossings = sorted(zip(w.tolist(), pm.tolist()))
+        gms = (-20.0 * np.log10(np.abs(lc))).tolist()
+        gm = min(gms, key=abs) if gms else None
+        net = int(np.sum(np.where(down, -1, 1)[np.abs(lc) > 1.0]))
+        return MarginsReport(
+            crossovers=tuple(crossings), gain_margin_db=gm, nyquist_net_crossings=net
+        )
+
+    return [unity, critical], report
 
 
 def margins(omega, values, evaluator) -> MarginsReport:
@@ -312,16 +390,8 @@ def margins(omega, values, evaluator) -> MarginsReport:
     sum to the net crossings of the critical rays (-inf, -1); for an
     open-loop-stable loop a nonzero count means an unstable closed loop.
     """
-    omega, values = np.asarray(omega, dtype=float), np.asarray(values)
-    i = np.flatnonzero(np.diff(np.sign(np.abs(values) - 1.0)))
-    w, lw = _bisect(omega, values, i, evaluator, lambda v: np.abs(v) > 1.0)
-    pm = np.remainder(np.degrees(np.angle(lw)), 360.0) - 180.0
-    crossings = sorted(zip(w.tolist(), pm.tolist()))
-    critical, down = _critical_crossings(omega, values, evaluator)
-    gms = (-20.0 * np.log10(np.abs(critical))).tolist()
-    gm = min(gms, key=abs) if gms else None
-    net = int(np.sum(np.where(down, -1, 1)[np.abs(critical) > 1.0]))
-    return MarginsReport(crossovers=tuple(crossings), gain_margin_db=gm, nyquist_net_crossings=net)
+    (report,) = _refine([_margins_plan(omega, values)], evaluator)
+    return report
 
 
 def nyquist_net_crossings(omega, values, evaluator) -> int:
@@ -359,6 +429,54 @@ class ObjectiveReport:
     highband_loop_gain: ObjectiveResult
 
 
+def _corner_plan(grid, ct, field=None):
+    """O2's plan (see ``_refine``): the bracket where |C_t| last falls below
+    its threshold, none when it never rises above it or ends above it."""
+    high = np.flatnonzero(np.abs(ct) >= TRACKER_GAIN_THRESHOLD)
+    if high.size == 0:
+        return [], lambda _: 0.0
+    if high[-1] == grid.size - 1:
+        return [], lambda _: float(grid[-1])
+    corner = _Brackets(grid, ct, high[-1:], lambda v: np.abs(v) >= TRACKER_GAIN_THRESHOLD, field)
+
+    def report(refined):
+        ((w, _),) = refined
+        return float(w[0])
+
+    return [corner], report
+
+
+def _scorecard(bundle, bw3, w_ct: float, ld_res: float, omega_n: float, hi_band):
+    """``objective_report`` from its refined values: the tracker corner
+    ``w_ct`` and the resonance loop gain ``ld_res``."""
+    grid = bundle.grid
+    wc = float(grid[-1]) if bw3.grid_end else bw3.omega_c_rad_s
+    o1 = ObjectiveResult(value=wc, target=omega_n, passed=wc > omega_n)
+    o2 = ObjectiveResult(
+        value=w_ct,
+        target=MIN_TRACKER_CORNER_RAD_S,
+        passed=w_ct >= MIN_TRACKER_CORNER_RAD_S,
+    )
+    o3 = ObjectiveResult(
+        value=ld_res,
+        target=MIN_RESONANCE_LOOP_GAIN,
+        passed=ld_res >= MIN_RESONANCE_LOOP_GAIN,
+    )
+    lo, hi = hi_band
+    sel = (grid >= lo) & (grid <= hi)
+    if not sel.any():
+        raise ValueError("hi_band does not intersect the grid")
+    ld_hi = float(np.max(np.abs(bundle.loop_gain[sel])))
+    o4 = ObjectiveResult(
+        value=ld_hi,
+        target=MAX_HIGHBAND_LOOP_GAIN,
+        passed=ld_hi < MAX_HIGHBAND_LOOP_GAIN,
+    )
+    return ObjectiveReport(
+        bandwidth=o1, tracker_corner=o2, resonance_loop_gain=o3, highband_loop_gain=o4
+    )
+
+
 def objective_report(
     bundle: SensitivityBundle,
     bw3: BandwidthReport,
@@ -375,46 +493,8 @@ def objective_report(
     is refined where |C_t| crosses its threshold and the resonance loop
     gain is |L_D(i w_n)|.
     """
-    grid = bundle.grid
-    wc = float(grid[-1]) if bw3.grid_end else bw3.omega_c_rad_s
-    o1 = ObjectiveResult(value=wc, target=omega_n, passed=wc > omega_n)
-
-    high = np.flatnonzero(np.abs(ct) >= TRACKER_GAIN_THRESHOLD)
-    if high.size == 0:
-        w_ct = 0.0
-    elif high[-1] == grid.size - 1:
-        w_ct = float(grid[-1])
-    else:
-        w, _ = _bisect(
-            grid, ct, high[-1:], ct_eval, lambda v: np.abs(v) >= TRACKER_GAIN_THRESHOLD
-        )
-        w_ct = float(w[0])
-    o2 = ObjectiveResult(
-        value=w_ct,
-        target=MIN_TRACKER_CORNER_RAD_S,
-        passed=w_ct >= MIN_TRACKER_CORNER_RAD_S,
-    )
-
-    ld_res = float(np.abs(ld_eval(omega_n)))
-    o3 = ObjectiveResult(
-        value=ld_res,
-        target=MIN_RESONANCE_LOOP_GAIN,
-        passed=ld_res >= MIN_RESONANCE_LOOP_GAIN,
-    )
-
-    lo, hi = hi_band
-    sel = (grid >= lo) & (grid <= hi)
-    if not sel.any():
-        raise ValueError("hi_band does not intersect the grid")
-    ld_hi = float(np.max(np.abs(bundle.loop_gain[sel])))
-    o4 = ObjectiveResult(
-        value=ld_hi,
-        target=MAX_HIGHBAND_LOOP_GAIN,
-        passed=ld_hi < MAX_HIGHBAND_LOOP_GAIN,
-    )
-    return ObjectiveReport(
-        bandwidth=o1, tracker_corner=o2, resonance_loop_gain=o3, highband_loop_gain=o4
-    )
+    (w_ct,) = _refine([_corner_plan(bundle.grid, ct)], ct_eval)
+    return _scorecard(bundle, bw3, w_ct, float(np.abs(ld_eval(omega_n))), omega_n, hi_band)
 
 
 def bundle_to_csv(bundle: SensitivityBundle, path) -> None:

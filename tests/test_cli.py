@@ -10,14 +10,23 @@ import numpy as np
 import pytest
 
 import nrcdamp
-from nrcdamp import freq_response, log_grid
+import nrcdamp.tracking
+from nrcdamp import bandwidth, freq_response, log_grid, margins, objective_report
 from nrcdamp.cli import (
     COMMANDS,
+    MAX_LOCUS_POINTS,
     ConfigError,
+    _DesignContext,
+    _hz,
+    _locus_flags,
+    _margins_dict,
+    _obj_dict,
     main,
     parse_config,
     parse_config_dict,
     run_command,
+    run_design,
+    run_margins,
     summarize,
 )
 
@@ -550,6 +559,10 @@ class TestCommands:
                 "config error at --grid-override: invalid grid",
             ),
             (["simulate", "--seed", "-1"], "config error at --seed: must be >= 0"),
+            (  # refused before the locus array is allocated
+                ["rootlocus", "--n-points", "10000000000000"],
+                "config error at --n-points: must be <= 1000000",
+            ),
         ],
     )
     def test_malformed_flag_leaves_no_out_dir(
@@ -561,6 +574,11 @@ class TestCommands:
         err = capsys.readouterr().err
         assert message in err and "Warning" not in err
         assert not out.exists()
+
+    def test_rootlocus_point_limit(self):
+        assert _locus_flags({"n_points": MAX_LOCUS_POINTS})[2] == MAX_LOCUS_POINTS
+        with pytest.raises(ConfigError, match="at --n-points: must be <= 1000000"):
+            _locus_flags({"n_points": MAX_LOCUS_POINTS + 1})
 
     @pytest.mark.parametrize("cmd", ["design", "identify"])
     def test_missing_config_file_leaves_no_out_dir(self, tmp_path, capsys, cmd):
@@ -591,6 +609,138 @@ class TestCommands:
             text=True,
         )
         assert proc.returncode == 0, proc.stderr
+
+
+def perturbed(raw, variant):
+    """The surrogate with a perturbed design: a loaded, retuned one and one
+    whose dual loop is unstable."""
+    if variant == "loaded":
+        raw["nrc"].update(gamma=0.97, n=5.0)
+        raw["tracker"]["omega_b_hz"] = 300.0
+        raw["targets"]["bound_db"] = 2.0
+        for mode in raw["plant"]["modes"]:
+            mode["freq_hz"] *= 0.9
+    elif variant == "unstable":
+        raw["nrc"]["n"] = 4.5
+        raw["tracker"]["omega_b_hz"] = 800.0
+        raw["targets"]["bound_db"] = 1.0
+    return raw
+
+
+def json_bytes(payload) -> bytes:
+    """``payload`` as the commands write their JSON artifacts."""
+    return (json.dumps(payload, indent=2, sort_keys=True, allow_nan=True) + "\n").encode()
+
+
+def public_margins(ctx):
+    """The outer and dual loop margins, each bisected alone through ``margins``."""
+    outer = margins(ctx.grid, ctx.frf.outer, lambda w: ctx.at(w).outer)
+    dual = margins(ctx.grid, ctx.frf.ld, lambda w: ctx.at(w).ld)
+    return ctx.margins_json(outer, dual)
+
+
+class TestMergedRefinement:
+    """``design`` and ``margins`` refine every bracket in one bisection pass;
+    each refined value keeps the bits that the public analyses give when
+    each bisects alone."""
+
+    @pytest.mark.parametrize("ppd", [50, 400, 2000])
+    @pytest.mark.parametrize("variant", ["surrogate", "loaded", "unstable"])
+    def test_design_matches_public_path(self, tmp_path, surrogate_raw, variant, ppd):
+        raw = perturbed(surrogate_raw, variant)
+        raw["grid"]["pts_per_decade"] = ppd
+        cfg = parse_config_dict(raw)
+        run_design(cfg, tmp_path)
+
+        ctx = _DesignContext(cfg)
+        grid, frf = ctx.grid, ctx.frf
+        bw = {
+            b: bandwidth(grid, frf.t_yr, lambda w: ctx.at(w).t_yr, b)
+            for b in (3.0, 1.0, cfg.targets.bound_db)
+        }
+        margins_json = public_margins(ctx)
+        objectives = objective_report(
+            ctx.bundle, bw[3.0], frf.ct, lambda w: freq_response(ctx.ct_tf, w),
+            lambda w: ctx.at(w).ld, ctx.omega_n, (grid[-1] / math.sqrt(10.0), grid[-1]),
+        )
+        assert (tmp_path / "margins.json").read_bytes() == json_bytes(margins_json)
+
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        summary["bandwidth"].update(
+            wc_1db_hz=_hz(bw[1.0]), wc_3db_hz=_hz(bw[3.0]),
+            wc_target_hz=_hz(bw[cfg.targets.bound_db]),
+        )
+        summary["outer_loop"] = margins_json["outer_loop"]
+        summary["dual_loop"] = {
+            k: v for k, v in margins_json["dual_loop"].items() if k != "gain_margin_db"
+        }
+        hz = {"scale": 1.0 / (2.0 * math.pi), "unit": "hz"}
+        summary["objectives"] = {
+            "bandwidth": _obj_dict(objectives.bandwidth, **hz),
+            "tracker_corner": _obj_dict(objectives.tracker_corner, **hz),
+            "resonance_loop_gain": _obj_dict(objectives.resonance_loop_gain),
+            "highband_loop_gain": _obj_dict(objectives.highband_loop_gain),
+        }
+        assert (tmp_path / "summary.json").read_bytes() == json_bytes(summary)
+
+    @pytest.mark.parametrize("ppd", [50, 400, 2000])
+    @pytest.mark.parametrize("variant", ["surrogate", "loaded", "unstable"])
+    def test_margins_matches_public_path(self, tmp_path, surrogate_raw, variant, ppd):
+        raw = perturbed(surrogate_raw, variant)
+        raw["grid"]["pts_per_decade"] = ppd
+        cfg = parse_config_dict(raw)
+        run_margins(cfg, tmp_path)
+        expected = json_bytes(public_margins(_DesignContext(cfg)))
+        assert (tmp_path / "margins.json").read_bytes() == expected
+
+    def test_inner_margins_match_public_path(self, tmp_path, surrogate_raw):
+        del surrogate_raw["tracker"]
+        cfg = parse_config_dict(surrogate_raw)
+        run_margins(cfg, tmp_path)
+        ctx = _DesignContext(cfg)
+        inner = margins(ctx.grid, ctx.frf.inner, lambda w: ctx.at(w).inner)
+        expected = {"inner_loop": _margins_dict(inner)}
+        assert (tmp_path / "margins.json").read_bytes() == json_bytes(expected)
+
+    @pytest.mark.parametrize("ppd", [50, 400, 2000])
+    @pytest.mark.parametrize("run", [run_design, run_margins])
+    def test_one_bisection_pass(self, tmp_path, surrogate_raw, monkeypatch, run, ppd):
+        # about 35 bisection steps at 50 ppd; one evaluator call each, not
+        # one per analysis (the separate passes made 130 to 226 calls)
+        at_calls, passes = [], []
+        at, bisect = _DesignContext.at, nrcdamp.tracking._bisect
+
+        def counted_at(ctx, omega):
+            at_calls.append(np.size(omega))
+            return at(ctx, omega)
+
+        def counted_bisect(brackets, evaluator):
+            passes.append(len(brackets))
+            return bisect(brackets, evaluator)
+
+        monkeypatch.setattr(_DesignContext, "at", counted_at)
+        monkeypatch.setattr(nrcdamp.tracking, "_bisect", counted_bisect)
+        surrogate_raw["grid"]["pts_per_decade"] = ppd
+        run(parse_config_dict(surrogate_raw), tmp_path)
+        assert len(passes) == 1
+        assert len(at_calls) <= 50
+
+    @pytest.mark.parametrize(
+        "key, value", [(("targets", "bound_db"), 1e-9), (("grid", "f_min_hz"), 2000.0)]
+    )
+    def test_margins_requests_no_bandwidth(self, tmp_path, surrogate_raw, capsys, key, value):
+        # |T_yr| leaves so narrow a band, or the grid starts so high, that a
+        # bandwidth cannot be bracketed: design fails, margins does not ask
+        surrogate_raw[key[0]][key[1]] = value
+        p = write(tmp_path, surrogate_raw)
+        assert run_command("margins", p, tmp_path / "margins") == 0
+        expected = json_bytes(public_margins(_DesignContext(parse_config_dict(surrogate_raw))))
+        assert (tmp_path / "margins" / "margins.json").read_bytes() == expected
+        capsys.readouterr()
+        assert run_command("design", p, tmp_path / "design") == 1
+        assert capsys.readouterr().err == (
+            "error: |T| already outside the band at the grid start\n"
+        )
 
 
 class TestSummarize:

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -34,7 +35,7 @@ from nrcdamp import (
     tf_series,
     two_mode_inner_loop,
 )
-from nrcdamp.loops import _pair_discriminant
+from nrcdamp.loops import REAL_POLE_REL_TOL, _pair_discriminant
 
 TWO_PI = 2.0 * np.pi
 
@@ -163,7 +164,61 @@ class TestDampingRatio:
             damping_ratio(0.0)
 
 
+def reference_locus(plant, gamma, n_values):
+    """The pole pair of ``root_locus_n`` one n at a time: ``poly_roots`` of
+    each cubic, then the pair that moves least by ``min`` over
+    ``itertools.permutations`` (the first of equal costs)."""
+    w, zeta = plant.omega_n, plant.modes[0].zeta
+    p2 = np.empty(len(n_values), dtype=complex)
+    p3 = np.empty(len(n_values), dtype=complex)
+    prev = None
+    for i, n in enumerate(n_values):
+        roots = poly_roots(inner_charpoly(w, zeta, gamma, n))
+        if prev is None:
+            by_imag = sorted(roots, key=lambda r: -abs(r.imag))
+            if abs(by_imag[0].imag) > REAL_POLE_REL_TOL * w:
+                p2[i], p3[i] = sorted(by_imag[:2], key=lambda r: -r.imag)
+            else:
+                p2[i], p3[i] = sorted(roots, key=lambda r: -abs(r))[:2]
+        else:
+            p2[i], p3[i] = min(
+                itertools.permutations(roots, 2),
+                key=lambda pair: abs(pair[0] - prev[0]) + abs(pair[1] - prev[1]),
+            )
+        prev = (p2[i], p3[i])
+    return p2, p3
+
+
+LOCUS_CASES = [
+    *[(zeta, 1.0, np.geomspace(0.5, 5.0, 120)) for zeta in (0.0, 0.01, 0.05, 0.1)],
+    (0.0, 0.5, np.geomspace(0.5, 20.0, 80)),
+    *[(zeta, gamma, np.geomspace(0.1, 10.0, 500))
+      for zeta, gamma in ((0.01, 0.999), (0.1, 0.5), (0.0, 0.9), (0.3, 0.2))],
+]
+
+
 class TestRootLocus:
+    @pytest.mark.parametrize("wn", [1.0, TWO_PI * 739.0])
+    @pytest.mark.parametrize("zeta, gamma, grid", LOCUS_CASES)
+    def test_batched_locus_matches_reference_bits(self, wn, zeta, gamma, grid):
+        plant = single_mode(wn=wn, zeta=zeta)
+        trace = root_locus_n(plant, gamma, grid)
+        p2, p3 = reference_locus(plant, gamma, grid)
+        assert trace.p2.tobytes() == p2.tobytes()
+        assert trace.p3.tobytes() == p3.tobytes()
+
+    def test_one_eigvals_call(self, monkeypatch):
+        calls = []
+        eigvals = np.linalg.eigvals
+
+        def counted(a):
+            calls.append(np.shape(a))
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counted)
+        root_locus_n(single_mode(), 0.999, np.geomspace(0.1, 10.0, 500))
+        assert calls == [(500, 3, 3)]
+
     def test_bifurcation_thresholds(self):
         grid = np.geomspace(0.5, 5.0, 120)
         for zeta in (0.0, 0.01, 0.05, 0.1):
