@@ -615,8 +615,7 @@ def run_simulate(cfg: SimpleNamespace, out_dir: Path, seed=None) -> dict:
         )
     else:
         d = np.zeros(r.size)
-    with np.errstate(over="ignore", invalid="ignore"):  # divergence is reported below
-        trace = simulate_dual_loop(plant_d, tracker_d, nrc_d, r, d, n)
+    trace = simulate_dual_loop(plant_d, tracker_d, nrc_d, r, d, n)
     if not (np.isfinite(trace.u).all() and np.isfinite(trace.y_meas).all()):
         raise ValueError("simulation diverged: the trace is not finite")
     trace_to_csv(trace, out_dir / "trace.csv")
