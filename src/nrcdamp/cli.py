@@ -19,7 +19,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .lti import bode_to_csv, freq_response, log_grid, write_csv
+from .lti import bode_to_csv, freq_response, log_grid, mag_db, write_csv
 from .plants import ModeSpec, PlantSpec, build_plant
 from .nrc import NrcSpec, nrc_gains, synthesize_nrc
 from .loops import (
@@ -406,6 +406,11 @@ def run_design(cfg: SimpleNamespace, out_dir: Path, exact_tan60: bool = False) -
 
     bundle, frf = ctx.bundle, ctx.frf
     bounds = tuple(dict.fromkeys((3.0, 1.0, cfg.targets.bound_db)))  # each distinct one once
+    start_db = float(mag_db(frf.t_yr[0]))  # every band must hold T_yr at the grid start
+    for bound, key in ((1.0, "grid.f_min_hz"), (cfg.targets.bound_db, "targets.bound_db")):
+        if abs(start_db) > bound:
+            where = f"|T_yr| is {start_db:.3g} dB at {grid[0] / TWO_PI:g} Hz"
+            _fail(key, f"{where}, outside the +/-{bound:g} dB band")
     *bws, outer, dual, w_ct = _refine(  # one bisection pass refines every bracket
         [_bandwidth_plan(grid, frf.t_yr, bound, "t_yr") for bound in bounds]
         + ctx.margins_plans("outer", "ld")
@@ -458,6 +463,7 @@ def run_design(cfg: SimpleNamespace, out_dir: Path, exact_tan60: bool = False) -
     if feasibility is not None:
         summary["pm_feasibility"] = feasibility
 
+    out_dir.mkdir(parents=True, exist_ok=True)
     bundle_to_csv(bundle, out_dir / "sensitivities.csv")
     _write_json(out_dir / "margins.json", margins_out)
     _write_json(out_dir / "summary.json", summary)
@@ -687,7 +693,6 @@ def run_sweep(configs, out_dir: Path, param: str, values, exact_tan60=False) -> 
     rows = []
     for cfg, v in zip(configs, values):
         sub = out_dir / f"{param.replace('.', '_')}_{v:g}"
-        sub.mkdir(parents=True, exist_ok=True)
         summary = run_design(cfg, sub, exact_tan60=exact_tan60)
         rows.append(
             {
@@ -774,7 +779,10 @@ def _dispatch(cmd: str, cfg_path, out: Path, kwargs: dict) -> int:
             return 2
         return 0
     except ConfigError as exc:
-        print(str(exc), file=sys.stderr)
+        message = str(exc)
+        if kwargs.get("grid_override") is not None:  # the flag, not the file, set the grid
+            message = message.replace("at grid.f_min_hz:", "at --grid-override:")
+        print(message, file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -193,23 +193,68 @@ def run_state_space(block: DiscreteSS, w) -> np.ndarray:
     """Zero-state response of x+ = A x + B w, y = C x + D w to the rows of w.
 
     ``w`` is (samples, inputs) and the result (samples, outputs); an input
-    delay shifts the record. The state part of output i is the sum over
-    inputs j of the single-input, single-output run of ``_blocked_response``
-    on (A, B[:, j], C[i]), so its accuracy is that engine's; the
-    feedthrough D w adds outside the FFT convolution, so a block without
-    state passes its delayed input on exactly.
+    delay shifts the record. Each block of L samples is the FFT convolution
+    of its inputs with the Markov taps C A^(j-1) B (one transform per
+    input, summed per output before the inverse transform) plus the free
+    response C A^j x0 of the state at the block start, which carries on as
+    A^L x0 plus the forced end state. Blocks run in chunks so the FFT
+    temporaries stay small. The feedthrough D w adds outside the
+    convolution, so a block without state passes its delayed input on
+    exactly. The error relative to a per-sample run tracks the transient
+    growth max ||A^k|| of the realization once balanced; a power-of-two
+    diagonal similarity leaves every output bit unchanged, so balancing
+    cannot help. ``discretize``'s state-space Tustin blocks and their
+    closed loop (growth below 100) stay within 1e-14 of max|y|; companion
+    forms in z (growth 5e3-1.5e4) lose digits, down to 1e-6.
     """
     w = np.asarray(w, dtype=float)
-    nsamp = w.shape[0]
+    nsamp, n_in = w.shape
     delay = min(block.input_delay_samples, nsamp)
     if delay:
-        w = np.concatenate([np.zeros((delay, w.shape[1])), w[: nsamp - delay]])
+        w = np.concatenate([np.zeros((delay, n_in)), w[: nsamp - delay]])
     a, b, c, d = block.a_matrix, block.b_matrix, block.c_matrix, block.d_matrix
-    y = w @ d.T
-    for i in range(c.shape[0]):
-        for j in range(b.shape[1]):
-            y[:, i] += _blocked_response(a, b[:, j], c[i], 0.0, w[:, j])
+    n, n_out = a.shape[0], c.shape[0]
+    block_len = 2048
+    obs = _power_columns(a.T, c.T, block_len)  # obs[:, j, i]: (C_i A^j)^T
+    taps = np.zeros((block_len, n_out, n_in))  # taps[j]: C A^(j-1) B; D stays outside
+    taps[1:] = (b.T @ obs[:, :-1].reshape(n, -1)).reshape(n_in, -1, n_out).transpose(1, 2, 0)
+    taps_f = np.fft.rfft(taps, 2 * block_len, axis=0)
+    obs = obs.reshape(n, -1)
+    ctrl = _power_columns(a, b, block_len)[:, ::-1].reshape(n, -1).T.copy()  # A^(L-1-i) B
+    a_block = np.linalg.matrix_power(a, block_len)
+
+    y = np.dot(w, d.T)
+    x = np.zeros(n)
+    chunk = 64 * block_len
+    for start in range(0, nsamp, chunk):
+        seg = w[start : start + chunk]
+        nseg = seg.shape[0]
+        if nseg % block_len:
+            seg = np.concatenate([seg, np.zeros((block_len - nseg % block_len, n_in))])
+        blocks = seg.reshape(-1, block_len, n_in)
+        spec = np.fft.rfft(blocks, 2 * block_len, axis=1)[:, :, np.newaxis]
+        out = np.fft.irfft((spec * taps_f).sum(axis=-1), axis=1)[:, :block_len]
+        forced = blocks.reshape(blocks.shape[0], -1) @ ctrl
+        starts = np.empty((blocks.shape[0], n))
+        for k in range(blocks.shape[0]):
+            starts[k] = x
+            x = a_block @ x + forced[k]
+        out += (starts @ obs).reshape(out.shape)
+        y[start : start + nseg] += out.reshape(-1, n_out)[:nseg]
     return y
+
+
+def _power_columns(a: np.ndarray, v: np.ndarray, count: int) -> np.ndarray:
+    """The (n, count, k) stack of A^j v for j = 0 .. count-1, built by doubling."""
+    n, k = v.shape
+    out = np.empty((n, count, k))
+    out[:, 0] = v
+    done, a_done = 1, a
+    while done < count:
+        m = min(done, count - done)
+        out[:, done : done + m] = (a_done @ out[:, :m].reshape(n, -1)).reshape(n, m, k)
+        done, a_done = done + m, a_done @ a_done
+    return out
 
 
 def simulate_dual_loop(
@@ -217,9 +262,9 @@ def simulate_dual_loop(
 ) -> SimTrace:
     """Run the dual loop of ``dual_loop_state_space`` on (r, d, n).
 
-    The closed loop goes through ``run_state_space``, one blocked run per
-    input-output pair. Any loop runs, a diverging one included;
-    ``spectral_radius`` of the closed loop tells in advance.
+    The closed loop goes through ``run_state_space`` in one blocked pass.
+    Any loop runs, a diverging one included; ``spectral_radius`` of the
+    closed loop tells in advance.
     """
     r = np.asarray(r, dtype=float)
     d = np.asarray(d, dtype=float)
@@ -366,60 +411,6 @@ def _bilinear_state_space(a: np.ndarray, b: np.ndarray, c: np.ndarray, d, ts: fl
     return a_d, b_d, c_d, d + 0.5 * (c @ b_d)
 
 
-def _power_columns(a: np.ndarray, v: np.ndarray, count: int) -> np.ndarray:
-    """Columns A^j v for j = 0 .. count-1, built by doubling."""
-    out = np.empty((v.size, count))
-    out[:, 0] = v
-    done, a_done = 1, a
-    while done < count:
-        m = min(done, count - done)
-        out[:, done : done + m] = a_done @ out[:, :m]
-        done, a_done = done + m, a_done @ a_done
-    return out
-
-
-def _blocked_response(a, b, c, d: float, u: np.ndarray) -> np.ndarray:
-    """Zero-state output of x+ = A x + B u, y = C x + D u, a block at a time.
-
-    Within a block of L samples the output is the FFT convolution of the
-    block's input with the first L impulse-response taps plus the free
-    response C A^j x0 of the state at the block start; that state carries
-    to the next block as A^L x0 plus the forced end state (one n x L
-    matrix product per block). Blocks are processed in chunks so the FFT
-    temporaries stay small. The error relative to a per-sample run tracks
-    the transient growth max ||A^k|| of the realization once balanced; a
-    power-of-two diagonal similarity leaves every output bit unchanged, so
-    balancing cannot help. ``discretize``'s state-space Tustin blocks and
-    their closed loop (growth below 100) stay within 1e-14 of max|y|;
-    companion forms in z (growth 5e3-1.5e4) lose digits, down to 1e-6.
-    """
-    block_len = 2048
-    obs = _power_columns(a.T, c, block_len)  # column j: (C A^j)^T
-    ctrl = _power_columns(a, b, block_len)[:, ::-1].T.copy()  # row i: A^(L-1-i) B
-    taps = np.concatenate([[d], b @ obs[:, :-1]])
-    taps_f = np.fft.rfft(taps, 2 * block_len)
-    a_block = np.linalg.matrix_power(a, block_len)
-
-    y = np.empty(u.size)
-    x = np.zeros(a.shape[0])
-    chunk = 64 * block_len
-    for start in range(0, u.size, chunk):
-        seg = u[start : start + chunk]
-        nseg = seg.size
-        if nseg % block_len:
-            seg = np.concatenate([seg, np.zeros(block_len - nseg % block_len)])
-        blocks = seg.reshape(-1, block_len)
-        out = np.fft.irfft(np.fft.rfft(blocks, 2 * block_len) * taps_f)[:, :block_len]
-        forced = blocks @ ctrl
-        starts = np.empty((blocks.shape[0], x.size))
-        for k in range(blocks.shape[0]):
-            starts[k] = x
-            x = a_block @ x + forced[k]
-        out += starts @ obs
-        y[start : start + nseg] = out.reshape(-1)[:nseg]
-    return y
-
-
 def open_loop_response(
     plant: PlantSpec,
     fs: float,
@@ -445,7 +436,8 @@ def open_loop_response(
     u_fine = log_chirp(fs_fine, duration_s, f0=f0, f1=f1, amplitude=amplitude)
     ts_fine = 1.0 / fs_fine
     a, b, c, d = _bilinear_state_space(*modal_state_space(plant), 0.0, ts_fine)
-    y_fine = _blocked_response(a, b, c, d, u_fine)
+    fine = DiscreteSS(a, b[:, np.newaxis], c[np.newaxis], np.array([[d]]), ts_fine)
+    y_fine = run_state_space(fine, u_fine[:, np.newaxis])[:, 0]
     n_delay = int(round(plant.delay_s / ts_fine))
     if n_delay:
         y_fine = np.concatenate([np.zeros(n_delay), y_fine[:-n_delay]])

@@ -730,17 +730,38 @@ class TestMergedRefinement:
     )
     def test_margins_requests_no_bandwidth(self, tmp_path, surrogate_raw, capsys, key, value):
         # |T_yr| leaves so narrow a band, or the grid starts so high, that a
-        # bandwidth cannot be bracketed: design fails, margins does not ask
+        # bandwidth cannot be bracketed: design rejects the key that sets
+        # the band or the grid start, margins does not ask
         surrogate_raw[key[0]][key[1]] = value
         p = write(tmp_path, surrogate_raw)
         assert run_command("margins", p, tmp_path / "margins") == 0
         expected = json_bytes(public_margins(_DesignContext(parse_config_dict(surrogate_raw))))
         assert (tmp_path / "margins" / "margins.json").read_bytes() == expected
         capsys.readouterr()
-        assert run_command("design", p, tmp_path / "design") == 1
-        assert capsys.readouterr().err == (
-            "error: |T| already outside the band at the grid start\n"
+        assert run_command("design", p, tmp_path / "design") == 2
+        assert capsys.readouterr().err == {
+            "bound_db": "config error at targets.bound_db: "
+            "|T_yr| is 0.000799 dB at 1 Hz, outside the +/-1e-09 dB band\n",
+            "f_min_hz": "config error at grid.f_min_hz: "
+            "|T_yr| is -20.3 dB at 2000 Hz, outside the +/-1 dB band\n",
+        }[key[1]]
+        assert not (tmp_path / "design").exists()
+
+    def test_band_start_names_grid_override(self, tmp_path, surrogate_raw, capsys):
+        # the same grid start from the flag names the flag, in design and sweep
+        p = write(tmp_path, surrogate_raw)
+        want = (
+            "config error at --grid-override: "
+            "|T_yr| is -20.3 dB at 2000 Hz, outside the +/-1 dB band\n"
         )
+        assert run_command("design", p, tmp_path / "d", grid_override="2000,10000,50") == 2
+        assert capsys.readouterr().err == want
+        status = run_command(
+            "sweep", p, tmp_path / "s", grid_override="2000,10000,50",
+            param="nrc.n", values=["8"],
+        )
+        assert status == 2 and capsys.readouterr().err == want
+        assert not (tmp_path / "d").exists() and not (tmp_path / "s").exists()
 
 
 class TestSummarize:

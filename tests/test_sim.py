@@ -390,7 +390,7 @@ class TestClosedLoopStateSpace:
         # simulate's contract against the previous release, a per-sample run
         # of the polynomial path's blocks, and the closed-loop spectral radius
         # within 1e-10 relative. The companion forms in z grow too much in
-        # transient for a blocked run (see _blocked_response), so the
+        # transient for a blocked run (see run_state_space), so the
         # per-sample reference loop runs them.
         blocks, (r, d, n) = loop_case(surrogate_raw, variant)
         old, _ = loop_case(surrogate_raw, variant, old_discretize)
@@ -477,10 +477,12 @@ class TestClosedLoopStateSpace:
             2.0 * np.concatenate([np.zeros(3), u[:-3]]),
         )
 
-    def test_runner_matches_per_sample_loop(self):
-        # a stable 2-in, 2-out order-4 block with a 3-sample input delay, on a
-        # record that crosses a 64 x 2048-sample chunk and ends in a ragged
-        # block, against a per-sample loop
+    @pytest.mark.parametrize("n_in, n_out", [(2, 2), (3, 2), (1, 3)])
+    def test_runner_matches_per_sample_loop(self, n_in, n_out):
+        # a stable order-4 block with a 3-sample input delay, on a record
+        # that crosses a 64 x 2048-sample chunk and ends in a ragged block,
+        # against a per-sample loop; the non-square cases catch a transposed
+        # tap or observability layout
         rng = np.random.default_rng(7)
         q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
         rot = [[0.99 * np.cos(0.3), -0.99 * np.sin(0.3), 0.0, 0.0],
@@ -488,21 +490,22 @@ class TestClosedLoopStateSpace:
                [0.0, 0.0, 0.95, 0.0],
                [0.0, 0.0, 0.0, -0.5]]
         a = q @ np.array(rot) @ q.T
-        b, c, d = rng.normal(size=(4, 2)), rng.normal(size=(2, 4)), rng.normal(size=(2, 2))
+        b, c = rng.normal(size=(4, n_in)), rng.normal(size=(n_out, 4))
+        d = rng.normal(size=(n_out, n_in))
         blk = DiscreteSS(a, b, c, d, TS, input_delay_samples=3)
         nsamp = 64 * 2048 + 3 * 2048 + 517
-        w = rng.normal(size=(nsamp, 2))
+        w = rng.normal(size=(nsamp, n_in))
         got = run_state_space(blk, w)
 
-        w_late = np.concatenate([np.zeros((3, 2)), w[:-3]])
+        w_late = np.concatenate([np.zeros((3, n_in)), w[:-3]])
         states = np.zeros((nsamp, 4))
         x = np.zeros(4)
         for k, drive in enumerate(w_late @ b.T):
             states[k] = x
             x = a @ x + drive
         want = states @ c.T + w_late @ d.T
-        assert got.shape == (nsamp, 2)
-        for i in range(2):
+        assert got.shape == (nsamp, n_out)
+        for i in range(n_out):
             assert np.max(np.abs(got[:, i] - want[:, i])) <= 1e-12 * np.max(np.abs(want[:, i]))
 
         # a power-of-two diagonal similarity scales every term of every sum
