@@ -64,25 +64,17 @@ from .sim import (
 
 TWO_PI = 2.0 * math.pi
 
-COMMANDS = (
-    "bode",
-    "design",
-    "rootlocus",
-    "sens",
-    "margins",
-    "simulate",
-    "identify",
-    "sweep",
-)
-
-# Config sections a command needs, checked in this order before --out is
-# made; sweep checks design's on the config of every value.
-REQUIRED_SECTIONS = {
+# Each command and the config sections it needs, checked in this order
+# before --out is made; sweep checks design's on the config of every value.
+COMMANDS = {
+    "bode": (),
     "design": ("tracker", "nrc"),
     "rootlocus": ("nrc",),
     "sens": ("nrc",),
     "margins": ("nrc",),
     "simulate": ("sim", "nrc", "tracker"),
+    "identify": (),
+    "sweep": (),
 }
 
 
@@ -593,7 +585,7 @@ def _margins_dict(rep: MarginsReport) -> dict:
     return {"gain_margin_db": rep.gain_margin_db, "crossovers": _crossovers(rep)}
 
 
-def run_simulate(cfg: SimpleNamespace, out_dir: Path, seed=None) -> dict:
+def run_simulate(cfg: SimpleNamespace, out_dir: Path) -> dict:
     """Simulate the sampled dual loop; a loop whose closed-loop spectral
     radius exceeds 1 diverges and is refused before it runs."""
     ctx = _DesignContext(cfg)
@@ -606,18 +598,12 @@ def run_simulate(cfg: SimpleNamespace, out_dir: Path, seed=None) -> dict:
         raise ValueError(
             f"simulation diverged: closed-loop spectral radius {rho:.6g} > 1"
         )
-    ref = cfg.sim.reference
-    r = make_reference(ref.kind, ref.amplitude, ts, cfg.sim.duration_s, ref.freq_hz)
-    use_seed = cfg.sim.seed if seed is None else seed
-    n = (
-        make_uniform_noise(use_seed, cfg.sim.noise_amplitude, r.size)
-        if cfg.sim.noise_amplitude > 0.0
-        else np.zeros(r.size)
-    )
-    if cfg.sim.disturbance_amplitude > 0.0 and cfg.sim.disturbance_freq_hz > 0.0:
-        t = np.arange(r.size) * ts
-        d = cfg.sim.disturbance_amplitude * np.sin(
-            TWO_PI * cfg.sim.disturbance_freq_hz * t
+    sim, ref = cfg.sim, cfg.sim.reference
+    r = make_reference(ref.kind, ref.amplitude, ts, sim.duration_s, ref.freq_hz)
+    n = make_uniform_noise(sim.seed, sim.noise_amplitude, r.size)
+    if sim.disturbance_amplitude > 0.0 and sim.disturbance_freq_hz > 0.0:
+        d = make_reference(
+            "sine", sim.disturbance_amplitude, ts, sim.duration_s, sim.disturbance_freq_hz
         )
     else:
         d = np.zeros(r.size)
@@ -629,7 +615,7 @@ def run_simulate(cfg: SimpleNamespace, out_dir: Path, seed=None) -> dict:
     metrics = {
         "e_max": e_max,
         "e_rms": e_rms,
-        "seed": use_seed,
+        "seed": sim.seed,
         "closed_loop_spectral_radius": rho,
     }
     if ref.kind == "sine":
@@ -667,25 +653,22 @@ def run_identify(cfg: SimpleNamespace, out_dir: Path) -> dict:
     return summary
 
 
-def _sweep_configs(cfg_raw: dict, param: str, values) -> list:
-    """The validated config of each sweep value: ``cfg_raw`` with the dotted
-    key ``param`` set to it."""
-    configs = []
-    *head, last = param.split(".")
-    for v in values:
-        raw = json.loads(json.dumps(cfg_raw))
-        node = raw
-        for key in head:
-            if node.get(key) is None:  # null counts as absent
-                node[key] = {}
-            node = node[key]
-            if not isinstance(node, dict):
-                _fail("--param", f"{param!r} passes through {key!r}, which is not an object")
-        node[last] = v
-        cfg = parse_config_dict(raw)
-        _require_sections("design", cfg)
-        configs.append(cfg)
-    return configs
+def _edit(raw: dict, key: str, value) -> dict:
+    """A copy of the raw config ``raw`` with the dotted ``key`` set to
+    ``value``; an absent or null object on the way is made. The file is
+    validated before any edit, so only a ``--param`` key can pass through a
+    non-object."""
+    raw = json.loads(json.dumps(raw))
+    node = raw
+    *head, last = key.split(".")
+    for k in head:
+        if node.get(k) is None:  # null counts as absent
+            node[k] = {}
+        node = node[k]
+        if not isinstance(node, dict):
+            _fail("--param", f"{key!r} passes through {k!r}, which is not an object")
+    node[last] = value
+    return raw
 
 
 def run_sweep(configs, out_dir: Path, param: str, values, exact_tan60=False) -> dict:
@@ -715,19 +698,21 @@ def _write_json(path: Path, payload) -> None:
     )
 
 
-def _require_sections(cmd: str, cfg: SimpleNamespace) -> None:
-    for section in REQUIRED_SECTIONS.get(cmd, ()):
+def _require_sections(cmd: str, cfg: SimpleNamespace) -> SimpleNamespace:
+    """``cfg``, checked to hold every section ``cmd`` needs."""
+    for section in COMMANDS.get(cmd, ()):
         if getattr(cfg, section) is None:
             article = "an" if section == "nrc" else "a"
             raise ConfigError(
                 f"config error at {section}: {cmd} needs {article} {section} section"
             )
+    return cfg
 
 
 def run_command(cmd: str, cfg_path, out_dir, **kwargs) -> int:
     """Dispatch a CLI command; returns the process exit status.
 
-    The config, the overrides and the sections the command needs are all
+    The config, the flags and the sections the command needs are all
     checked before ``out_dir`` is made, so a config error leaves no
     directory behind; a command that fails later removes ``out_dir`` if it
     made it and nothing was written there.
@@ -741,29 +726,42 @@ def run_command(cmd: str, cfg_path, out_dir, **kwargs) -> int:
 
 
 def _dispatch(cmd: str, cfg_path, out: Path, kwargs: dict) -> int:
+    """Run ``cmd``. The file is validated first, so its errors name its keys;
+    then each flag that sets a config value edits the raw config, and an
+    error at a key a flag set names the flag."""
+    flags = {}  # dotted config key -> the flag that set it
     try:
-        values = _sweep_values(kwargs["values"]) if cmd == "sweep" else ()
+        values = _sweep_values(kwargs.get("values")) if cmd == "sweep" else ()
         raw = _read_config_json(cfg_path)
-        raw, cfg = _parse_with_grid_override(raw, kwargs.get("grid_override"))
-        _require_sections(cmd, cfg)
+        cfg = _require_sections(cmd, parse_config_dict(raw))
+        if kwargs.get("grid_override") is not None:
+            flags["grid"] = "--grid-override"
+            try:
+                fmin, fmax, ppd = kwargs["grid_override"].split(",")
+                grid = dict(f_min_hz=float(fmin), f_max_hz=float(fmax), pts_per_decade=int(ppd))
+            except ValueError:
+                _fail("--grid-override", "expected fmin,fmax,ppd")
+            raw = _edit(raw, "grid", grid)
+        if cmd == "simulate" and kwargs.get("seed") is not None:
+            flags["sim.seed"] = "--seed"
+            raw = _edit(raw, "sim.seed", kwargs["seed"])
+        if flags:
+            cfg = parse_config_dict(raw)
         locus = _locus_flags(kwargs) if cmd == "rootlocus" else ()
-        seed = kwargs.get("seed")
-        if cmd == "simulate" and seed is not None:
-            seed = _leaf(INT_GE0, seed, "--seed")
-        configs = _sweep_configs(raw, kwargs["param"], values) if cmd == "sweep" else ()
+        if cmd == "sweep":  # --values sets the --param key, so its errors name the key
+            flags[kwargs["param"]] = kwargs["param"]
+        configs = [
+            _require_sections("design", parse_config_dict(_edit(raw, kwargs["param"], v)))
+            for v in values
+        ]
         out.mkdir(parents=True, exist_ok=True)
+        exact_tan60 = kwargs.get("exact_tan60", False)
         if cmd == "sweep":
-            run_sweep(
-                configs,
-                out,
-                kwargs["param"],
-                values,
-                exact_tan60=kwargs.get("exact_tan60", False),
-            )
+            run_sweep(configs, out, kwargs["param"], values, exact_tan60=exact_tan60)
         elif cmd == "bode":
             run_bode(cfg, out)
         elif cmd == "design":
-            run_design(cfg, out, exact_tan60=kwargs.get("exact_tan60", False))
+            run_design(cfg, out, exact_tan60=exact_tan60)
         elif cmd == "rootlocus":
             run_rootlocus(cfg, out, *locus)
         elif cmd == "sens":
@@ -771,7 +769,7 @@ def _dispatch(cmd: str, cfg_path, out: Path, kwargs: dict) -> int:
         elif cmd == "margins":
             run_margins(cfg, out)
         elif cmd == "simulate":
-            run_simulate(cfg, out, seed=seed)
+            run_simulate(cfg, out)
         elif cmd == "identify":
             run_identify(cfg, out)
         else:
@@ -779,9 +777,10 @@ def _dispatch(cmd: str, cfg_path, out: Path, kwargs: dict) -> int:
             return 2
         return 0
     except ConfigError as exc:
-        message = str(exc)
-        if kwargs.get("grid_override") is not None:  # the flag, not the file, set the grid
-            message = message.replace("at grid.f_min_hz:", "at --grid-override:")
+        at, _, rest = str(exc).partition(":")
+        at = at.removeprefix("config error at ")
+        owners = [key for key in flags if at == key or at.startswith(key + ".")]
+        message = f"config error at {flags[max(owners, key=len)]}:{rest}" if owners else str(exc)
         print(message, file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:
@@ -792,6 +791,8 @@ def _dispatch(cmd: str, cfg_path, out: Path, kwargs: dict) -> int:
 def _sweep_values(values) -> list:
     """The ``--values`` items as finite floats whose ``%g`` forms, which
     name their output directories, are distinct."""
+    if values is None:
+        _fail("--values", "sweep needs a comma-separated list of numbers")
     out, seen = [], {}
     for v in values:
         try:
@@ -806,27 +807,6 @@ def _sweep_values(values) -> list:
         seen[name] = v
         out.append(x)
     return out
-
-
-def _parse_with_grid_override(raw: dict, grid_override) -> tuple:
-    """The config ``raw``, validated, then again with its grid replaced by
-    ``--grid-override``; a grid the schema rejects names the flag. Returns
-    the raw config with the override applied and its validated form."""
-    cfg = parse_config_dict(raw)
-    if grid_override is None:
-        return raw, cfg
-    try:
-        fmin, fmax, ppd = grid_override.split(",")
-        grid = {"f_min_hz": float(fmin), "f_max_hz": float(fmax), "pts_per_decade": int(ppd)}
-    except ValueError:
-        raise ConfigError("config error at --grid-override: expected fmin,fmax,ppd")
-    raw = {**raw, "grid": grid}
-    try:
-        return raw, parse_config_dict(raw)
-    except ConfigError as exc:
-        if str(exc).startswith("config error at grid"):
-            raise ConfigError("config error at --grid-override: invalid grid") from None
-        raise  # a check across sections, such as the sim Nyquist guard
 
 
 # The batched root locus peaks at about 270 bytes per point of n, so this
@@ -859,7 +839,7 @@ def main(argv=None) -> int:
         "--grid-override", default=None, metavar="FMIN,FMAX,PPD",
         help="replace the config frequency grid",
     )
-    parser.add_argument("--seed", type=int, default=None, help="override sim seed")
+    parser.add_argument("--seed", type=int, default=None, help="simulate: set sim.seed")
     parser.add_argument(
         "--exact-tan60", action="store_true",
         help="use tan(60 deg) instead of 1.75 in the PM feasibility rule",
@@ -871,31 +851,15 @@ def main(argv=None) -> int:
         "--param", default="nrc.n", help="sweep: dotted config key to vary"
     )
     parser.add_argument(
-        "--values", default=None,
+        "--values", default=None, type=lambda text: text.split(","),
         help="sweep: comma-separated numeric values for --param",
     )
     argv = list(sys.argv[1:] if argv is None else argv)
     if "--values" in argv[:-1]:  # argparse takes a list such as -3,6 for an option
         i = argv.index("--values")
         argv[i : i + 2] = ["--values=" + argv[i + 1]]
-    args = parser.parse_args(argv)
-
-    kwargs = dict(
-        grid_override=args.grid_override,
-        seed=args.seed,
-        exact_tan60=args.exact_tan60,
-        n_min=args.n_min,
-        n_max=args.n_max,
-        n_points=args.n_points,
-    )
-    if args.command == "sweep":
-        if not args.values:
-            print("sweep needs --values", file=sys.stderr)
-            return 2
-        kwargs["param"] = args.param
-        kwargs["values"] = args.values.split(",")
-    return run_command(args.command, args.config, args.out, **kwargs)
-
+    args = vars(parser.parse_args(argv))
+    return run_command(args.pop("command"), args.pop("config"), args.pop("out"), **args)
 
 if __name__ == "__main__":
     sys.exit(main())

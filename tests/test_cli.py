@@ -11,7 +11,14 @@ import pytest
 
 import nrcdamp
 import nrcdamp.tracking
-from nrcdamp import bandwidth, freq_response, log_grid, margins, objective_report
+from nrcdamp import (
+    bandwidth,
+    freq_response,
+    log_grid,
+    margins,
+    objective_report,
+    pm_feasibility,
+)
 from nrcdamp.cli import (
     COMMANDS,
     MAX_LOCUS_POINTS,
@@ -89,6 +96,25 @@ MALFORMED = [
         "config error at sim.duration_s: must hold one whole sine cycle after the skipped "
         "transient",
     ),
+    (
+        "design",
+        "grid",
+        {"f_min_hz": 2000.0, "f_max_hz": 1000.0},
+        "config error at grid: f_min_hz must be < f_max_hz",
+    ),
+    (
+        "simulate",
+        "sim.reference.freq_hz",
+        0.0,
+        "config error at sim.reference.freq_hz: must be > 0",
+    ),
+    (
+        "simulate",
+        "sim.reference.kind",
+        "ramp",
+        "config error at sim.reference.kind: must be 'step' or 'sine'",
+    ),
+    ("design", "plant.gain", "x", "config error at plant.gain: must be a number"),
 ]
 
 
@@ -212,6 +238,36 @@ class TestCommands:
             assert min(c["phase_margin_deg"] for c in outer["crossovers"]) == pytest.approx(
                 44.81, abs=0.01
             )
+
+    def test_exact_tan60_changes_only_pm_feasibility(self, tmp_path, surrogate_raw):
+        p = write(tmp_path, surrogate_raw)
+        argv = ["design", str(p), "--out"]
+        assert main(argv + [str(tmp_path / "default")]) == 0
+        assert main(argv + [str(tmp_path / "exact"), "--exact-tan60"]) == 0
+        default, exact = (
+            json.loads((tmp_path / name / "summary.json").read_text())
+            for name in ("default", "exact")
+        )
+        fz = exact.pop("pm_feasibility")
+        assert fz["value"] == pm_feasibility(fz["nu"], surrogate_raw["nrc"]["n"], True)[0]
+        assert fz["value"] == pytest.approx(290.190, abs=1e-3)
+        assert default.pop("pm_feasibility")["value"] == pytest.approx(294.417, abs=1e-3)
+        assert exact == default
+
+    def test_tracker_corner_at_grid_end(self, tmp_path, surrogate_raw):
+        # |C_t| of a bare PI with kp 20 stays above the O2 threshold up to
+        # the grid end, so O2 reads the grid end
+        surrogate_raw["tracker"] = {"kp": 20.0, "omega_i_hz": 28.0}
+        out = tmp_path / "out"
+        assert run_command("design", write(tmp_path, surrogate_raw), out) == 0
+        corner = json.loads((out / "summary.json").read_text())["objectives"]["tracker_corner"]
+        assert corner["value"] == pytest.approx(surrogate_raw["grid"]["f_max_hz"], rel=1e-12)
+
+    def test_seed_flag_sets_sim_seed(self, tmp_path, surrogate_raw):
+        out = tmp_path / "out"
+        argv = ["simulate", str(write(tmp_path, surrogate_raw)), "--seed", "7"]
+        assert main(argv + ["--out", str(out)]) == 0
+        assert json.loads((out / "metrics.json").read_text())["seed"] == 7
 
     def test_marginal_verdict_line(self, tmp_path, surrogate_raw):
         raw = surrogate_raw
@@ -556,12 +612,18 @@ class TestCommands:
             ),
             (
                 ["sweep", "--values", "4", "--grid-override", "0,100,50"],
-                "config error at --grid-override: invalid grid",
+                "config error at --grid-override: must be > 0",
             ),
             (["simulate", "--seed", "-1"], "config error at --seed: must be >= 0"),
             (  # refused before the locus array is allocated
                 ["rootlocus", "--n-points", "10000000000000"],
                 "config error at --n-points: must be <= 1000000",
+            ),
+            (["sweep"], "config error at --values: sweep needs a comma-separated list"),
+            (  # --values, not --grid-override, set the key that breaks its rule
+                ["sweep", "--param", "grid.pts_per_decade", "--values", "1"]
+                + ["--grid-override", "1,100,50"],
+                PPD_RULE,
             ),
         ],
     )
