@@ -77,6 +77,16 @@ COMMANDS = {
     "sweep": (),
 }
 
+# Bounds on the arrays a run allocates, each near 400 MB of peak RSS at the
+# bytes per item measured on the command (grids of 40,001 to 400,001 points,
+# records of 0.17 to 13.3 M samples).
+MAX_GRID_POINTS = 1_000_000  # design and sens: about 370 B per grid point
+MAX_SIM_SAMPLES = 5_000_000  # simulate: about 72 B per sample
+MAX_IDENTIFY_SAMPLES = 16_000_000  # identify: about 25 B per sample of its 8x run
+# The batched root locus peaks at about 270 bytes per point of n, so this
+# bounds it near 270 MB.
+MAX_LOCUS_POINTS = 1_000_000
+
 
 class ConfigError(ValueError):
     """Configuration rejected; message names the offending key."""
@@ -149,7 +159,7 @@ SCHEMA = {
 
 def _leaf(rule: str, value, at: str):
     """``value`` checked against a leaf rule; numbers come back as float,
-    integers as int."""
+    integers as int (a given int exactly)."""
     if rule == KIND:
         if value not in ("step", "sine"):
             _fail(at, f"must be {rule}")
@@ -169,7 +179,7 @@ def _leaf(rule: str, value, at: str):
     if rule in (INT_GE2, INT_GE0):
         if not x.is_integer() or rule == INT_GE2 and x < 2.0:
             _fail(at, f"must be {rule}")
-        return int(x)
+        return value if isinstance(value, int) else int(x)
     return x
 
 
@@ -243,8 +253,11 @@ def parse_config_dict(raw: dict) -> SimpleNamespace:
         # kp is not known before tuning; 1 stands in while the notches are checked
         _build("tracker", TrackerSpec, pi=PiSpec(kp=1.0), notches=tr.notches)
 
-    if cfg.grid.f_min_hz >= cfg.grid.f_max_hz:
+    g = cfg.grid
+    if g.f_min_hz >= g.f_max_hz:
         _fail("grid", "f_min_hz must be < f_max_hz")
+    if math.log10(g.f_max_hz / g.f_min_hz) * g.pts_per_decade + 1.0 > MAX_GRID_POINTS:
+        _fail("grid.pts_per_decade", f"must keep the grid to at most {MAX_GRID_POINTS} points")
 
     sim = cfg.sim
     if sim is not None:
@@ -412,10 +425,7 @@ def run_design(cfg: SimpleNamespace, out_dir: Path, exact_tan60: bool = False) -
     bw = dict(zip(bounds, bws))
     margins_out = ctx.margins_json(outer, dual)
 
-    hi_band = (grid[-1] / math.sqrt(10.0), grid[-1])
-    objectives = _scorecard(
-        bundle, bw[3.0], w_ct, float(np.abs(at_n.ld)), ctx.omega_n, hi_band
-    )
+    objectives = _scorecard(bundle, bw[3.0], w_ct, float(np.abs(at_n.ld)), ctx.omega_n)
 
     feasibility = None
     if ctx.nu is not None:
@@ -540,15 +550,11 @@ def run_bode(cfg: SimpleNamespace, out_dir: Path) -> dict:
 def run_rootlocus(
     cfg: SimpleNamespace, out_dir: Path, n_min=0.1, n_max=10.0, n_points=500
 ) -> dict:
-    first = cfg.plant.to_spec().modes[0]
-    single = PlantSpec(gain=cfg.plant.gain, modes=(first,))
-    trace = root_locus_n(
-        single, cfg.nrc.gamma, np.geomspace(n_min, n_max, int(n_points))
-    )
+    first = cfg.plant.modes[0]
+    w, zeta, gamma = first.omega_rad_s, first.zeta, cfg.nrc.gamma
+    trace = root_locus_n(w, zeta, gamma, np.geomspace(n_min, n_max, int(n_points)))
     locus_to_csv(trace, out_dir / "rootlocus.csv")
-    report = routh_cubic(
-        inner_charpoly(first.omega_rad_s, first.zeta, cfg.nrc.gamma, cfg.nrc.n)
-    )
+    report = routh_cubic(inner_charpoly(w, zeta, gamma, cfg.nrc.n))
     summary = {
         "bifurcation_n": trace.bifurcation_n,
         "configured_n": cfg.nrc.n,
@@ -588,8 +594,10 @@ def _margins_dict(rep: MarginsReport) -> dict:
 def run_simulate(cfg: SimpleNamespace, out_dir: Path) -> dict:
     """Simulate the sampled dual loop; a loop whose closed-loop spectral
     radius exceeds 1 diverges and is refused before it runs."""
-    ctx = _DesignContext(cfg)
     ts = cfg.sim.ts_s
+    if round(cfg.sim.duration_s / ts) > MAX_SIM_SAMPLES:
+        _fail("sim.duration_s", f"must last at most {MAX_SIM_SAMPLES} samples of ts_us")
+    ctx = _DesignContext(cfg)
     plant_d = discretize(ctx.plant_tf, ts)
     tracker_d = discretize(ctx.ct_tf, ts)
     nrc_d = discretize(ctx.cd_tf, ts)
@@ -630,8 +638,10 @@ def run_identify(cfg: SimpleNamespace, out_dir: Path) -> dict:
     fs = 1.0 / cfg.sim.ts_s if cfg.sim is not None else 33300.0
     duration = 10.0  # fixed sweep preset: 10 Hz .. 5 kHz over 10 s
     f_hi = min(5000.0, 0.4 * fs)
-    # the record open_loop_response returns, sampled 8x finer then decimated
-    size = len(range(0, round(duration * (fs * 8)), 8))
+    fine = round(duration * (fs * 8))  # open_loop_response runs 8x finer, then decimates
+    if fine > MAX_IDENTIFY_SAMPLES:
+        _fail("sim.ts_us", f"too fast to identify: the sweep needs > {MAX_IDENTIFY_SAMPLES} samples")
+    size = len(range(0, fine, 8))
     seg = min(1 << max(10, int(math.log2(size / 5.0))), size // 2)
     freqs = np.fft.rfftfreq(seg, 1.0 / fs)  # the Welch bins
     band = (freqs > 50.0) & (freqs < f_hi)
@@ -807,11 +817,6 @@ def _sweep_values(values) -> list:
         seen[name] = v
         out.append(x)
     return out
-
-
-# The batched root locus peaks at about 270 bytes per point of n, so this
-# bounds it near 270 MB.
-MAX_LOCUS_POINTS = 1_000_000
 
 
 def _locus_flags(kwargs: dict) -> tuple:

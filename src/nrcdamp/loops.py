@@ -210,35 +210,29 @@ def _cubic_roots(coeffs) -> np.ndarray:
     return np.take_along_axis(roots, order, axis=-1)
 
 
-def root_locus_n(plant: PlantSpec, gamma: float, n_grid) -> RootLocusTrace:
-    """Track the resonant pole pair of the inner loop over corner ratios n.
+def root_locus_n(omega_n: float, zeta_n: float, gamma: float, n_grid) -> RootLocusTrace:
+    """Track the resonant pole pair of the delay-free inner loop around the
+    mode (omega_n, zeta_n) over corner ratios n > 0.
 
-    Single-mode, delay-free plants and n > 0 only. Pole branches are
-    continued by nearest-neighbor matching between consecutive grid points;
-    the bifurcation ratio (first n at which the characteristic cubic's
-    discriminant is >= 0, so the pair is real) is refined by the geometric
-    bisection of :func:`tracking._bisect`, to 1e-12 relative. None is
-    reported when the pair never bifurcates on the grid.
+    Pole branches are continued by nearest-neighbor matching between
+    consecutive grid points; the bifurcation ratio (first n at which the
+    characteristic cubic's discriminant is >= 0, so the pair is real) is
+    refined by the geometric bisection of :func:`tracking._bisect`, to 1e-12
+    relative. None is reported when the pair never bifurcates on the grid.
     """
-    if len(plant.modes) != 1:
-        raise ValueError("root_locus_n expects a single-mode plant")
-    if plant.delay_s != 0.0:
-        raise ValueError("root_locus_n expects a delay-free plant")
     n_values = np.asarray(list(n_grid), dtype=float)
     if n_values.size < 2 or np.any(np.diff(n_values) <= 0.0):
         raise ValueError("n_grid must be strictly increasing with >= 2 points")
     if n_values[0] <= 0.0:
         raise ValueError("n_grid must be > 0")
 
-    w = plant.omega_n
-    zeta = plant.modes[0].zeta
-    roots = _cubic_roots(_charpoly_coeffs(w, zeta, gamma, n_values))
+    roots = _cubic_roots(_charpoly_coeffs(omega_n, zeta_n, gamma, n_values))
     p2 = np.empty(n_values.size, dtype=complex)
     p3 = np.empty(n_values.size, dtype=complex)
     # start the pair on the conjugate roots; fall back to the two
     # largest-magnitude roots when the pair is already real
     by_imag = sorted(roots[0], key=lambda r: -abs(r.imag))
-    if abs(by_imag[0].imag) > REAL_POLE_REL_TOL * w:
+    if abs(by_imag[0].imag) > REAL_POLE_REL_TOL * omega_n:
         p2[0], p3[0] = sorted(by_imag[:2], key=lambda r: -r.imag)
     else:
         p2[0], p3[0] = sorted(roots[0], key=lambda r: -abs(r))[:2]
@@ -249,7 +243,7 @@ def root_locus_n(plant: PlantSpec, gamma: float, n_grid) -> RootLocusTrace:
         cost = np.abs(pairs[:, 0] - p2[i - 1]) + np.abs(pairs[:, 1] - p3[i - 1])
         p2[i], p3[i] = pairs[cost.argmin()]
 
-    disc = functools.partial(_pair_discriminant, zeta, gamma)
+    disc = functools.partial(_pair_discriminant, zeta_n, gamma)
     values = disc(n_values)
     hits = np.flatnonzero(values >= 0.0)
     bifurcation_n = None

@@ -71,12 +71,8 @@ class Polynomial:
         """Evaluate at scalar or array argument (real or complex)."""
         return np.polynomial.polynomial.polyval(s, self.coeffs)
 
-    def __mul__(self, other):
-        if isinstance(other, Polynomial):
-            return Polynomial(np.convolve(self.coeffs, other.coeffs))
-        return Polynomial(self.coeffs * float(other))
-
-    __rmul__ = __mul__
+    def __mul__(self, other: "Polynomial") -> "Polynomial":
+        return Polynomial(np.convolve(self.coeffs, other.coeffs))
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         n = max(len(self.coeffs), len(other.coeffs))
@@ -87,9 +83,6 @@ class Polynomial:
         out[: len(other.coeffs)] += other.coeffs
         ref[: len(other.coeffs)] += np.abs(other.coeffs)
         return Polynomial(trim_coeffs(out, ref=ref))
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-1.0) * other
 
     def __repr__(self):
         return f"Polynomial({list(self.coeffs)})"

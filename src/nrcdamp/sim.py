@@ -333,17 +333,16 @@ def tracking_metrics(r, y) -> tuple[float, float]:
     return float(np.max(np.abs(e))), float(np.sqrt(np.mean(e * e)))
 
 
-def sinusoid_phasor(x, f_hz: float, ts: float, skip_frac: float = SINE_SKIP_FRAC) -> complex:
+def sinusoid_phasor(x, f_hz: float, ts: float) -> complex:
     """Steady-state complex amplitude of x at frequency f.
 
-    Projects the tail of the record (after skip_frac of it) onto the
+    Projects the tail of the record (after SINE_SKIP_FRAC of it) onto the
     quadrature pair at f over a whole number of cycles. Ratios of phasors
     extracted from two signals with the same arguments give the complex
     gain between them.
     """
     x = np.asarray(x, dtype=float)
-    start = int(x.size * skip_frac)
-    tail = x[start:]
+    tail = x[int(x.size * SINE_SKIP_FRAC) :]
     cycles = int(math.floor(tail.size * ts * f_hz))
     if cycles < 1:
         raise ValueError("record too short for one whole cycle after skipping")
@@ -354,9 +353,9 @@ def sinusoid_phasor(x, f_hz: float, ts: float, skip_frac: float = SINE_SKIP_FRAC
     return complex(2.0 * np.mean(tail * np.exp(-1j * ph)))
 
 
-def sinusoid_amplitude(x, f_hz: float, ts: float, skip_frac: float = SINE_SKIP_FRAC) -> float:
+def sinusoid_amplitude(x, f_hz: float, ts: float) -> float:
     """Steady-state amplitude of x at frequency f (see sinusoid_phasor)."""
-    return abs(sinusoid_phasor(x, f_hz, ts, skip_frac))
+    return abs(sinusoid_phasor(x, f_hz, ts))
 
 
 def log_chirp(
@@ -415,12 +414,10 @@ def open_loop_response(
     plant: PlantSpec,
     fs: float,
     duration_s: float = 10.0,
-    amplitude: float = 0.1,
     oversample: int = 8,
-    f0: float = 10.0,
     f1: float = 5000.0,
 ):
-    """Chirp-driven open-loop run of a plant, sampled at fs.
+    """Run of a plant driven by ``log_chirp`` up to ``f1``, sampled at fs.
 
     The plant is integrated at ``oversample`` times the output rate (the
     excitation is evaluated directly at the fine rate, as a continuous
@@ -433,7 +430,7 @@ def open_loop_response(
     if oversample < 1:
         raise ValueError("oversample must be >= 1")
     fs_fine = fs * oversample
-    u_fine = log_chirp(fs_fine, duration_s, f0=f0, f1=f1, amplitude=amplitude)
+    u_fine = log_chirp(fs_fine, duration_s, f1=f1)
     ts_fine = 1.0 / fs_fine
     a, b, c, d = _bilinear_state_space(*modal_state_space(plant), 0.0, ts_fine)
     fine = DiscreteSS(a, b[:, np.newaxis], c[np.newaxis], np.array([[d]]), ts_fine)

@@ -420,7 +420,7 @@ class ObjectiveReport:
     1. tracking bandwidth (+/-3 dB band-exit of T_yr),
     2. high-gain tracker corner (largest omega with |C_t| above threshold),
     3. loop gain at the resonance (damping authority),
-    4. peak loop gain in the high band (noise feedthrough).
+    4. peak loop gain in the grid's top half-decade (noise feedthrough).
     """
 
     bandwidth: ObjectiveResult
@@ -446,7 +446,7 @@ def _corner_plan(grid, ct, field=None):
     return [corner], report
 
 
-def _scorecard(bundle, bw3, w_ct: float, ld_res: float, omega_n: float, hi_band):
+def _scorecard(bundle, bw3, w_ct: float, ld_res: float, omega_n: float):
     """``objective_report`` from its refined values: the tracker corner
     ``w_ct`` and the resonance loop gain ``ld_res``."""
     grid = bundle.grid
@@ -462,11 +462,7 @@ def _scorecard(bundle, bw3, w_ct: float, ld_res: float, omega_n: float, hi_band)
         target=MIN_RESONANCE_LOOP_GAIN,
         passed=ld_res >= MIN_RESONANCE_LOOP_GAIN,
     )
-    lo, hi = hi_band
-    sel = (grid >= lo) & (grid <= hi)
-    if not sel.any():
-        raise ValueError("hi_band does not intersect the grid")
-    ld_hi = float(np.max(np.abs(bundle.loop_gain[sel])))
+    ld_hi = float(np.max(np.abs(bundle.loop_gain[grid >= grid[-1] / math.sqrt(10.0)])))
     o4 = ObjectiveResult(
         value=ld_hi,
         target=MAX_HIGHBAND_LOOP_GAIN,
@@ -484,17 +480,16 @@ def objective_report(
     ct_eval,
     ld_eval,
     omega_n: float,
-    hi_band,
 ) -> ObjectiveReport:
     """Evaluate the four shaping objectives against their targets.
 
     ``bw3`` is the +/-3 dB bandwidth of T_yr and ``ct`` is C_t on the grid;
     ``ct_eval`` and ``ld_eval`` map omega to C_t and L_D. The tracker corner
     is refined where |C_t| crosses its threshold and the resonance loop
-    gain is |L_D(i w_n)|.
+    gain is |L_D(i w_n)|; the high band is the grid's top half-decade.
     """
     (w_ct,) = _refine([_corner_plan(bundle.grid, ct)], ct_eval)
-    return _scorecard(bundle, bw3, w_ct, float(np.abs(ld_eval(omega_n))), omega_n, hi_band)
+    return _scorecard(bundle, bw3, w_ct, float(np.abs(ld_eval(omega_n))), omega_n)
 
 
 def bundle_to_csv(bundle: SensitivityBundle, path) -> None:

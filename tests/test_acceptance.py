@@ -56,10 +56,9 @@ def test_criterion_2_bifurcation_thresholds():
     desc = "root locus recovers the complete-damping threshold (< 1 s each)"
     ok = True
     grid = np.geomspace(0.5, 5.0, 150)
-    plantf = lambda z: nd.PlantSpec(gain=1.0, modes=(nd.ModeSpec(1.0, z),))
     for zeta in (0.0, 0.01, 0.05, 0.1):
         t0 = time.perf_counter()
-        trace = nd.root_locus_n(plantf(zeta), 1.0, grid)
+        trace = nd.root_locus_n(1.0, zeta, 1.0, grid)
         dt = time.perf_counter() - t0
         ok &= abs(trace.bifurcation_n - 2.0 * (np.sqrt(2.0) + zeta)) < 1e-3
         ok &= dt < 1.0

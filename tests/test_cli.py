@@ -10,17 +10,20 @@ import numpy as np
 import pytest
 
 import nrcdamp
+import nrcdamp.cli
 import nrcdamp.tracking
 from nrcdamp import (
     bandwidth,
     freq_response,
     log_grid,
+    make_uniform_noise,
     margins,
     objective_report,
     pm_feasibility,
 )
 from nrcdamp.cli import (
     COMMANDS,
+    MAX_GRID_POINTS,
     MAX_LOCUS_POINTS,
     ConfigError,
     _DesignContext,
@@ -55,6 +58,7 @@ def write(tmp_path, cfg, name="config.json"):
 
 NOTCH = {"freq_hz": 1000.0, "q_num": 1.1, "q_den": 1.0}
 PPD_RULE = "config error at grid.pts_per_decade: must be an integer >= 2"
+GRID_CAP = "config error at grid.pts_per_decade: must keep the grid to at most"
 
 # (command, dotted key of the surrogate config, its bad value, message)
 MALFORMED = [
@@ -115,6 +119,20 @@ MALFORMED = [
         "config error at sim.reference.kind: must be 'step' or 'sine'",
     ),
     ("design", "plant.gain", "x", "config error at plant.gain: must be a number"),
+    # oversized arrays are refused before anything is allocated
+    ("bode", "grid.pts_per_decade", 10**11, f"{GRID_CAP} 1000000 points"),
+    (
+        "simulate",
+        "sim.duration_s",
+        1e12,
+        "config error at sim.duration_s: must last at most 5000000 samples of ts_us",
+    ),
+    (
+        "identify",
+        "sim.ts_us",
+        1e-6,
+        "config error at sim.ts_us: too fast to identify: the sweep needs > 16000000 samples",
+    ),
 ]
 
 
@@ -625,6 +643,14 @@ class TestCommands:
                 + ["--grid-override", "1,100,50"],
                 PPD_RULE,
             ),
+            (
+                ["bode", "--grid-override", "1,2"],
+                "config error at --grid-override: expected fmin,fmax,ppd",
+            ),
+            (
+                ["bode", "--grid-override", "1,10000,100000000000"],
+                "config error at --grid-override: must keep the grid to at most 1000000 points",
+            ),
         ],
     )
     def test_malformed_flag_leaves_no_out_dir(
@@ -636,6 +662,55 @@ class TestCommands:
         err = capsys.readouterr().err
         assert message in err and "Warning" not in err
         assert not out.exists()
+
+    def test_grid_point_limit(self):
+        raw = minimal_config()
+        raw["grid"] = {"f_min_hz": 1.0, "f_max_hz": 10.0, "pts_per_decade": MAX_GRID_POINTS - 1}
+        assert parse_config_dict(raw).grid.pts_per_decade == MAX_GRID_POINTS - 1
+        raw["grid"]["pts_per_decade"] = MAX_GRID_POINTS
+        with pytest.raises(ConfigError, match=f"{GRID_CAP} {MAX_GRID_POINTS} points"):
+            parse_config_dict(raw)
+
+    def test_sample_limits_name_their_keys(self, tmp_path, surrogate_raw, capsys, monkeypatch):
+        # the surrogate's 0.5 s simulate (16,667 samples) and its identify
+        # sweep (2,666,667 samples at 8x) each one sample over a lowered bound
+        p = write(tmp_path, surrogate_raw)
+        monkeypatch.setattr(nrcdamp.cli, "MAX_SIM_SAMPLES", 16_666)
+        monkeypatch.setattr(nrcdamp.cli, "MAX_IDENTIFY_SAMPLES", 2_666_666)
+        for cmd, key in (("simulate", "sim.duration_s"), ("identify", "sim.ts_us")):
+            assert run_command(cmd, p, tmp_path / cmd) == 2
+            assert capsys.readouterr().err.startswith(f"config error at {key}: ")
+            assert not (tmp_path / cmd).exists()
+
+    @pytest.mark.parametrize("via", ["flag", "file"])
+    def test_seed_above_2_53_kept_exact(self, tmp_path, surrogate_raw, via):
+        seed = 2**53 + 1  # float(seed) is 2**53
+        sim = surrogate_raw["sim"]
+        sim.update(duration_s=0.05, noise_amplitude=1e-3)
+        if via == "file":
+            sim["seed"] = seed
+        out = tmp_path / "out"
+        argv = ["simulate", str(write(tmp_path, surrogate_raw)), "--out", str(out)]
+        assert main(argv + (["--seed", str(seed)] if via == "flag" else [])) == 0
+        assert json.loads((out / "metrics.json").read_text())["seed"] == seed
+        rows = (out / "trace.csv").read_text().splitlines()[1:]
+        noise = make_uniform_noise(seed, 1e-3, len(rows))
+        assert [row.split(",")[3] for row in rows] == ["%.12g" % v for v in noise]
+
+    def test_sweep_makes_an_absent_section(self, tmp_path, surrogate_raw):
+        del surrogate_raw["targets"]
+        out = tmp_path / "out"
+        status = run_command(
+            "sweep", write(tmp_path, surrogate_raw), out, param="targets.gm_db", values=["3", "9"]
+        )
+        assert status == 0
+        assert len((out / "sweep.csv").read_text().splitlines()) == 3
+
+    def test_rootlocus_pair_real_from_the_start(self, tmp_path, surrogate_raw):
+        out = tmp_path / "out"
+        argv = ["rootlocus", str(write(tmp_path, surrogate_raw)), "--out", str(out)]
+        assert main(argv + ["--n-min", "5", "--n-max", "10"]) == 0
+        assert json.loads((out / "summary.json").read_text())["bifurcation_n"] == 5.0
 
     def test_rootlocus_point_limit(self):
         assert _locus_flags({"n_points": MAX_LOCUS_POINTS})[2] == MAX_LOCUS_POINTS
@@ -723,7 +798,7 @@ class TestMergedRefinement:
         margins_json = public_margins(ctx)
         objectives = objective_report(
             ctx.bundle, bw[3.0], frf.ct, lambda w: freq_response(ctx.ct_tf, w),
-            lambda w: ctx.at(w).ld, ctx.omega_n, (grid[-1] / math.sqrt(10.0), grid[-1]),
+            lambda w: ctx.at(w).ld, ctx.omega_n,
         )
         assert (tmp_path / "margins.json").read_bytes() == json_bytes(margins_json)
 

@@ -202,7 +202,7 @@ class TestRootLocus:
     @pytest.mark.parametrize("zeta, gamma, grid", LOCUS_CASES)
     def test_batched_locus_matches_reference_bits(self, wn, zeta, gamma, grid):
         plant = single_mode(wn=wn, zeta=zeta)
-        trace = root_locus_n(plant, gamma, grid)
+        trace = root_locus_n(wn, zeta, gamma, grid)
         p2, p3 = reference_locus(plant, gamma, grid)
         assert trace.p2.tobytes() == p2.tobytes()
         assert trace.p3.tobytes() == p3.tobytes()
@@ -216,19 +216,19 @@ class TestRootLocus:
             return eigvals(a)
 
         monkeypatch.setattr(np.linalg, "eigvals", counted)
-        root_locus_n(single_mode(), 0.999, np.geomspace(0.1, 10.0, 500))
+        root_locus_n(1.0, 0.01, 0.999, np.geomspace(0.1, 10.0, 500))
         assert calls == [(500, 3, 3)]
 
     def test_bifurcation_thresholds(self):
         grid = np.geomspace(0.5, 5.0, 120)
         for zeta in (0.0, 0.01, 0.05, 0.1):
-            trace = root_locus_n(single_mode(zeta=zeta), 1.0, grid)
+            trace = root_locus_n(1.0, zeta, 1.0, grid)
             assert trace.bifurcation_n == pytest.approx(
                 2.0 * (np.sqrt(2.0) + zeta), rel=1e-10
             )
 
     def test_pair_structure_across_bifurcation(self):
-        trace = root_locus_n(single_mode(zeta=0.0), 1.0, np.geomspace(0.5, 5.0, 120))
+        trace = root_locus_n(1.0, 0.0, 1.0, np.geomspace(0.5, 5.0, 120))
         before = trace.n_values < trace.bifurcation_n - 0.05
         after = trace.n_values > trace.bifurcation_n + 0.05
         assert np.all(np.abs(trace.p2[before].imag) > 1e-9)
@@ -238,19 +238,23 @@ class TestRootLocus:
         assert np.all(np.abs(trace.p2[after].imag) < 1e-9)
 
     def test_no_bifurcation_for_low_gamma(self):
-        trace = root_locus_n(single_mode(zeta=0.0), 0.5, np.geomspace(0.5, 20.0, 80))
+        trace = root_locus_n(1.0, 0.0, 0.5, np.geomspace(0.5, 20.0, 80))
         assert trace.bifurcation_n is None
 
+    def test_pair_already_real_at_first_n(self):
+        # the surrogate's first mode at its gamma: the pair is real from n = 5
+        # on, so the locus starts on the two largest roots and bifurcates there
+        wn = TWO_PI * 739.0
+        trace = root_locus_n(wn, 0.01, 0.999, np.geomspace(5.0, 10.0, 50))
+        assert trace.bifurcation_n == 5.0
+        roots = poly_roots(inner_charpoly(wn, 0.01, 0.999, 5.0))
+        assert np.all(roots.imag == 0.0)
+        assert {trace.p2[0], trace.p3[0]} == set(sorted(roots, key=abs)[1:])
+
     def test_input_validation(self):
-        two = PlantSpec(gain=1.0, modes=(ModeSpec(1.0, 0.0), ModeSpec(2.0, 0.0)))
-        with pytest.raises(ValueError, match="single-mode"):
-            root_locus_n(two, 1.0, [1.0, 2.0])
-        delayed = PlantSpec(gain=1.0, modes=(ModeSpec(1.0, 0.0),), delay_s=1e-4)
-        with pytest.raises(ValueError, match="delay-free"):
-            root_locus_n(delayed, 1.0, [1.0, 2.0])
         for grid in ([0.0, 1.0], [-1.0, 1.0]):
             with pytest.raises(ValueError, match="> 0"):
-                root_locus_n(single_mode(), 1.0, grid)
+                root_locus_n(1.0, 0.01, 1.0, grid)
 
     @pytest.mark.parametrize("zeta, gamma", [(0.01, 0.999), (0.1, 0.5)])
     def test_scaled_discriminant_finite_with_exact_sign(self, zeta, gamma):

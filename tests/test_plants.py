@@ -15,6 +15,7 @@ from nrcdamp import (
     scale_load,
     two_mode_zero,
 )
+from nrcdamp.cli import parse_config_dict
 
 TWO_PI = 2.0 * np.pi
 
@@ -185,6 +186,11 @@ class TestSurrogate:
         k, wa = nrc_gains(spec, NrcSpec(gamma=1.0, n=8.0))
         assert k == pytest.approx(1.9095, abs=1e-4)
         assert wa == pytest.approx(8.0 * TWO_PI * 739.0, rel=1e-12)
+
+    def test_is_the_config_file_plant(self, surrogate_raw):
+        # an installed package ships no configs/, so the surrogate keeps a
+        # copy in code; it must stay the plant of configs/surrogate.json
+        assert nanopositioner_surrogate() == parse_config_dict(surrogate_raw).plant.to_spec()
 
     def test_delay_lag_near_40_degrees(self):
         spec = nanopositioner_surrogate()

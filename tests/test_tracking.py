@@ -369,7 +369,7 @@ class TestNyquist:
 
 class TestObjectives:
     @staticmethod
-    def report(grid, g_tf, ct_tf, cd_tf, omega_n, hi_band):
+    def report(grid, g_tf, ct_tf, cd_tf, omega_n):
         def ct_eval(w):
             return freq_response(ct_tf, w)
 
@@ -382,7 +382,7 @@ class TestObjectives:
 
         b = bundle_for(g_tf, ct_tf, cd_tf, grid)
         bw3 = bandwidth(grid, t_yr_eval(grid), t_yr_eval, 3.0)
-        return objective_report(b, bw3, ct_eval(grid), ct_eval, ld_eval, omega_n, hi_band)
+        return objective_report(b, bw3, ct_eval(grid), ct_eval, ld_eval, omega_n)
 
     def test_resonance_loop_gain_value(self):
         # damping off, proportional tracker: |L_D(i wn)| = kp*g/(2 zeta)
@@ -390,7 +390,7 @@ class TestObjectives:
         grid = log_grid(1e-2 / TWO_PI, 100.0 / TWO_PI, 400)
         g = build_plant(single_mode(g=g0, zeta=zeta))
         ct = build_tracker(TrackerSpec(pi=PiSpec(kp=kp)))
-        rep = self.report(grid, g, ct, None, 1.0, (grid[-1] / 3.0, grid[-1]))
+        rep = self.report(grid, g, ct, None, 1.0)
         assert rep.resonance_loop_gain.value == pytest.approx(
             kp * g0 / (2 * zeta), rel=1e-12
         )
@@ -401,7 +401,7 @@ class TestObjectives:
         grid = log_grid(1e-2 / TWO_PI, 100.0 / TWO_PI, 50)
         ct = build_tracker(TrackerSpec(pi=PiSpec(kp=1.0, omega_i_rad_s=wi)))
         g = build_plant(single_mode())
-        rep = self.report(grid, g, ct, nrc(0.9, 3.0), 1.0, (10.0, grid[-1]))
+        rep = self.report(grid, g, ct, nrc(0.9, 3.0), 1.0)
         assert rep.tracker_corner.value == pytest.approx(wi / np.sqrt(99.0), rel=1e-9)
 
     def test_highband_rolloff_objective(self):
@@ -411,6 +411,6 @@ class TestObjectives:
         ct_tf = build_tracker(
             TrackerSpec(pi=PiSpec(kp=1.0), lowpass_corner_rad_s=5.0)
         )
-        rep = self.report(grid, g, ct_tf, nrc(0.9, 3.0), 1.0, (100.0, grid[-1]))
+        rep = self.report(grid, g, ct_tf, nrc(0.9, 3.0), 1.0)
         assert rep.highband_loop_gain.value < 1.0
         assert rep.highband_loop_gain.passed
