@@ -47,6 +47,7 @@ from .tracking import (
     tune_kp,
 )
 from .sim import (
+    IDENTIFY_OVERSAMPLE,
     SINE_SKIP_FRAC,
     chirp_identify,
     discretize,
@@ -638,10 +639,10 @@ def run_identify(cfg: SimpleNamespace, out_dir: Path) -> dict:
     fs = 1.0 / cfg.sim.ts_s if cfg.sim is not None else 33300.0
     duration = 10.0  # fixed sweep preset: 10 Hz .. 5 kHz over 10 s
     f_hi = min(5000.0, 0.4 * fs)
-    fine = round(duration * (fs * 8))  # open_loop_response runs 8x finer, then decimates
+    fine = round(duration * (fs * IDENTIFY_OVERSAMPLE))
     if fine > MAX_IDENTIFY_SAMPLES:
         _fail("sim.ts_us", f"too fast to identify: the sweep needs > {MAX_IDENTIFY_SAMPLES} samples")
-    size = len(range(0, fine, 8))
+    size = len(range(0, fine, IDENTIFY_OVERSAMPLE))
     seg = min(1 << max(10, int(math.log2(size / 5.0))), size // 2)
     freqs = np.fft.rfftfreq(seg, 1.0 / fs)  # the Welch bins
     band = (freqs > 50.0) & (freqs < f_hi)

@@ -262,30 +262,211 @@ def mag_db(values: np.ndarray) -> np.ndarray:
         return 20.0 * np.log10(np.abs(values))
 
 
+def _words(strings) -> np.ndarray:
+    """ASCII strings of up to 8 bytes as NUL-padded little-endian words."""
+    raw = b"".join(s.encode("ascii").ljust(8, b"\0") for s in strings)
+    return np.frombuffer(raw, dtype="<u8").astype(np.uint64)
+
+
+def _ones(nbytes: int) -> int:
+    return (1 << 8 * nbytes) - 1
+
+
+# Tables of write_csv's %.12g kernel, built by broadcasting. A value's 12
+# digits are three 4-digit groups g = 1000a + 100b + 10c + d; _GROUP_WORDS[g]
+# holds the ASCII bytes "abcd", "a" in the lowest byte. _SIG_DIGITS[j][g] is
+# how many of the 12 digits remain, trailing zeros stripped, when group j
+# (0, 1, 2) is g != 0 and the groups after it are zero.
+_ascii = np.arange(10, dtype=np.uint64) + np.uint64(48)
+_GROUP_WORDS = (
+    _ascii[:, None, None, None]
+    | _ascii[:, None, None] << np.uint64(8)
+    | _ascii[:, None] << np.uint64(16)
+    | _ascii << np.uint64(24)
+).ravel()
+_nonzero = (np.arange(10) != 0).astype(np.int8)
+_group_len = np.maximum(
+    np.maximum(_nonzero[:, None, None, None], 2 * _nonzero[:, None, None]),
+    np.maximum(3 * _nonzero[:, None], 4 * _nonzero),
+).ravel()
+_SIG_DIGITS = np.where(_group_len > 0, _group_len + np.array([[0], [4], [8]]), 0).astype(np.int8)
+del _ascii, _nonzero, _group_len
+
+# Masks of the first k of the 12 digit bytes, 8 in the first digit word and
+# 4 in the second, for k = 0..13. Inserting "." before digit byte p = 1..12
+# keeps the bytes below p and moves the rest up one byte, the top byte of
+# the first word into the second; p = _NO_POINT inserts nothing.
+_NO_POINT = 13
+_LOW1 = np.array([_ones(min(k, 8)) for k in range(14)], dtype=np.uint64)
+_LOW2 = np.array([_ones(max(k - 8, 0)) for k in range(14)], dtype=np.uint64)
+_POINT1 = np.array([ord(".") << 8 * p if p < 8 else 0 for p in range(14)], dtype=np.uint64)
+_POINT2 = np.array(
+    [ord(".") << 8 * (p - 8) if 8 <= p < _NO_POINT else 0 for p in range(14)], dtype=np.uint64
+)
+
+# Per decimal exponent X = -11..33 of the rounded value, then one entry for
+# zero and one for an empty field: where "." goes, how many integer digits
+# must stay, how many zeros follow "0." and, per separator, the exponent
+# word. %.12g writes -4 <= X < 12 in fixed notation, the rest as d.ddde+XX.
+# Tables whose entries index other tables are intp, numpy's index type.
+_EXPONENTS = np.arange(-11, 34)
+_FIXED = (_EXPONENTS >= -4) & (_EXPONENTS < 12)
+_ZERO_ROW, _EMPTY_ROW = _EXPONENTS.size, _EXPONENTS.size + 1
+_POINT_AT = np.append(
+    np.where(_FIXED, np.where(_EXPONENTS >= 0, _EXPONENTS + 1, _NO_POINT), 1), [_NO_POINT] * 2
+).astype(np.intp)
+_INT_DIGITS = np.append(np.where(_FIXED & (_EXPONENTS >= 0), _EXPONENTS + 1, 0), [1, 0]).astype(np.intp)
+_LEAD_ZEROS = np.append(np.where(_FIXED & (_EXPONENTS < 0), -_EXPONENTS, 0), [0, 0]).astype(np.int8)
+_TAILS = np.concatenate(
+    [
+        _words([("" if f else "e%+03d" % x) + sep for f, x in zip(_FIXED, _EXPONENTS)] + [sep] * 2)
+        for sep in ",\n"
+    ]
+)
+_HEADS = _words([sign + lead for sign in ("", "-") for lead in ("", "0.", "0.0", "0.00", "0.000")])
+# 10**(11 - e) as a factor and a divisor for e = floor(log10|v|) = -12..33,
+# exact except the factor 10**23 of e = -12, whose values fall back.
+_SCALE_MUL = np.array([float(10 ** max(11 - e, 0)) for e in range(-12, 34)])
+_SCALE_DIV = np.array([float(10 ** max(e - 11, 0)) for e in range(-12, 34)])
+_TIE_GUARD = 1e-3
+# Values per block. A block needs about 100 bytes of scratch per value, so
+# 4096 holds it near 400 kB; larger blocks are barely faster.
+_CSV_BLOCK = 4096
+
+
+def _scale(v: np.ndarray):
+    """Which values the kernel formats exactly, the table row of each (its
+    decimal exponent + 11, else _ZERO_ROW) and its 12 correctly rounded
+    significant digits as an integer (0 where it does not)."""
+    a = np.abs(v)
+    regular = (a >= 1e-11) & (a < 1e33)  # False for 0, subnormals, inf, nan
+    a[~regular] = 1.0
+    e = np.floor(np.log10(a)).astype(np.intp)
+    m = a * _SCALE_MUL[e + 12]
+    m /= _SCALE_DIV[e + 12]
+    np.floor(m, out=a)  # from here a is the distance of m from a tie
+    np.subtract(m, a, out=a)
+    a -= 0.5
+    ok = np.abs(a, out=a) > _TIE_GUARD
+    # e = -12 is not exact, and m outside [1e11, 1e12) means log10 was off
+    # by one next to a power of ten
+    ok &= regular & (e >= -11) & (m >= 1e11) & (m < 1e12)
+    np.rint(m, out=m)
+    carry = m == 1e12
+    m[carry] = 1e11
+    e += carry
+    e += 11
+    e[~ok] = _ZERO_ROW
+    m[~ok] = 0.0
+    return ok, e, m.astype(np.int64)
+
+
+def _digit_words(n: np.ndarray, row: np.ndarray):
+    """The two digit words of 12-digit integers ``n`` (overwritten): trailing
+    zeros that are not integer digits become NUL, and "." is inserted where
+    the row's notation puts it."""
+    g1 = n // 100_000_000
+    n -= g1 * 100_000_000
+    g2 = n // 10_000
+    n -= g2 * 10_000
+    sig = np.maximum(_SIG_DIGITS[0][g1], _SIG_DIGITS[1][g2])
+    np.maximum(sig, _SIG_DIGITS[2][n], out=sig)
+    keep = np.maximum(sig, _INT_DIGITS[row])
+    w1 = _GROUP_WORDS[g2]
+    w1 <<= np.uint64(32)
+    w1 |= _GROUP_WORDS[g1]
+    w1 &= _LOW1[keep]
+    w2 = _GROUP_WORDS[n]
+    w2 &= _LOW2[keep]
+    p = _POINT_AT[row]
+    p[p >= sig] = _NO_POINT  # no digit follows the point
+    low = _LOW1[p]
+    high = w1 & ~low
+    w1 &= low
+    carried = high >> np.uint64(56)
+    high <<= np.uint64(8)
+    w1 |= high
+    w1 |= _POINT1[p]
+    low = _LOW2[p]
+    high = w2 & ~low
+    w2 &= low
+    high <<= np.uint64(8)
+    w2 |= high
+    w2 |= _POINT2[p]
+    w2 |= carried
+    return w1, w2
+
+
+def _format_block(vals: np.ndarray, empty: np.ndarray) -> bytearray:
+    """Rows of ``vals`` as CSV lines, each value ``%.12g`` and each field
+    where ``empty`` is set left blank; see write_csv."""
+    v = vals.ravel()
+    ok, row, n = _scale(v)
+    row[empty.ravel()] = _EMPTY_ROW
+    w1, w2 = _digit_words(n, row)
+    del n  # spent arrays go before the slots are allocated
+    buf = bytearray(32 * v.size)
+    slots = np.frombuffer(buf, dtype="<u8").reshape(v.size, 4)
+    slots[:, 0] = _HEADS[_LEAD_ZEROS[row] + 5 * np.signbit(v)]
+    slots[:, 1] = w1
+    slots[:, 2] = w2
+    del w1, w2
+    row.reshape(vals.shape)[:, -1] += _TAILS.size // 2  # "\n" ends a row
+    slots[:, 3] = _TAILS[row]
+    slow = np.flatnonzero(~ok & (v != 0.0) & ~empty.ravel())
+    if slow.size:
+        seps = "," * (vals.shape[1] - 1) + "\n"
+        raw = b"".join(
+            ("%.12g%s" % (v[i], seps[i % len(seps)])).encode("ascii").ljust(32, b"\0")
+            for i in slow
+        )
+        slots.view(np.uint8).reshape(-1, 32)[slow] = np.frombuffer(raw, np.uint8).reshape(-1, 32)
+    return buf.translate(None, b"\0")
+
+
 def write_csv(path, names, columns) -> None:
     """Write equal-length columns as CSV under a header row of names.
 
     This is the one CSV format of every artifact: each value is written
-    ``%.12g`` and None leaves its field empty. Columns without None are
-    formatted 32 rows at a time, with one ``%`` per chunk; larger chunks
-    are barely faster and raise the resident memory of a process that
-    writes many tables.
+    byte for byte as ``"%.12g" % v`` and None leaves its field empty.
+    Columns (arrays, or lists of numbers, bools and None) are formatted by
+    one numpy kernel, _CSV_BLOCK values at a time:
+
+    - A value of decimal exponent e = floor(log10|v|) is scaled to 12
+      digits, m = |v| * 10**(11-e) in [1e11, 1e12), by one multiply or
+      divide by an exact power of ten, |11 - e| <= 22. That operation is
+      correctly rounded, so m is within half an ulp (under 2**-13) of the
+      exact product, and ``rint(m)`` is the correctly rounded digit string
+      unless the product lies near a tie.
+    - A value goes to ``%``, one at a time, when m lies within 1e-3 of a
+      tie, when e is outside -11..32 (where the powers of ten are exact;
+      this takes subnormals) or m outside [1e11, 1e12) (log10 off by one
+      next to a power of ten), or when it is nan or infinite. Zero of
+      either sign and None are handled in the kernel.
+    - The digits are read four at a time from a table of 10,000 words and
+      laid out, with the sign, "0.000" prefix, "." and exponent, in a
+      32-byte slot of four words padded with NUL bytes, which are then
+      deleted; None leaves only its separator.
     """
-    chunk = 32
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(names) + "\n")
-        if any(not isinstance(c, np.ndarray) and None in c for c in columns):
-            fh.writelines(
-                ",".join(["" if v is None else "%.12g" % v for v in row]) + "\n"
-                for row in zip(*columns)
-            )
-            return
-        row_fmt = ",".join(["%.12g"] * len(columns)) + "\n"
-        for start in range(0, len(columns[0]), chunk):
-            block = np.column_stack(
-                [np.asarray(c[start : start + chunk], dtype=float) for c in columns]
-            )
-            fh.write((row_fmt * block.shape[0]) % tuple(block.ravel().tolist()))
+    ncols, nrows = len(columns), len(columns[0])
+    cols, blanks = [], {}
+    for j, col in enumerate(columns):
+        if not isinstance(col, np.ndarray):
+            blanks[j] = np.array([x is None for x in col], dtype=bool)
+            col = np.array([0.0 if x is None else x for x in col], dtype=float)
+        cols.append(col)
+    rows = max(1, _CSV_BLOCK // ncols)
+    block = np.empty((min(rows, nrows), ncols))
+    with open(path, "wb") as fh:
+        fh.write((",".join(names) + "\n").encode("utf-8"))
+        for start in range(0, nrows, rows):
+            vals = block[: min(rows, nrows - start)]
+            empty = np.zeros(vals.shape, dtype=bool)
+            for j, col in enumerate(cols):
+                vals[:, j] = col[start : start + rows]
+            for j, blank in blanks.items():
+                empty[:, j] = blank[start : start + rows]
+            fh.write(_format_block(vals, empty))
 
 
 def bode_to_csv(path, omega, responses) -> None:

@@ -18,6 +18,7 @@ from .lti import RationalTF, write_csv
 from .plants import PlantSpec, modal_state_space
 
 SINE_SKIP_FRAC = 0.6  # share of a record sinusoid_phasor skips as start-up transient
+IDENTIFY_OVERSAMPLE = 8  # open_loop_response runs the plant this much finer, then decimates
 
 
 @dataclass(frozen=True)
@@ -414,7 +415,7 @@ def open_loop_response(
     plant: PlantSpec,
     fs: float,
     duration_s: float = 10.0,
-    oversample: int = 8,
+    oversample: int = IDENTIFY_OVERSAMPLE,
     f1: float = 5000.0,
 ):
     """Run of a plant driven by ``log_chirp`` up to ``f1``, sampled at fs.

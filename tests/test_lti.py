@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nrcdamp import (
     Polynomial,
@@ -14,6 +16,7 @@ from nrcdamp import (
     tf_feedback,
     tf_series,
 )
+from nrcdamp.lti import _CSV_BLOCK, _scale, write_csv
 
 
 def tf(num, den, delay=0.0):
@@ -240,7 +243,7 @@ def test_log_grid_density():
 
 
 def rowwise_csv(path, names, columns):
-    """The row-at-a-time CSV writer that write_csv's chunked path replaced."""
+    """The row-at-a-time ``%`` writer, the reference write_csv must match."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(names) + "\n")
         fh.writelines(
@@ -249,23 +252,79 @@ def rowwise_csv(path, names, columns):
         )
 
 
-class TestWriteCsv:
-    @pytest.mark.parametrize("nrows", [0, 1, 4095, 4096, 9001])
-    def test_bytes_match_rowwise_writer(self, tmp_path, nrows):
-        from nrcdamp.lti import write_csv
+def assert_matches_rowwise(tmp_path, columns):
+    names = [f"c{j}" for j in range(len(columns))]
+    write_csv(tmp_path / "new.csv", names, columns)
+    rowwise_csv(tmp_path / "old.csv", names, columns)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
+
+def _exactness_cases():
+    rng = np.random.default_rng(16)
+    powers = np.array([float(f"1e{j}") for j in range(-30, 31)])
+    ties = np.arange(10**11, 10**12, 450_000_001) + 0.5  # 13 digits ending in 5
+    special = [999999999999.5, 0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 2.2250738585072014e-308]
+    special += [1.7976931348623157e308, 1e-5, 1e-4, 1e11, 1e12, 1e16, -123456789012.0, 0.1]
+    return {
+        "bits": list(rng.integers(0, 2**64 - 1, (4000, 5), dtype=np.uint64, endpoint=True).view(np.float64).T),
+        "ties": list((ties[:, None] * powers).T),
+        "pow10_ulp": [powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf), -powers],
+        "special": [np.array(special)],
+        "ints_bools": [[1, -7, 2**53 + 1, 10**15, 10**20, 0], [True, False, True, True, False, False]],
+    }
+
+
+EXACTNESS_CASES = _exactness_cases()
+BLOCK_ROWS = _CSV_BLOCK // 6  # rows per block of write_csv at six columns
+
+
+class TestWriteCsv:
+    @pytest.mark.parametrize(
+        "nrows", [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 4095, 4096, 9001]
+    )
+    def test_bytes_match_rowwise_writer(self, tmp_path, nrows):
         rng = np.random.default_rng(nrows)
         special = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 1e-12, -1e-12, 1e6, 123456.789012345])
+        every_fallback = np.resize([np.nan, -np.inf, 5e-324, 1e-300, -1e300, 999999999999.5], nrows)
+        no_fallback = np.arange(1, nrows + 1) * 0.25
+        assert not _scale(every_fallback)[0].any() and _scale(no_fallback)[0].all()
         columns = [
             np.resize(special, nrows),
             rng.normal(size=nrows) * 10.0 ** rng.integers(-12, 7, nrows),
             np.arange(nrows) * 30e-6,
             np.arange(nrows),
+            every_fallback,
+            no_fallback,
         ]
-        names = ("a", "b", "t", "k")
-        write_csv(tmp_path / "new.csv", names, columns)
-        rowwise_csv(tmp_path / "old.csv", names, columns)
-        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        assert_matches_rowwise(tmp_path, columns)
+
+    @pytest.mark.parametrize("case", sorted(EXACTNESS_CASES))
+    def test_exactness_cases_match_rowwise_writer(self, tmp_path, case):
+        # random bit patterns, 13-digit ties scaled by 10**j, 10**j and its
+        # neighbours, and the edges of %.12g and of the kernel's range
+        assert_matches_rowwise(tmp_path, EXACTNESS_CASES[case])
+
+    @pytest.mark.parametrize("log10_error", [-0.3, 0.3])
+    def test_exact_whatever_log10_error(self, tmp_path, monkeypatch, log10_error):
+        # the kernel's exponent comes from floor(log10|v|); a wrong exponent
+        # must send the value to % rather than write wrong digits
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda x: log10(x) + log10_error)
+        rng = np.random.default_rng(7)
+        assert_matches_rowwise(tmp_path, [rng.normal(size=3000) * 10.0 ** rng.integers(-9, 30, 3000)])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        ncols=st.integers(1, 13),
+        values=st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True), max_size=120),
+        as_lists=st.booleans(),
+    )
+    def test_any_floats_match_rowwise_writer(self, tmp_path_factory, ncols, values, as_lists):
+        nrows = len(values) // ncols
+        columns = list(np.array(values[: nrows * ncols], dtype=float).reshape(nrows, ncols).T)
+        if as_lists:
+            columns = [col.tolist() for col in columns]
+        assert_matches_rowwise(tmp_path_factory.mktemp("csv"), columns)
 
     @pytest.mark.parametrize("with_none", [True, False])
     def test_list_columns_match_rowwise_writer(self, tmp_path, with_none):
