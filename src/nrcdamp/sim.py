@@ -10,6 +10,7 @@ biproper damping controller would otherwise create.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +19,7 @@ from .lti import RationalTF, write_csv
 from .plants import PlantSpec, modal_state_space
 
 SINE_SKIP_FRAC = 0.6  # share of a record sinusoid_phasor skips as start-up transient
-IDENTIFY_OVERSAMPLE = 8  # open_loop_response runs the plant this much finer, then decimates
+IDENTIFY_OVERSAMPLE = 8  # open_loop_response integrates the plant this much finer than it samples
 
 
 @dataclass(frozen=True)
@@ -194,54 +195,59 @@ def run_state_space(block: DiscreteSS, w) -> np.ndarray:
     """Zero-state response of x+ = A x + B w, y = C x + D w to the rows of w.
 
     ``w`` is (samples, inputs) and the result (samples, outputs); an input
-    delay shifts the record. Each block of L samples is the FFT convolution
-    of its inputs with the Markov taps C A^(j-1) B (one transform per
-    input, summed per output before the inverse transform) plus the free
-    response C A^j x0 of the state at the block start, which carries on as
-    A^L x0 plus the forced end state. Blocks run in chunks so the FFT
-    temporaries stay small. The feedthrough D w adds outside the
-    convolution, so a block without state passes its delayed input on
-    exactly. The error relative to a per-sample run tracks the transient
-    growth max ||A^k|| of the realization once balanced; a power-of-two
-    diagonal similarity leaves every output bit unchanged, so balancing
-    cannot help. ``discretize``'s state-space Tustin blocks and their
-    closed loop (growth below 100) stay within 1e-14 of max|y|; companion
-    forms in z (growth 5e3-1.5e4) lose digits, down to 1e-6.
+    delay of q samples puts the response to the first samples - q rows at
+    row q, after q rows of zeros. The record runs in blocks of L = 128
+    samples. Within a block the forced response is one direct product of
+    the block's inputs with the strictly lower block-Toeplitz matrix of
+    the Markov taps C A^(j-1) B; the free response C A^j x0 of the state
+    at the block start adds to it, and that state carries on as A^L x0
+    plus the block's forced end state. Blocks run in chunks of 64 so the
+    temporaries stay small. The feedthrough D w adds outside the blocks,
+    so a block without state passes its delayed input on exactly. The
+    error relative to a per-sample run tracks the transient growth
+    max ||A^k|| of the realization once balanced; a power-of-two diagonal
+    similarity leaves every output bit unchanged, so balancing cannot
+    help. ``discretize``'s state-space Tustin blocks and their closed loop
+    (growth below 100) stay within 1e-14 of max|y|; companion forms in z
+    (growth 5e3-1.5e4) lose digits, to about 2e-6.
     """
     w = np.asarray(w, dtype=float)
     nsamp, n_in = w.shape
     delay = min(block.input_delay_samples, nsamp)
-    if delay:
-        w = np.concatenate([np.zeros((delay, n_in)), w[: nsamp - delay]])
+    w = w[: nsamp - delay]
     a, b, c, d = block.a_matrix, block.b_matrix, block.c_matrix, block.d_matrix
     n, n_out = a.shape[0], c.shape[0]
-    block_len = 2048
+    block_len = 128
     obs = _power_columns(a.T, c.T, block_len)  # obs[:, j, i]: (C_i A^j)^T
     taps = np.zeros((block_len, n_out, n_in))  # taps[j]: C A^(j-1) B; D stays outside
     taps[1:] = (b.T @ obs[:, :-1].reshape(n, -1)).reshape(n_in, -1, n_out).transpose(1, 2, 0)
-    taps_f = np.fft.rfft(taps, 2 * block_len, axis=0)
+    lag = np.arange(block_len) - np.arange(block_len)[:, np.newaxis]  # [i, j]: j - i
+    toeplitz = taps[np.maximum(lag, 0)].transpose(0, 3, 1, 2)  # [i, p, j, o]: w_p[i] to y_o[j]
+    ctrl = _power_columns(a, b, block_len)[:, ::-1]  # A^(L-1-i) B
+    # one product per block gives its forced response and its forced end state
+    gain = np.hstack([toeplitz.reshape(block_len * n_in, -1), ctrl.reshape(n, -1).T])
     obs = obs.reshape(n, -1)
-    ctrl = _power_columns(a, b, block_len)[:, ::-1].reshape(n, -1).T.copy()  # A^(L-1-i) B
     a_block = np.linalg.matrix_power(a, block_len)
 
-    y = np.dot(w, d.T)
+    y = np.zeros((nsamp, n_out))
+    y_run = y[delay:]  # the rows the undelayed record reaches
+    y_run[:] = w @ d.T
     x = np.zeros(n)
     chunk = 64 * block_len
-    for start in range(0, nsamp, chunk):
+    for start in range(0, w.shape[0], chunk):
         seg = w[start : start + chunk]
         nseg = seg.shape[0]
         if nseg % block_len:
             seg = np.concatenate([seg, np.zeros((block_len - nseg % block_len, n_in))])
-        blocks = seg.reshape(-1, block_len, n_in)
-        spec = np.fft.rfft(blocks, 2 * block_len, axis=1)[:, :, np.newaxis]
-        out = np.fft.irfft((spec * taps_f).sum(axis=-1), axis=1)[:, :block_len]
-        forced = blocks.reshape(blocks.shape[0], -1) @ ctrl
-        starts = np.empty((blocks.shape[0], n))
-        for k in range(blocks.shape[0]):
+        out = seg.reshape(-1, block_len * n_in) @ gain
+        forced = out[:, block_len * n_out :]
+        out = out[:, : block_len * n_out]
+        starts = np.empty((out.shape[0], n))
+        for k in range(out.shape[0]):
             starts[k] = x
             x = a_block @ x + forced[k]
-        out += (starts @ obs).reshape(out.shape)
-        y[start : start + nseg] += out.reshape(-1, n_out)[:nseg]
+        out += starts @ obs
+        y_run[start : start + nseg] += out.reshape(-1, n_out)[:nseg]
     return y
 
 
@@ -373,18 +379,23 @@ def log_chirp(
     the taper is a symmetric Tukey window of width 2 * taper_frac. The
     arithmetic, and so every bit, is that of ``scipy.signal.chirp(...,
     method="logarithmic")`` times ``scipy.signal.windows.tukey``; the record
-    is built in place because it runs to millions of samples.
+    is filled in place, a chunk at a time, because it runs to millions of
+    samples.
     """
     if not (0.0 < f0 < f1 < fs / 2.0):
         raise ValueError("need 0 < f0 < f1 < fs/2")
     nsamp = int(round(duration_s * fs))
-    u = np.arange(nsamp) / fs
-    u /= duration_s
-    np.power(f1 / f0, u, out=u)
-    u -= 1.0
-    u *= 2 * math.pi * (duration_s / math.log(f1 / f0)) * f0
-    np.cos(u, out=u)
-    u *= amplitude
+    u = np.empty(nsamp)
+    chunk = 1 << 16
+    for start in range(0, nsamp, chunk):
+        seg = u[start : start + chunk]
+        np.divide(np.arange(start, start + seg.size), fs, out=seg)
+        seg /= duration_s
+        np.power(f1 / f0, seg, out=seg)
+        seg -= 1.0
+        seg *= 2 * math.pi * (duration_s / math.log(f1 / f0)) * f0
+        np.cos(seg, out=seg)
+        seg *= amplitude
     alpha = min(2.0 * taper_frac, 1.0)
     if nsamp > 1 and alpha > 0.0:
         width = int(math.floor(alpha * (nsamp - 1) / 2.0))
@@ -420,26 +431,52 @@ def open_loop_response(
 ):
     """Run of a plant driven by ``log_chirp`` up to ``f1``, sampled at fs.
 
-    The plant is integrated at ``oversample`` times the output rate (the
-    excitation is evaluated directly at the fine rate, as a continuous
-    drive would be), then input and output are decimated by sampling. This
-    keeps discretization warping far below the identification tolerances.
-    The fine-rate run is the bilinear (c = 2/ts) map of the plant's modal
-    state space, whose powers stay bounded, so it can run blockwise.
-    Returns (u, y) at fs.
+    The plant is integrated at m = ``oversample`` times the output rate
+    (the excitation is evaluated directly at the fine rate, as a continuous
+    drive would be) and input and output are sampled at fs, which keeps
+    discretization warping far below the identification tolerances. The
+    fine-rate plant is the bilinear (c = 2/ts) map (A, b, c, d) of its
+    modal state space, whose powers stay bounded. Only the kept samples
+    are computed: the plant runs lifted at fs (Chen & Francis 1995), with
+    state x[k] = x_fine[m k] and one row of m fine inputs per step, so
+    A_L = A^m and B_L = [A^(m-1) b ... b]. The fine delay n_d is written
+    m q - r with 0 <= r < m; output k is the fine output at phase r of
+    lifted step k - q, so C_L = c A^r and the feedthrough row D_L holds
+    c A^(r-1-i) b for i < r and d at i = r. No fine output is formed:
+    only the lifted steps that reach a kept sample run, on rows that view
+    the record (copied only when its end cuts the last of them). Returns
+    (u, y) at fs.
     """
-    if oversample < 1:
-        raise ValueError("oversample must be >= 1")
-    fs_fine = fs * oversample
+    integral = isinstance(oversample, numbers.Integral) and not isinstance(oversample, bool)
+    if not integral or oversample < 1:
+        raise ValueError(f"oversample must be an integer >= 1, not {oversample!r}")
+    m = int(oversample)
+    fs_fine = fs * m
     u_fine = log_chirp(fs_fine, duration_s, f1=f1)
     ts_fine = 1.0 / fs_fine
     a, b, c, d = _bilinear_state_space(*modal_state_space(plant), 0.0, ts_fine)
-    fine = DiscreteSS(a, b[:, np.newaxis], c[np.newaxis], np.array([[d]]), ts_fine)
-    y_fine = run_state_space(fine, u_fine[:, np.newaxis])[:, 0]
     n_delay = int(round(plant.delay_s / ts_fine))
-    if n_delay:
-        y_fine = np.concatenate([np.zeros(n_delay), y_fine[:-n_delay]])
-    return u_fine[::oversample].copy(), y_fine[::oversample].copy()
+    q = -(-n_delay // m)  # n_delay = m q - r with 0 <= r < m
+    r = m * q - n_delay
+    powers = _power_columns(a, b[:, np.newaxis], m)[:, :, 0]  # A^j b
+    d_lift = np.zeros(m)
+    d_lift[:r] = (c @ powers[:, :r])[::-1]
+    d_lift[r] = d
+    lifted = DiscreteSS(
+        a_matrix=np.linalg.matrix_power(a, m),
+        b_matrix=powers[:, ::-1],
+        c_matrix=(c @ np.linalg.matrix_power(a, r))[np.newaxis],
+        d_matrix=d_lift[np.newaxis],
+        ts=1.0 / fs,
+    )
+    n_keep = -(-u_fine.size // m)  # the samples of u_fine[::m]
+    steps = max(n_keep - q, 0)  # lifted steps that reach a kept sample
+    rows = u_fine[: steps * m]
+    if rows.size < steps * m:  # the record's end cuts the last row; its tail reaches no output
+        rows = np.concatenate([rows, np.zeros(steps * m - rows.size)])
+    y = np.zeros(n_keep)
+    y[n_keep - steps :] = run_state_space(lifted, rows.reshape(steps, m))[:, 0]
+    return u_fine[::m].copy(), y
 
 
 @dataclass(frozen=True)

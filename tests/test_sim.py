@@ -315,6 +315,9 @@ def reference_dual_loop(plant_d, tracker_d, nrc_d, r, d, n):
     return u, x_true, y_meas
 
 
+# crosses many 64-block chunks of run_state_space and ends in a ragged block
+LONG_RECORD = 64 * 2048 + 3 * 2048 + 517
+
 LOOP_VARIANTS = ("surrogate", "no_delay", "one_sample_delay", "step", "no_integrator", "p_only")
 
 
@@ -477,12 +480,23 @@ class TestClosedLoopStateSpace:
             2.0 * np.concatenate([np.zeros(3), u[:-3]]),
         )
 
-    @pytest.mark.parametrize("n_in, n_out", [(2, 2), (3, 2), (1, 3)])
-    def test_runner_matches_per_sample_loop(self, n_in, n_out):
-        # a stable order-4 block with a 3-sample input delay, on a record
-        # that crosses a 64 x 2048-sample chunk and ends in a ragged block,
-        # against a per-sample loop; the non-square cases catch a transposed
-        # tap or observability layout
+    @pytest.mark.parametrize(
+        "n_in, n_out, nsamp, delay",
+        [
+            pytest.param(2, 2, LONG_RECORD, 3, id="2-2"),
+            pytest.param(3, 2, LONG_RECORD, 3, id="3-2"),
+            pytest.param(1, 3, LONG_RECORD, 3, id="1-3"),
+            pytest.param(8, 1, LONG_RECORD, 3, id="lifted-8-1"),
+            pytest.param(2, 2, 100, 3, id="shorter-than-a-block"),
+            pytest.param(2, 2, 300, 307, id="delay-past-the-end"),
+        ],
+    )
+    def test_runner_matches_per_sample_loop(self, n_in, n_out, nsamp, delay):
+        # a stable order-4 block with an input delay against a per-sample
+        # loop: on a long record, on one shorter than a block and with a
+        # delay past the record's end; the non-square cases, the lifted
+        # shape of open_loop_response among them, catch a transposed tap
+        # or observability layout
         rng = np.random.default_rng(7)
         q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
         rot = [[0.99 * np.cos(0.3), -0.99 * np.sin(0.3), 0.0, 0.0],
@@ -492,12 +506,11 @@ class TestClosedLoopStateSpace:
         a = q @ np.array(rot) @ q.T
         b, c = rng.normal(size=(4, n_in)), rng.normal(size=(n_out, 4))
         d = rng.normal(size=(n_out, n_in))
-        blk = DiscreteSS(a, b, c, d, TS, input_delay_samples=3)
-        nsamp = 64 * 2048 + 3 * 2048 + 517
+        blk = DiscreteSS(a, b, c, d, TS, input_delay_samples=delay)
         w = rng.normal(size=(nsamp, n_in))
         got = run_state_space(blk, w)
 
-        w_late = np.concatenate([np.zeros((3, n_in)), w[:-3]])
+        w_late = np.concatenate([np.zeros((delay, n_in)), w])[:nsamp]
         states = np.zeros((nsamp, 4))
         x = np.zeros(4)
         for k, drive in enumerate(w_late @ b.T):
@@ -511,7 +524,7 @@ class TestClosedLoopStateSpace:
         # a power-of-two diagonal similarity scales every term of every sum
         # alike, so balancing the realization cannot change a bit
         t = 2.0 ** np.array([3.0, -5.0, 7.0, 0.0])
-        scaled = DiscreteSS(a * t / t[:, np.newaxis], b / t[:, np.newaxis], c * t, d, TS, 3)
+        scaled = DiscreteSS(a * t / t[:, np.newaxis], b / t[:, np.newaxis], c * t, d, TS, delay)
         assert np.array_equal(run_state_space(scaled, w), got)
 
     def test_mismatched_sampling_rejected(self):
@@ -782,6 +795,41 @@ class TestIdentifyMatchesScipyReference:
         assert np.max(np.abs(y - exact)) <= 1e-10 * scale
         _, y_scipy = scipy_open_loop(plant, 8 * fs, 1.0, f1, oversample=1)
         assert np.max(np.abs(y - y_scipy)) <= 1e-5 * scale
+
+    @pytest.mark.parametrize("case", CONTRACT_VARIANTS + ("delay_153us", "ragged_record"))
+    def test_lifted_response(self, surrogate_raw, case):
+        # identify's 8x run as it runs, lifted and sampled at fs, 1 s of it:
+        # every 8th fine output within 1e-10 of max|y| of the exact
+        # response, and every 8th chirp sample bit for bit; 153 us is 41
+        # fine samples (phase 7 of 8), and the ragged record's fine length
+        # is not a multiple of 8
+        from nrcdamp.cli import parse_config_dict
+
+        variant = {"delay_153us": "surrogate", "ragged_record": "no_sim"}.get(case, case)
+        raw = contract_config(surrogate_raw, variant)
+        if case == "delay_153us":
+            raw["plant"]["delay_us"] = 153.0
+        duration_s = 0.50001 if case == "ragged_record" else 1.0
+        cfg = parse_config_dict(raw)
+        plant = cfg.plant.to_spec()
+        fs, f1 = identify_rates(cfg)
+        u, y = open_loop_response(plant, fs=fs, duration_s=duration_s, f1=f1, oversample=8)
+        u_fine = log_chirp(8 * fs, duration_s, f1=f1)
+        if case == "delay_153us":
+            assert round(plant.delay_s * 8 * fs) == 41
+        if case == "ragged_record":
+            assert u_fine.size % 8
+        assert np.array_equal(u, u_fine[::8])
+        exact = exact_fine_response(plant, u_fine, 1.0 / (8 * fs))[::8]
+        assert y.shape == exact.shape
+        assert np.max(np.abs(y - exact)) <= 1e-10 * np.max(np.abs(exact))
+
+    @pytest.mark.parametrize("oversample", [2.5, 8.0, True, 0])
+    def test_oversample_must_be_a_positive_integer(self, oversample):
+        # the lifted run takes whole rows of fine inputs: a float, even
+        # 8.0, a bool or a rate below 1 is refused before the chirp is built
+        with pytest.raises(ValueError, match="oversample"):
+            open_loop_response(single_mode(), fs=1000.0, oversample=oversample, f1=400.0)
 
     @pytest.mark.parametrize("variant", CONTRACT_VARIANTS)
     def test_identify_frf_matches_scipy_path(self, tmp_path, surrogate_raw, variant):
