@@ -19,7 +19,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .lti import bode_to_csv, freq_response, log_grid, mag_db, write_csv
+from .lti import FrfStack, bode_to_csv, freq_response, log_grid, mag_db, write_csv
 from .plants import ModeSpec, PlantSpec, build_plant
 from .nrc import NrcSpec, nrc_gains, synthesize_nrc
 from .loops import (
@@ -314,6 +314,7 @@ class _DesignContext:
         self.grid = log_grid(cfg.grid.f_min_hz, cfg.grid.f_max_hz, cfg.grid.pts_per_decade)
         self.omega_n = self.plant_spec.omega_n
 
+        self.frfs = FrfStack((self.plant_tf, self.cd_tf))  # ``at``'s one evaluation
         self.ct_tf = None
         self.kp = None
         self.nu = None
@@ -334,18 +335,20 @@ class _DesignContext:
                     else TWO_PI * cfg.tracker.lowpass_hz,
                 )
             )
+            self.frfs = FrfStack((self.plant_tf, self.cd_tf, self.ct_tf))
 
     def at(self, omega) -> SimpleNamespace:
-        """G, C_d and C_t at ``omega`` (vector-safe), each evaluated once, and
-        from them G_d = G/(1+G C_d), the inner loop G C_d, the outer loop
-        C_t G_d, L_D = G (C_t + C_d) and T_yr; C_t is zeros without a tracker."""
-        g = freq_response(self.plant_tf, omega)
-        cd = freq_response(self.cd_tf, omega)
-        ct = np.zeros_like(g) if self.ct_tf is None else freq_response(self.ct_tf, omega)
-        gd = g / (1.0 + g * cd)
+        """G, C_d and C_t at ``omega`` (vector-safe), evaluated together in one
+        stacked pass with the bits of ``freq_response``, and from them
+        G_d = G/(1+G C_d), the inner loop G C_d, the outer loop C_t G_d,
+        L_D = G (C_t + C_d) and T_yr; C_t is zeros without a tracker."""
+        g, cd, *ct = self.frfs(omega)
+        ct = ct[0] if ct else np.zeros_like(g)
+        inner = g * cd
+        gd = g / (1.0 + inner)
+        ld = g * (ct + cd)
         return SimpleNamespace(
-            g=g, cd=cd, ct=ct, gd=gd, inner=g * cd, outer=ct * gd,
-            ld=g * (ct + cd), t_yr=g * ct / (1.0 + g * (ct + cd)),
+            g=g, cd=cd, ct=ct, gd=gd, inner=inner, outer=ct * gd, ld=ld, t_yr=g * ct / (1.0 + ld)
         )
 
     @cached_property
@@ -357,8 +360,14 @@ class _DesignContext:
         return dual_sensitivities(self.frf.g, self.frf.ct, self.frf.cd, self.grid)
 
     def margins_plans(self, *loops) -> list:
-        """The ``margins`` plans of the named ``at`` fields, on the grid."""
-        return [_margins_plan(self.grid, getattr(self.frf, f), f) for f in loops]
+        """The ``margins`` plans of the named ``at`` fields, on the grid, each
+        told the lightly damped poles it has: G's modes in G C_d, C_t's
+        notches in C_t G_d, and both in L_D."""
+        modes = [(m.omega_rad_s, m.zeta) for m in self.plant_spec.modes]
+        tracker = self.cfg.tracker
+        notches = [(nt.omega_rad_s, 0.5 / nt.q_den) for nt in tracker.notches] if tracker else []
+        resonances = {"inner": modes, "outer": notches, "ld": modes + notches}
+        return [_margins_plan(self.grid, getattr(self.frf, f), f, resonances[f]) for f in loops]
 
     def margins_json(self, outer: MarginsReport, dual: MarginsReport) -> dict:
         """The ``margins.json`` payload of a design with a tracker: outer-loop

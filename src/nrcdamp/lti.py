@@ -171,29 +171,75 @@ def tf_feedback(g: RationalTF, h: RationalTF) -> RationalTF:
     return RationalTF(num, den)
 
 
-def freq_response(tf: RationalTF, omega) -> np.ndarray:
-    """Evaluate tf at s = i*omega, including the exact delay phase.
+# Frequencies per pass of FrfStack: for three transfer functions this keeps
+# each (9, block) complex work array near 150 kB, where larger blocks run
+# slower.
+_FRF_BLOCK = 1024
 
-    Samples landing on an imaginary-axis pole (denominator magnitude below
-    1e-12 of its evaluation scale) are flagged with an infinite value rather
-    than raising.
+
+class FrfStack:
+    """Transfer functions evaluated together at s = i*omega, each including
+    its exact delay phase: calling the stack on omega gives the
+    (len(tfs),) + shape(omega) array whose row k is ``tfs[k]`` at omega.
+
+    The numerators, the denominators and the denominators' coefficient
+    magnitudes are zero-padded once into one ascending coefficient matrix.
+    A call evaluates every row by one Horner loop in the operation order
+    of numpy's ``polyval`` (``c0 = c[-1] + x*0``, then
+    ``c0 = c[-i] + c0*x``), the magnitudes at |omega|; a padded zero
+    leaves every bit of its row unchanged, so each row equals the
+    per-polynomial ``polyval`` evaluation. The magnitudes serve the
+    pole-hit guard: a sample whose |den(i*omega)| is at most 1e-12 of the
+    magnitude den would have without cancellation between its terms lands
+    on an imaginary-axis pole and is flagged with an infinite value rather
+    than raising, and no delay phase touches it. Frequencies go
+    _FRF_BLOCK at a time.
     """
-    w = np.atleast_1d(np.asarray(omega, dtype=float))
-    s = 1j * w
-    nv = tf.num(s)
-    dv = tf.den(s)
-    # pole-hit guard: compare |den(iw)| against the magnitude it would have
-    # without cancellation between terms
-    dscale = np.polynomial.polynomial.polyval(np.abs(w), np.abs(tf.den.coeffs))
-    dscale = np.maximum(dscale, np.max(np.abs(tf.den.coeffs)))
-    out = np.empty_like(s)
-    hit = np.abs(dv) <= 1e-12 * dscale
-    ok = ~hit
-    out[ok] = nv[ok] / dv[ok]
-    out[hit] = complex(np.inf, 0.0)
-    if tf.delay_s:
-        out[ok] = out[ok] * np.exp(-1j * w[ok] * tf.delay_s)
-    return out if np.ndim(omega) else out[0]
+
+    def __init__(self, tfs):
+        self.tfs = tuple(tfs)
+        k = len(self.tfs)
+        polys = [tf.num.coeffs for tf in self.tfs] + [tf.den.coeffs for tf in self.tfs]
+        polys += [np.abs(p) for p in polys[k:]]
+        # complex, as numpy promotes each coefficient in polyval, so that no
+        # step casts
+        self._c = np.zeros((3 * k, max(p.size for p in polys)), dtype=complex)
+        for r, p in enumerate(polys):
+            self._c[r, : p.size] = p
+        self._top = np.array([[p.max()] for p in polys[2 * k :]])
+        self._delays = [(r, tf.delay_s) for r, tf in enumerate(self.tfs) if tf.delay_s]
+
+    def __call__(self, omega) -> np.ndarray:
+        c, k = self._c, len(self.tfs)
+        w = np.asarray(omega, dtype=float)
+        flat = w.reshape(-1)
+        out = np.empty((k, flat.size), dtype=complex)
+        for start in range(0, flat.size, _FRF_BLOCK):
+            wb = flat[start : start + _FRF_BLOCK]
+            x = np.empty((3 * k, wb.size), dtype=complex)
+            x[: 2 * k] = 1j * wb
+            x[2 * k :] = np.abs(wb)
+            h = c[:, -1:] + x * 0
+            t = np.empty_like(h)
+            for i in range(c.shape[1] - 2, -1, -1):
+                np.multiply(h, x, out=t)
+                np.add(t, c[:, i, None], out=t)  # an add rounds alike in place or not
+                h, t = t, h
+            dv = h[k : 2 * k]
+            ok = ~(np.abs(dv) <= 1e-12 * np.maximum(h[2 * k :].real, self._top))
+            ob = out[:, start : start + _FRF_BLOCK]
+            ob[...] = complex(np.inf, 0.0)
+            np.divide(h[:k], dv, out=ob, where=ok)
+            for r, delay_s in self._delays:
+                keep = ok[r]  # not in place: numpy's in-place complex multiply rounds differently
+                ob[r, keep] = ob[r, keep] * np.exp(-1j * wb[keep] * delay_s)
+        return out.reshape((k,) + w.shape)
+
+
+def freq_response(tf: RationalTF, omega) -> np.ndarray:
+    """Evaluate tf at s = i*omega, including the exact delay phase; the
+    one-row case of :class:`FrfStack` (a scalar omega gives a scalar)."""
+    return FrfStack((tf,))(omega)[0]
 
 
 def poles_zeros(tf: RationalTF) -> PoleZeroSet:

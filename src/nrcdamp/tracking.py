@@ -30,7 +30,6 @@ from .lti import (
     freq_response,
     mag_db,
     tf_series,
-    unwrapped_phase_deg,
 )
 
 
@@ -337,10 +336,20 @@ class MarginsReport:
     nyquist_net_crossings: int
 
 
-def _critical_brackets(omega, values, field):
+def _critical_brackets(omega, values, field, resonances=()):
     """Brackets where the grid-unwrapped phase of a loop passes
-    -180 - 360k, and whether each passage runs downward."""
-    phase = unwrapped_phase_deg(values)
+    -180 - 360k, and whether each passage runs downward.
+
+    ``resonances`` are the (omega, zeta) of the loop's second-order poles
+    that may lie on or next to the imaginary axis. Across such a pole the
+    phase turns by nearly 180 degrees between two grid points, which the
+    grid alone cannot tell from a turn the other way. So the phase each
+    one takes, -atan2(2 zeta w omega, w^2 - omega^2), is taken out before
+    unwrapping and put back after: the phase falls by 180 degrees across
+    each, as along a Nyquist contour that passes an axis pole on its right.
+    """
+    lag = sum(np.arctan2(2.0 * z * w * omega, w * w - omega * omega) for w, z in resonances)
+    phase = np.degrees(np.unwrap(np.angle(values) + lag) - lag)
     k = np.arange(
         math.ceil((np.max(phase) + 180.0) / -360.0),
         math.floor((np.min(phase) + 180.0) / -360.0) + 1,
@@ -357,13 +366,14 @@ def _critical_brackets(omega, values, field):
     return _Brackets(omega, values, i, beyond, field), phase[i + 1] < phase[i]
 
 
-def _margins_plan(omega, values, field=None):
+def _margins_plan(omega, values, field=None, resonances=()):
     """``margins``' plan (see ``_refine``): the unity-gain and critical-phase
-    brackets of the loop."""
+    brackets of the loop, whose lightly damped poles are ``resonances``
+    (see ``_critical_brackets``)."""
     omega, values = np.asarray(omega, dtype=float), np.asarray(values)
     i = np.flatnonzero(np.diff(np.sign(np.abs(values) - 1.0)))
     unity = _Brackets(omega, values, i, lambda v: np.abs(v) > 1.0, field)
-    critical, down = _critical_brackets(omega, values, field)
+    critical, down = _critical_brackets(omega, values, field, resonances)
 
     def report(refined):
         (w, lw), (_, lc) = refined

@@ -417,18 +417,25 @@ class TestCommands:
 
     @pytest.mark.parametrize("cmd", ["design", "margins"])
     def test_one_grid_frf_per_transfer_function(self, tmp_path, surrogate_raw, monkeypatch, cmd):
-        # G, C_d and C_t are each evaluated once on the grid; the analyses
-        # read those arrays and call the evaluators only to refine
-        sizes = []
+        # G, C_d and C_t are each evaluated once on the grid, together in one
+        # stacked call; the analyses read those arrays and call the
+        # evaluators only to refine
+        calls = []
+        evaluate = nrcdamp.lti.FrfStack.__call__
 
-        def counted(tf, omega):
-            sizes.append(np.size(omega))
-            return freq_response(tf, omega)
+        def counted(stack, omega):
+            calls.append((np.size(omega), stack.tfs))
+            return evaluate(stack, omega)
 
-        monkeypatch.setattr(nrcdamp.cli, "freq_response", counted)
-        getattr(nrcdamp.cli, f"run_{cmd}")(parse_config_dict(surrogate_raw), tmp_path)
+        monkeypatch.setattr(nrcdamp.lti.FrfStack, "__call__", counted)
+        monkeypatch.setattr(nrcdamp.cli, "freq_response", None)  # no per-TF path
+        cfg = parse_config_dict(surrogate_raw)
+        getattr(nrcdamp.cli, f"run_{cmd}")(cfg, tmp_path)
         grid_size = len(log_grid(1.0, 10000.0, 400))
-        assert sizes.count(grid_size) == 3
+        on_grid = [tfs for size, tfs in calls if size == grid_size]
+        assert len(on_grid) == 1
+        ctx = nrcdamp.cli._DesignContext(cfg)
+        assert list(map(repr, on_grid[0])) == list(map(repr, (ctx.plant_tf, ctx.cd_tf, ctx.ct_tf)))
 
     @pytest.mark.parametrize("omega_b_hz, net", [(380.0, 0), (800.0, -1)])
     def test_dual_loop_verdict(self, tmp_path, surrogate_raw, omega_b_hz, net):
@@ -443,6 +450,24 @@ class TestCommands:
         assert summary["crossovers"] == dual["crossovers"]
         text = (out / "summary.txt").read_text()
         assert ("dual loop: UNSTABLE" in text) is (net != 0)
+
+    @pytest.mark.parametrize("n", [4.0, 8.0])
+    @pytest.mark.parametrize("zeta", [0.0, 1e-9, 1e-6, 1e-4])
+    def test_undamped_second_mode_verdict(self, tmp_path, surrogate_raw, zeta, n):
+        # across the (nearly) undamped 983 Hz mode the phase of L_D turns by
+        # about 180 degrees between two grid points, either way as the grid
+        # sees it; the mode's own turn is -180, and the sampled dual loop is
+        # stable (spectral radius 0.9943 at every zeta and n here)
+        surrogate_raw["plant"]["modes"][1]["zeta"] = zeta
+        surrogate_raw["nrc"]["n"] = n
+        cfg = parse_config_dict(surrogate_raw)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            summary = nrcdamp.cli.run_design(cfg, tmp_path)
+            margins = nrcdamp.cli.run_margins(cfg, tmp_path)
+        for dual in (summary["dual_loop"], margins["dual_loop"]):
+            assert dual["nyquist_net_crossings"] == 0
+            assert dual["stable"] is True
 
     def test_short_sine_boundary(self, tmp_path, surrogate_raw):
         # at ts = 30 us a 100 Hz cycle is 333.3 samples; 833 samples leave

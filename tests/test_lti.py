@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nrcdamp import (
+    FrfStack,
     Polynomial,
     RationalTF,
     dc_gain,
@@ -16,7 +17,7 @@ from nrcdamp import (
     tf_feedback,
     tf_series,
 )
-from nrcdamp.lti import _CSV_BLOCK, _scale, write_csv
+from nrcdamp.lti import _CSV_BLOCK, _FRF_BLOCK, _scale, write_csv
 
 
 def tf(num, den, delay=0.0):
@@ -162,6 +163,116 @@ class TestFreqResponse:
         ]
         for g in cases:
             assert abs(freq_response(g, 0.0) - dc_gain(g)) <= 1e-12 * abs(dc_gain(g))
+
+
+def polyval_frf(g, omega):
+    """Oracle: one transfer function at i*omega by numpy's polyval, one
+    polynomial at a time, with the pole-hit guard and delay phase of
+    freq_response."""
+    w = np.atleast_1d(np.asarray(omega, dtype=float))
+    s = 1j * w
+    nv = np.polynomial.polynomial.polyval(s, g.num.coeffs)
+    dv = np.polynomial.polynomial.polyval(s, g.den.coeffs)
+    dscale = np.polynomial.polynomial.polyval(np.abs(w), np.abs(g.den.coeffs))
+    dscale = np.maximum(dscale, np.max(np.abs(g.den.coeffs)))
+    out = np.empty_like(s)
+    hit = np.abs(dv) <= 1e-12 * dscale
+    ok = ~hit
+    out[ok] = nv[ok] / dv[ok]
+    out[hit] = complex(np.inf, 0.0)
+    if g.delay_s:
+        out[ok] = out[ok] * np.exp(-1j * w[ok] * g.delay_s)
+    return out if np.ndim(omega) else out[0]
+
+
+def assert_rows_match_oracle(tfs, omega):
+    rows = FrfStack(tfs)(omega)
+    assert rows.shape == (len(tfs),) + np.shape(omega)
+    for row, g in zip(rows, tfs):
+        want = polyval_frf(g, omega)
+        assert np.asarray(row).tobytes() == np.asarray(want).tobytes(), g
+        assert np.asarray(freq_response(g, omega)).tobytes() == np.asarray(want).tobytes(), g
+
+
+class TestFrfStack:
+    """The stacked evaluator has, row by row, the bits of evaluating each
+    transfer function alone with numpy's polyval."""
+
+    MIXED = (
+        tf([1.0], [1.0, 0.02, 1.0], delay=1.5e-4),  # delayed, degree 2
+        tf([-7.0, 1.0], [7.0, 1.0]),  # degree 1
+        tf([3.5], [1.0]),  # constant
+        tf([2.0, 0.3, 1e-3, 4e-6, 1e-9], [1.0, 0.0, 2e-2, 0.0, 3e-6, 1e-10], delay=2e-5),
+        tf([0.0], [1.0, 1.0]),  # zero numerator
+    )
+
+    @pytest.mark.parametrize(
+        "omega",
+        [
+            np.geomspace(1e-3, 1e5, 41),
+            np.array([0.0, 1.0, 2.0]),
+            -np.geomspace(0.1, 100.0, 7),
+            np.geomspace(0.1, 1e4, 2 * _FRF_BLOCK + 3),  # several blocks
+            np.geomspace(1.0, 10.0, 6).reshape(2, 3),
+            np.array([]),
+        ],
+        ids=["grid", "with_zero", "negative", "blocks", "2d", "empty"],
+    )
+    def test_rows_of_different_degree_and_delay(self, omega):
+        assert_rows_match_oracle(self.MIXED, omega)
+
+    @pytest.mark.parametrize("omega", [0.0, 1.0, 3.7e3, np.float64(2.5)])
+    def test_scalar_in_scalar_out(self, omega):
+        rows = FrfStack(self.MIXED)(omega)
+        assert rows.shape == (len(self.MIXED),)
+        for g in self.MIXED:
+            v = freq_response(g, omega)
+            assert isinstance(v, np.complex128)
+            assert np.asarray(v).tobytes() == np.asarray(polyval_frf(g, omega)).tobytes()
+        assert_rows_match_oracle(self.MIXED, omega)
+
+    def test_pole_hit_between_other_rows(self):
+        # the delayed row has an imaginary-axis pole on the grid point 1.0:
+        # that entry alone is inf + 0j, untouched by the delay phase
+        hit = tf([1.0], [1.0, 0.0, 1.0], delay=1e-3)
+        tfs = (self.MIXED[1], hit, self.MIXED[0])
+        omega = np.array([0.5, 1.0, 2.0])
+        assert_rows_match_oracle(tfs, omega)
+        rows = FrfStack(tfs)(omega)
+        assert rows[1, 1] == complex(np.inf, 0.0)
+        assert np.all(np.isfinite(np.delete(rows, [4])))
+        assert FrfStack((hit,))(1.0)[0] == complex(np.inf, 0.0)
+
+    def test_guard_scale_is_den_magnitude_at_abs_omega(self):
+        # next to the pole at 1e4 rad/s, |den(i w)| = 1.5e-4 lies under 1e-12
+        # of |den|(|w|) = 2e8 but over 1e-12 of the largest coefficient 1e8
+        g = tf([1.0], [1e8, 0.0, 1.0], delay=1e-4)
+        omega = np.array([1e4 + 7.5e-9, 1e4 + 2e-8])
+        assert_rows_match_oracle((self.MIXED[1], g), omega)
+        v = FrfStack((g,))(omega)[0]
+        assert v[0] == complex(np.inf, 0.0) and np.isfinite(v[1])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        polys=st.lists(
+            st.tuples(
+                st.lists(st.floats(-1e6, 1e6, allow_subnormal=False), min_size=1, max_size=9),
+                st.lists(st.floats(-1e6, 1e6, allow_subnormal=False), min_size=1, max_size=9),
+                st.sampled_from([0.0, 1.5e-4, 0.37]),
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+        omega=st.lists(st.floats(0.0, 1e5), min_size=1, max_size=20),
+        scalar=st.booleans(),
+    )
+    def test_random_coefficients(self, polys, omega, scalar):
+        tfs = []
+        for num, den, delay in polys:
+            if not any(den):
+                den = den + [1.0]
+            tfs.append(tf(num, den, delay))
+        assert_rows_match_oracle(tfs, omega[0] if scalar else np.array(omega))
 
 
 class TestPolesZeros:
