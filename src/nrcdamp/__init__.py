@@ -1,7 +1,12 @@
 """Active damping and dual-loop control design toolkit for lightly damped
 resonant plants: transfer-function algebra, constant-gain non-minimum-phase
 damping-controller synthesis, inner/outer loop analysis, dual closed-loop
-sensitivity shaping, discrete-time simulation and chirp identification."""
+sensitivity shaping, discrete-time simulation and chirp identification.
+
+The package holds what the command line runs. The paper's hand-expanded
+closed forms (closed-form poles, the delayed, loaded, two-mode and tamed
+inner loops, the load threshold, the steady-state-error law) are test
+oracles of its generic closures and live in ``tests/closed_forms.py``."""
 
 from .lti import (
     FrfStack,
@@ -11,7 +16,6 @@ from .lti import (
     dc_gain,
     freq_response,
     log_grid,
-    pade1,
     poles_zeros,
     poly_roots,
     tf_feedback,
@@ -24,15 +28,11 @@ from .plants import (
     modal_state_space,
     nanopositioner_surrogate,
     scale_load,
-    two_mode_zero,
 )
 from .nrc import (
     NrcSpec,
-    StateSpaceRealization,
-    min_damping_n,
     nrc,
     nrc_gains,
-    nrc_state_space,
     synthesize_nrc,
     tame_nrc,
 )
@@ -40,21 +40,11 @@ from .loops import (
     InnerLoopResult,
     RootLocusTrace,
     RouthReport,
-    SecondModePeak,
-    damped_second_peak,
     damping_ratio,
-    delayed_inner_loop,
     inner_charpoly,
     inner_closed_loop,
-    inner_poles_closed_form,
-    loaded_damping_check,
-    loaded_inner_charpoly,
-    m_for_phase_lag,
-    m_from_tau,
     root_locus_n,
     routh_cubic,
-    tamed_inner_loop,
-    two_mode_inner_loop,
 )
 from .tracking import (
     BandwidthReport,
@@ -67,13 +57,10 @@ from .tracking import (
     bandwidth,
     build_tracker,
     dual_sensitivities,
-    kp_plant_inverse_approx,
     margins,
     nyquist_net_crossings,
     objective_report,
     pm_feasibility,
-    real_error_budget,
-    steady_state_error,
     tune_kp,
 )
 from .sim import (
@@ -88,7 +75,6 @@ from .sim import (
     make_reference,
     make_uniform_noise,
     open_loop_response,
-    phase_compensate,
     run_state_space,
     simulate_dual_loop,
     sinusoid_amplitude,

@@ -287,11 +287,6 @@ def _read_config_json(path):
         raise ConfigError(f"config error: invalid JSON ({exc})")
 
 
-def parse_config(path) -> SimpleNamespace:
-    """Load and validate a JSON config file."""
-    return parse_config_dict(_read_config_json(path))
-
-
 # ---------------------------------------------------------------------------
 # pipeline pieces
 
@@ -720,13 +715,20 @@ def _write_json(path: Path, payload) -> None:
 
 
 def _require_sections(cmd: str, cfg: SimpleNamespace) -> SimpleNamespace:
-    """``cfg``, checked to hold every section ``cmd`` needs."""
+    """``cfg``, checked to hold every section ``cmd`` needs, and for
+    ``design`` a damped first mode."""
     for section in COMMANDS.get(cmd, ()):
         if getattr(cfg, section) is None:
             article = "an" if section == "nrc" else "a"
             raise ConfigError(
                 f"config error at {section}: {cmd} needs {article} {section} section"
             )
+    if cmd == "design" and cfg.plant.modes[0].zeta == 0.0:
+        _fail(
+            "plant.modes[0].zeta",
+            "must be > 0 for design: the peak reduction and O3 are taken at the"
+            " first mode, where an undamped G is unbounded",
+        )
     return cfg
 
 

@@ -4,7 +4,8 @@ Coefficients are stored in ascending powers of s. A :class:`RationalTF`
 carries an optional pure time delay alongside the rational part; the delay
 is applied exactly (as a phase factor) in frequency-response evaluation and
 is never approximated implicitly. Rational feedback closure refuses delayed
-loops: close those at FRF level or substitute :func:`pade1` first.
+loops: close those at FRF level or substitute a first-order all-pass for the
+delay first.
 """
 
 from __future__ import annotations
@@ -132,9 +133,6 @@ class RationalTF:
     @staticmethod
     def gain(value: float) -> "RationalTF":
         return RationalTF.from_coeffs([value], [1.0])
-
-    def without_delay(self) -> "RationalTF":
-        return RationalTF(self.num, self.den, 0.0)
 
     def __repr__(self):
         d = f", delay_s={self.delay_s}" if self.delay_s else ""
@@ -271,14 +269,6 @@ def dc_gain(tf: RationalTF):
         lead = next(c for c in tf.den.coeffs if c != 0.0)
         return math.copysign(math.inf, n0 / lead)
     return float(n0 / d0)
-
-
-def pade1(tau_s: float) -> RationalTF:
-    """First-order all-pass delay approximation (wb - s)/(wb + s), wb = 2/tau."""
-    if tau_s <= 0.0:
-        raise ValueError("tau_s must be > 0")
-    wb = 2.0 / tau_s
-    return RationalTF.from_coeffs([wb, -1.0], [wb, 1.0])
 
 
 def log_grid(f_min_hz: float, f_max_hz: float, pts_per_decade: int = 400) -> np.ndarray:

@@ -44,16 +44,6 @@ class NrcSpec:
             raise ValueError("taming_l must be > 0")
 
 
-@dataclass(frozen=True)
-class StateSpaceRealization:
-    """Minimal (scalar) realization of the untamed controller."""
-
-    a: float
-    b: float
-    c: float
-    d: float
-
-
 def nrc(k: float, omega_a: float) -> RationalTF:
     """The raw controller k*(s - w_a)/(s + w_a) from explicit gains.
 
@@ -86,13 +76,6 @@ def synthesize_nrc(plant: PlantSpec, spec: NrcSpec) -> RationalTF:
     return nrc(k, omega_a)
 
 
-def nrc_state_space(k: float, omega_a: float) -> StateSpaceRealization:
-    """Minimal realization: zdot = -w_a z + y, v = -2 w_a k z + k y."""
-    if omega_a <= 0.0:
-        raise ValueError("omega_a must be > 0")
-    return StateSpaceRealization(a=-omega_a, b=1.0, c=-2.0 * omega_a * k, d=k)
-
-
 def tame_nrc(k: float, omega_a: float, omega_l: float) -> RationalTF:
     """Controller with first-order low-pass roll-off at omega_l.
 
@@ -104,19 +87,3 @@ def tame_nrc(k: float, omega_a: float, omega_l: float) -> RationalTF:
         raise ValueError("omega_l must be > 0")
     lp = RationalTF.from_coeffs([omega_l], [omega_l, 1.0])
     return tf_series(nrc(k, omega_a), lp)
-
-
-def min_damping_n(zeta_n: float, eta: float = 1.0) -> float:
-    """Smallest corner ratio n that fully damps the resonant pole pair.
-
-    For the marginal tuning (gamma = 1) the closed-loop conjugate pair
-    coalesces onto the real axis once n >= 2*eta*(sqrt(2) + zeta_n), where
-    eta <= 1 is the load-induced resonance scaling. Monotone in both
-    arguments, so a controller tuned for the unloaded plant keeps complete
-    damping under load.
-    """
-    if zeta_n < 0.0:
-        raise ValueError("zeta_n must be >= 0")
-    if not (0.0 < eta <= 1.0):
-        raise ValueError("eta must lie in (0, 1]")
-    return 2.0 * eta * (math.sqrt(2.0) + zeta_n)

@@ -135,25 +135,6 @@ def scale_load(spec: PlantSpec, eta: float) -> PlantSpec:
     return replace(spec, modes=modes)
 
 
-def two_mode_zero(alpha: float, beta: float, omega_n: float) -> float:
-    """Frequency of the interlaced zero pair of an undamped two-mode sum.
-
-    For modes at omega_n and alpha*omega_n with relative weight beta, the
-    summed response has imaginary-axis zeros at
-    alpha*omega_n*sqrt((1+beta)/(1+alpha^2*beta)), strictly between the two
-    mode frequencies.
-    """
-    if alpha <= 1.0:
-        raise ValueError("alpha must be > 1")
-    if beta <= 0.0:
-        raise ValueError("beta must be > 0")
-    if omega_n <= 0.0:
-        raise ValueError("omega_n must be > 0")
-    wz = alpha * omega_n * math.sqrt((1.0 + beta) / (1.0 + alpha * alpha * beta))
-    assert omega_n < wz < alpha * omega_n
-    return wz
-
-
 def nanopositioner_surrogate() -> PlantSpec:
     """Desk-scale stand-in for an identified piezo nanopositioning stage.
 

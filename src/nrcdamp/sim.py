@@ -314,22 +314,6 @@ def make_uniform_noise(seed: int, amplitude: float, nsamples: int) -> np.ndarray
     return rng.uniform(-amplitude, amplitude, nsamples)
 
 
-def phase_compensate(y, phi_deg: float, f_hz: float, ts: float) -> np.ndarray:
-    """Remove a known phase lag by shifting forward whole samples.
-
-    The lag phi at frequency f corresponds to t_d = phi/(360 f); the signal
-    is advanced by round(|t_d|/ts) samples and the tail truncated.
-    """
-    if f_hz <= 0.0 or ts <= 0.0:
-        raise ValueError("f_hz and ts must be > 0")
-    y = np.asarray(y, dtype=float)
-    t_d = phi_deg / (f_hz * 360.0)
-    n_d = int(round(abs(t_d) / ts))
-    if n_d >= y.size:
-        raise ValueError("compensation shift exceeds the signal length")
-    return y[n_d:].copy()
-
-
 def tracking_metrics(r, y) -> tuple[float, float]:
     """(max tracking error, rms tracking error) of y against r."""
     r = np.asarray(r, dtype=float)

@@ -111,13 +111,6 @@ def tune_kp(g_d, omega_b: float) -> float:
     return 1.0 / mag
 
 
-def kp_plant_inverse_approx(omega_n: float, omega_b: float) -> float:
-    """Low-frequency plant-inversion shortcut |(wn^2 - wb^2)/wn^2| for kp."""
-    if omega_n <= 0.0 or omega_b <= 0.0:
-        raise ValueError("omega_n and omega_b must be > 0")
-    return abs((omega_n**2 - omega_b**2) / omega_n**2)
-
-
 def pm_feasibility(nu: float, n: float, exact_tan60: bool = False):
     """60-degree phase-margin feasibility of the marginal inner loop.
 
@@ -134,14 +127,6 @@ def pm_feasibility(nu: float, n: float, exact_tan60: bool = False):
     c = math.tan(math.radians(60.0)) if exact_tan60 else 1.75
     value = c * nu**2 * n**2 - 2.0 * nu**3 * n + c * (1.0 - 2.0 * nu**2)
     return value, value <= 0.0
-
-
-def steady_state_error(kp: float) -> float:
-    """Step-reference steady error of the proportional-only dual loop when
-    the inner integrator is lost to controller-gain mismatch: 2/(2 + kp)."""
-    if kp <= 0.0:
-        raise ValueError("kp must be > 0")
-    return 2.0 / (2.0 + kp)
 
 
 @dataclass(frozen=True)
@@ -189,24 +174,6 @@ def dual_sensitivities(plant_frf, ct_frf, cd_frf, grid) -> SensitivityBundle:
         ps_yd=ps_yd,
         loop_gain=loop,
         flagged=flagged,
-    )
-
-
-def real_error_budget(bundle: SensitivityBundle, r_amp, d_amp, n_amp) -> np.ndarray:
-    """Root-sum-square real-error spectrum for uncorrelated r, d, n inputs.
-
-    e_r = sqrt((|T'_xr| r)^2 + (|PS_yd| d)^2 + (|S_xn| n)^2), with the
-    input-disturbance path to the true position equal to PS_yd.
-    """
-    r = np.broadcast_to(np.asarray(r_amp, dtype=float), bundle.grid.shape)
-    d = np.broadcast_to(np.asarray(d_amp, dtype=float), bundle.grid.shape)
-    n = np.broadcast_to(np.asarray(n_amp, dtype=float), bundle.grid.shape)
-    if np.any(r < 0.0) or np.any(d < 0.0) or np.any(n < 0.0):
-        raise ValueError("amplitude spectra must be >= 0")
-    return np.sqrt(
-        (np.abs(bundle.t_xr_comp) * r) ** 2
-        + (np.abs(bundle.ps_yd) * d) ** 2
-        + (np.abs(bundle.s_xn) * n) ** 2
     )
 
 

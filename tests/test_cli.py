@@ -31,8 +31,8 @@ from nrcdamp.cli import (
     _locus_flags,
     _margins_dict,
     _obj_dict,
+    _read_config_json,
     main,
-    parse_config,
     parse_config_dict,
     run_command,
     run_design,
@@ -189,7 +189,7 @@ class TestParseConfig:
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
-            parse_config(tmp_path / "nope.json")
+            _read_config_json(tmp_path / "nope.json")
 
 
 class TestCommands:
@@ -468,6 +468,28 @@ class TestCommands:
         for dual in (summary["dual_loop"], margins["dual_loop"]):
             assert dual["nyquist_net_crossings"] == 0
             assert dual["stable"] is True
+
+    @pytest.mark.parametrize("cmd", ["design", "sweep"])
+    def test_undamped_first_mode_refused(self, tmp_path, surrogate_raw, capsys, cmd):
+        # design reads the peak reduction and O3 at the first mode, on the
+        # pole of an undamped G; it wrote NaN and Infinity there and exited 0
+        surrogate_raw["plant"]["modes"][0]["zeta"] = 0.0
+        out = tmp_path / "out"
+        kwargs = {"param": "nrc.n", "values": [4.0, 8.0]} if cmd == "sweep" else {}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_command(cmd, write(tmp_path, surrogate_raw), out, **kwargs) == 2
+        err = capsys.readouterr().err
+        assert "config error at plant.modes[0].zeta: must be > 0 for design" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cmd", ["margins", "sens", "bode", "rootlocus", "simulate", "identify"])
+    def test_undamped_first_mode_accepted(self, tmp_path, surrogate_raw, cmd):
+        # the other commands never evaluate G on its poles
+        surrogate_raw["plant"]["modes"][0]["zeta"] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_command(cmd, write(tmp_path, surrogate_raw), tmp_path / "out") == 0
 
     def test_short_sine_boundary(self, tmp_path, surrogate_raw):
         # at ts = 30 us a 100 Hz cycle is 333.3 samples; 833 samples leave

@@ -6,34 +6,35 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nrcdamp import (
-    ModeSpec,
-    PlantSpec,
-    build_plant,
+from closed_forms import (
     damped_second_peak,
-    damping_ratio,
     delayed_inner_loop,
-    freq_response,
-    inner_charpoly,
-    inner_closed_loop,
     inner_poles_closed_form,
-    loaded_damping_check,
     loaded_inner_charpoly,
     m_for_phase_lag,
     m_from_tau,
     min_damping_n,
-    nrc,
     pade1,
+    tamed_inner_loop,
+    two_mode_inner_loop,
+)
+from nrcdamp import (
+    ModeSpec,
+    PlantSpec,
+    build_plant,
+    damping_ratio,
+    freq_response,
+    inner_charpoly,
+    inner_closed_loop,
+    nrc,
     poles_zeros,
     poly_roots,
     root_locus_n,
     routh_cubic,
     scale_load,
     tame_nrc,
-    tamed_inner_loop,
     tf_feedback,
     tf_series,
-    two_mode_inner_loop,
 )
 from nrcdamp.loops import REAL_POLE_REL_TOL, _pair_discriminant
 
@@ -309,9 +310,9 @@ class TestDelayedLoop:
 
 class TestLoadRobustness:
     def test_reference_checks(self):
-        assert loaded_damping_check(0.01, 3.0, 1.0)
-        assert loaded_damping_check(0.01, 3.0, 0.5)
-        assert not loaded_damping_check(0.0, 2.0, 1.0)
+        assert 3.0 >= min_damping_n(0.01, 1.0)
+        assert 3.0 >= min_damping_n(0.01, 0.5)
+        assert not 2.0 >= min_damping_n(0.0, 1.0)
 
     def test_formula_agrees_with_rooting(self):
         rng = np.random.default_rng(17)
@@ -324,7 +325,7 @@ class TestLoadRobustness:
                 continue
             roots = poly_roots(loaded_inner_charpoly(1.0, zeta, n, eta))
             all_real = np.all(np.abs(roots.imag) < 1e-9)
-            assert all_real == loaded_damping_check(zeta, n, eta)
+            assert all_real == (n >= min_damping_n(zeta, eta))
 
     def test_unloaded_tuning_keeps_damping_under_load(self):
         # controller tuned at eta=1 with gamma=1, n=3; the loaded loops must

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from closed_forms import pade1
 from nrcdamp import (
     FrfStack,
     Polynomial,
@@ -11,7 +12,6 @@ from nrcdamp import (
     freq_response,
     inner_charpoly,
     log_grid,
-    pade1,
     poles_zeros,
     poly_roots,
     tf_feedback,

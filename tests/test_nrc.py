@@ -1,21 +1,23 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from closed_forms import min_damping_n
 from nrcdamp import (
     ModeSpec,
     NrcSpec,
     PlantSpec,
     dc_gain,
     freq_response,
-    min_damping_n,
     nanopositioner_surrogate,
     nrc,
     nrc_gains,
-    nrc_state_space,
     poles_zeros,
     synthesize_nrc,
     tame_nrc,
 )
+from nrcdamp.sim import _controller_canonical
 
 
 def single_mode(g=1.0, wn=1.0, zeta=0.01):
@@ -56,20 +58,28 @@ class TestSynthesis:
         assert 1.0 / k == pytest.approx(0.5237, rel=1e-9)
 
 
+def canonical_realization(k, wa):
+    """The controller's continuous realization as ``discretize`` builds it,
+    before the Tustin map: zdot = -w_a z + y, v = -2 w_a k z + k y."""
+    tf = nrc(k, wa)
+    a, b, c, d = _controller_canonical(tf.num.coeffs[::-1], tf.den.coeffs[::-1])
+    return SimpleNamespace(a=a.item(), b=b.item(), c=c.item(), d=d.item())
+
+
 class TestStateSpace:
     def test_reference_realization(self):
-        ss = nrc_state_space(1.0, 1.0)
+        ss = canonical_realization(1.0, 1.0)
         assert (ss.a, ss.b, ss.c, ss.d) == (-1.0, 1.0, -2.0, 1.0)
 
     def test_scaled_realization(self):
-        ss = nrc_state_space(0.5, 2.0)
+        ss = canonical_realization(0.5, 2.0)
         assert (ss.a, ss.b, ss.c, ss.d) == (-2.0, 1.0, -2.0, 0.5)
 
     def test_reconstruction_identity(self):
         # c*(s-a)^-1*b + d == (d*s + (c*b - d*a)) / (s - a), must equal the
         # rational controller exactly
         k, wa = 1.7, 4.2
-        ss = nrc_state_space(k, wa)
+        ss = canonical_realization(k, wa)
         num = np.array([ss.c * ss.b - ss.d * ss.a, ss.d])
         den = np.array([-ss.a, 1.0])
         ref = nrc(k, wa)
@@ -82,7 +92,7 @@ class TestStateSpace:
         for _ in range(10):
             k = rng.uniform(0.1, 5.0)
             wa = rng.uniform(0.5, 100.0)
-            ss = nrc_state_space(k, wa)
+            ss = canonical_realization(k, wa)
             ss_frf = ss.c / (1j * w - ss.a) * ss.b + ss.d
             rat_frf = freq_response(nrc(k, wa), w)
             np.testing.assert_allclose(ss_frf, rat_frf, rtol=1e-12)

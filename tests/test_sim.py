@@ -1,5 +1,6 @@
 import warnings
 from collections import deque
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import signal as sps
 
+from closed_forms import two_mode_zero
 from nrcdamp import (
     DiscreteSS,
     ModeSpec,
@@ -30,7 +32,6 @@ from nrcdamp import (
     nrc,
     nrc_gains,
     open_loop_response,
-    phase_compensate,
     run_state_space,
     simulate_dual_loop,
     sinusoid_amplitude,
@@ -115,8 +116,6 @@ class TestDiscretize:
 
     def test_delay_rounds_to_samples(self):
         g = build_plant(single_mode())
-        from dataclasses import replace
-
         spec = replace(single_mode(), delay_s=150e-6)
         blk = discretize(build_plant(spec), TS)
         assert blk.input_delay_samples == 5
@@ -124,7 +123,7 @@ class TestDiscretize:
     def test_frf_matches_continuous_below_fs_20(self):
         # trapezoidal map identity: the discrete response at w equals the
         # continuous response at the warped frequency (2/T)tan(wT/2)
-        g = build_plant(nanopositioner_surrogate()).without_delay()
+        g = replace(build_plant(nanopositioner_surrogate()), delay_s=0.0)
         blk = discretize(g, TS)
         fs = 1.0 / TS
         w = TWO_PI * np.linspace(5.0, fs / 20.0, 60)
@@ -154,7 +153,7 @@ class TestDiscretize:
         ts = 1.0 / ((1.0 / cfg.sim.ts_s) * oversample)
         w = TWO_PI * np.geomspace(1.0, 0.49 / ts, 500)
         warped = (2.0 / ts) * np.tan(w * ts / 2.0)
-        for tf in (ctx.plant_tf.without_delay(), ctx.ct_tf, ctx.cd_tf):
+        for tf in (replace(ctx.plant_tf, delay_s=0.0), ctx.ct_tf, ctx.cd_tf):
             np.testing.assert_allclose(
                 discrete_frf(discretize(tf, ts), w), freq_response(tf, warped), rtol=1e-9
             )
@@ -534,28 +533,6 @@ class TestClosedLoopStateSpace:
             dual_loop_state_space(blk, blk, other)
 
 
-class TestPhaseCompensate:
-    def test_reference_shift(self):
-        y = np.arange(10000, dtype=float)
-        out = phase_compensate(y, 90.0, 100.0, TS)
-        # t_d = 2.5 ms -> 83 samples
-        assert out.size == y.size - 83
-        assert out[0] == 83.0
-
-    def test_identity(self):
-        y = np.arange(100, dtype=float)
-        np.testing.assert_array_equal(phase_compensate(y, 0.0, 100.0, TS), y)
-
-    def test_full_turn_case(self):
-        y = np.arange(100, dtype=float)
-        out = phase_compensate(y, 360.0, 1000.0, 1e-3)
-        assert out.size == 99 and out[0] == 1.0
-
-    def test_too_long_shift(self):
-        with pytest.raises(ValueError, match="exceeds"):
-            phase_compensate(np.ones(10), 90.0, 100.0, TS)
-
-
 class TestTrackingMetrics:
     def test_perfect_tracking(self):
         r = np.sin(np.linspace(0, 10, 500))
@@ -678,8 +655,6 @@ class TestSurrogateRuns:
         # interlaced anti-resonance between the two modes
         sel = (est.freq_hz > 800.0) & (est.freq_hz < 980.0)
         dip = est.freq_hz[sel][np.argmin(est.mag_db[sel])]
-        from nrcdamp import two_mode_zero
-
         expected = two_mode_zero(983.0 / 739.0, 0.3, 739.0)
         assert dip == pytest.approx(expected, rel=0.02)
 
@@ -720,7 +695,7 @@ def scipy_open_loop(plant, fs, duration_s, f1, oversample):
     t = np.arange(nsamp) / fs_fine
     u = 0.1 * sps.chirp(t, f0=10.0, t1=duration_s, f1=f1, method="logarithmic")
     u = u * sps.windows.tukey(nsamp, alpha=0.1)
-    blk = old_discretize(build_plant(plant).without_delay(), 1.0 / fs_fine)
+    blk = old_discretize(replace(build_plant(plant), delay_s=0.0), 1.0 / fs_fine)
     num, den = sps.ss2tf(blk.a_matrix, blk.b_matrix, blk.c_matrix, blk.d_matrix)
     y = delay_shift(sps.lfilter(num[0], den, u), int(round(plant.delay_s * fs_fine)))
     return u[::oversample], y[::oversample]

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from closed_forms import kp_plant_inverse_approx, steady_state_error
 from nrcdamp import (
     ModeSpec,
     NotchSpec,
@@ -15,15 +16,12 @@ from nrcdamp import (
     build_tracker,
     dual_sensitivities,
     freq_response,
-    kp_plant_inverse_approx,
     log_grid,
     margins,
     nrc,
     nyquist_net_crossings,
     objective_report,
     pm_feasibility,
-    real_error_budget,
-    steady_state_error,
     tf_feedback,
     tune_kp,
 )
@@ -202,47 +200,6 @@ class TestDualSensitivities:
             dual_sensitivities(
                 np.ones(3, complex), np.ones(4, complex), np.ones(3, complex), np.ones(3)
             )
-
-
-class TestRealErrorBudget:
-    def test_single_term_collapse(self):
-        grid = log_grid(0.01, 10.0, 60)
-        b = bundle_for(
-            build_plant(single_mode()),
-            build_tracker(TrackerSpec(pi=PiSpec(kp=1.0))),
-            nrc(0.9, 3.0),
-            grid,
-        )
-        e = real_error_budget(b, 2.0, 0.0, 0.0)
-        np.testing.assert_allclose(e, 2.0 * np.abs(b.t_xr_comp), rtol=1e-12)
-
-    def test_noise_asymptote(self):
-        # with |L_D| >> 1, S_xn -> -1 so the noise term passes through
-        grid = np.array([1e-4])
-        b = dual_sensitivities(
-            np.array([1.0 + 0j]), np.array([1e6 + 0j]), np.array([0j]), grid
-        )
-        e = real_error_budget(b, 0.0, 0.0, 1.0)
-        assert e[0] == pytest.approx(1.0, rel=1e-5)
-
-    def test_root_sum_square(self):
-        grid = np.array([1.0])
-        b = dual_sensitivities(
-            np.array([0.5 + 0.5j]), np.array([2.0 + 0j]), np.array([1.0 + 0j]), grid
-        )
-        e = real_error_budget(b, 1.0, 1.0, 1.0)
-        expected = np.sqrt(
-            np.abs(b.t_xr_comp) ** 2 + np.abs(b.ps_yd) ** 2 + np.abs(b.s_xn) ** 2
-        )
-        assert e[0] == pytest.approx(expected[0], rel=1e-12)
-
-    def test_negative_amplitude_rejected(self):
-        grid = np.array([1.0])
-        b = dual_sensitivities(
-            np.array([1.0 + 0j]), np.array([1.0 + 0j]), np.array([0j]), grid
-        )
-        with pytest.raises(ValueError):
-            real_error_budget(b, -1.0, 0.0, 0.0)
 
 
 class TestBandwidth:
