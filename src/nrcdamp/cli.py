@@ -21,7 +21,7 @@ import numpy as np
 
 from .lti import FrfStack, bode_to_csv, freq_response, log_grid, mag_db, write_csv
 from .plants import ModeSpec, PlantSpec, build_plant
-from .nrc import NrcSpec, nrc_gains, synthesize_nrc
+from .nrc import NrcSpec, _tune
 from .loops import (
     inner_charpoly,
     inner_closed_loop,
@@ -303,9 +303,8 @@ class _DesignContext:
     def __init__(self, cfg: SimpleNamespace):
         self.cfg = cfg
         self.plant_spec = cfg.plant.to_spec()
-        self.plant_tf = build_plant(self.plant_spec)
-        self.k, self.omega_a = nrc_gains(self.plant_spec, cfg.nrc)
-        self.cd_tf = synthesize_nrc(self.plant_spec, cfg.nrc)
+        self.plant_tf = build_plant(self.plant_spec)  # the context's one build
+        self.k, self.omega_a, self.cd_tf = _tune(self.plant_tf, self.plant_spec, cfg.nrc)
         self.grid = log_grid(cfg.grid.f_min_hz, cfg.grid.f_max_hz, cfg.grid.pts_per_decade)
         self.omega_n = self.plant_spec.omega_n
 

@@ -169,6 +169,8 @@ def _pair_discriminant(zeta_n: float, gamma: float, n):
 
 # the ordered pairs of three roots, in itertools.permutations order
 _ROOT_PAIRS = np.array(list(itertools.permutations(range(3), 2)))
+# grid steps per block of the pair continuation's cost table (2.4 MB)
+_LOCUS_BLOCK = 4096
 
 
 def _cubic_roots(coeffs) -> np.ndarray:
@@ -190,7 +192,11 @@ def root_locus_n(omega_n: float, zeta_n: float, gamma: float, n_grid) -> RootLoc
     mode (omega_n, zeta_n) over corner ratios n > 0.
 
     Pole branches are continued by nearest-neighbor matching between
-    consecutive grid points; the bifurcation ratio (first n at which the
+    consecutive grid points: one table holds the cost of every ordered
+    root pair at each point against every one at the point before, its
+    argmin over the later point's pairs is the successor of each pair, and
+    the pair walks those integer successors from its start on the first
+    point's conjugate roots. The bifurcation ratio (first n at which the
     characteristic cubic's discriminant is >= 0, so the pair is real) is
     refined by the geometric bisection of :func:`tracking._bisect`, to 1e-12
     relative. None is reported when the pair never bifurcates on the grid.
@@ -202,21 +208,28 @@ def root_locus_n(omega_n: float, zeta_n: float, gamma: float, n_grid) -> RootLoc
         raise ValueError("n_grid must be > 0")
 
     roots = _cubic_roots(_charpoly_coeffs(omega_n, zeta_n, gamma, n_values))
-    p2 = np.empty(n_values.size, dtype=complex)
-    p3 = np.empty(n_values.size, dtype=complex)
+    pairs = roots[:, _ROOT_PAIRS]  # (n, pair, p2/p3): every ordered pair of roots
     # start the pair on the conjugate roots; fall back to the two
     # largest-magnitude roots when the pair is already real
-    by_imag = sorted(roots[0], key=lambda r: -abs(r.imag))
-    if abs(by_imag[0].imag) > REAL_POLE_REL_TOL * omega_n:
-        p2[0], p3[0] = sorted(by_imag[:2], key=lambda r: -r.imag)
+    r0 = roots[0]
+    by_imag = sorted(range(3), key=lambda j: -abs(r0[j].imag))
+    if abs(r0[by_imag[0]].imag) > REAL_POLE_REL_TOL * omega_n:
+        start = sorted(by_imag[:2], key=lambda j: -r0[j].imag)
     else:
-        p2[0], p3[0] = sorted(roots[0], key=lambda r: -abs(r))[:2]
-    for i in range(1, n_values.size):
-        # choose the assignment of the three new roots to (p2, p3) that
-        # moves the pair the least; argmin keeps the first of equal costs
-        pairs = roots[i][_ROOT_PAIRS]
-        cost = np.abs(pairs[:, 0] - p2[i - 1]) + np.abs(pairs[:, 1] - p3[i - 1])
-        p2[i], p3[i] = pairs[cost.argmin()]
+        start = sorted(range(3), key=lambda j: -abs(r0[j]))[:2]
+    # successor[i - 1, s]: the pair at i that moves pair s at i - 1 the least;
+    # argmin keeps the first of equal costs. Blocks bound the (steps, 6, 6)
+    # cost table.
+    successor = []
+    for a in range(0, n_values.size - 1, _LOCUS_BLOCK):
+        z = min(a + _LOCUS_BLOCK, n_values.size - 1)
+        new, old = pairs[a + 1 : z + 1, None], pairs[a:z, :, None]
+        cost = np.abs(new[..., 0] - old[..., 0]) + np.abs(new[..., 1] - old[..., 1])
+        successor.extend(cost.argmin(axis=-1).tolist())
+    path = [_ROOT_PAIRS.tolist().index(start)]
+    for row in successor:
+        path.append(row[path[-1]])
+    p2, p3 = pairs[np.arange(n_values.size), path].T.copy()
 
     disc = functools.partial(_pair_discriminant, zeta_n, gamma)
     values = disc(n_values)

@@ -57,10 +57,8 @@ def nrc(k: float, omega_a: float) -> RationalTF:
 
 def nrc_gains(plant: PlantSpec, spec: NrcSpec) -> tuple[float, float]:
     """Derived (k, w_a) for a plant: k = gamma / G(0), w_a = n * w_n."""
-    g0 = dc_gain(build_plant(plant))
-    if not math.isfinite(g0) or g0 == 0.0:
-        raise ValueError("plant DC gain must be finite and nonzero")
-    return spec.gamma / g0, spec.n * plant.omega_n
+    k, omega_a, _ = _tune(build_plant(plant), plant, spec)
+    return k, omega_a
 
 
 def synthesize_nrc(plant: PlantSpec, spec: NrcSpec) -> RationalTF:
@@ -70,10 +68,19 @@ def synthesize_nrc(plant: PlantSpec, spec: NrcSpec) -> RationalTF:
     magnitude is gamma; the corner sits at n times the first resonance.
     With taming_l present the tamed (strictly proper) form is returned.
     """
-    k, omega_a = nrc_gains(plant, spec)
+    return _tune(build_plant(plant), plant, spec)[2]
+
+
+def _tune(g: RationalTF, plant: PlantSpec, spec: NrcSpec):
+    """(k, w_a, C_d) of ``nrc_gains`` and ``synthesize_nrc`` from ``g``, the
+    plant's transfer function as ``build_plant`` gives it."""
+    g0 = dc_gain(g)
+    if not math.isfinite(g0) or g0 == 0.0:
+        raise ValueError("plant DC gain must be finite and nonzero")
+    k, omega_a = spec.gamma / g0, spec.n * plant.omega_n
     if spec.taming_l is not None:
-        return tame_nrc(k, omega_a, spec.taming_l * plant.omega_n)
-    return nrc(k, omega_a)
+        return k, omega_a, tame_nrc(k, omega_a, spec.taming_l * plant.omega_n)
+    return k, omega_a, nrc(k, omega_a)
 
 
 def tame_nrc(k: float, omega_a: float, omega_l: float) -> RationalTF:

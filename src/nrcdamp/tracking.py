@@ -183,7 +183,8 @@ class _Brackets:
     ``side`` changes.
 
     ``values`` is the response on ``grid``; ``side`` maps values aligned
-    with ``i`` to booleans. ``field`` names the response among the fields
+    with ``i`` on their last axis (one row per bisection tree node) to
+    booleans. ``field`` names the response among the fields
     of an evaluator that returns several (such as ``cli._DesignContext.at``);
     None reads the evaluator's value itself.
     """
@@ -198,36 +199,69 @@ class _Brackets:
         return evaluated if self.field is None else getattr(evaluated, self.field)
 
 
+# bisection levels per evaluator call: the tree of every bracket's next
+# TREE_LEVELS midpoints is evaluated at once (deeper trees cost more points
+# than the calls they save)
+TREE_LEVELS = 4
+
+
 def _bisect(brackets, evaluator):
     """Refine the crossings inside every bracket of the ``_Brackets`` sets.
 
-    All brackets are halved together at their geometric midpoints, one
-    evaluator call per step on the midpoints of every set, until
-    hi/lo < 1 + 1e-12 or 80 steps. Each bracket halves by its own side
-    test, so sets refined together or apart give the same bits. Returns,
-    for each set, the crossings and its response there.
+    Each bracket is halved at its geometric midpoint sqrt(lo*hi), keeping
+    the half whose ends ``side`` tells apart, while hi/lo >= 1 + 1e-12 and
+    for at most 80 halvings. The halvings are taken ``TREE_LEVELS`` at a
+    time: every midpoint the next levels can reach (2**TREE_LEVELS - 1 per
+    bracket, each formed from the ends of the interval it halves, as one
+    halving would form it) is evaluated in one evaluator call on a flat
+    omega array, and the tree of those midpoints is then walked level by
+    level with each halving's own stop and side tests. So each bracket
+    ends on the lo and hi of one halving per call, and sets refined
+    together or apart give the same bits. Returns, for each set, the
+    crossings and its response there.
     """
     if not brackets:
         return []
     ends = np.cumsum([0] + [b.i.size for b in brackets]).tolist()
     cuts = [slice(a, z) for a, z in zip(ends[:-1], ends[1:])]
 
-    def side(evaluated):
+    def side(nodes):
+        # nodes: (midpoints, brackets); each set's side sees its own columns
+        values = evaluator(nodes.ravel())
         return np.concatenate(
-            [b.side(b.pick(evaluated)[cut]) for b, cut in zip(brackets, cuts)]
+            [
+                b.side(np.reshape(b.pick(values), nodes.shape)[:, cut])
+                for b, cut in zip(brackets, cuts)
+            ],
+            axis=1,
         )
 
     lo = np.concatenate([b.grid[b.i] for b in brackets])
     hi = np.concatenate([b.grid[b.i + 1] for b in brackets])
     left = np.concatenate([b.side(b.values[b.i]) for b in brackets])
-    for _ in range(80):
-        active = hi / lo >= 1.0 + 1e-12
-        if not active.any():
-            break
-        mid = np.sqrt(lo * hi)
-        stay = side(evaluator(mid)) == left
-        lo = np.where(active & stay, mid, lo)
-        hi = np.where(active & ~stay, mid, hi)
+    columns = np.arange(lo.size)
+    steps = 0
+    while steps < 80 and (hi / lo >= 1.0 + 1e-12).any():
+        levels = min(TREE_LEVELS, 80 - steps)
+        # every end the next halvings can reach, in order: row 0 is lo, row
+        # ``top`` is hi, and each level's midpoints fill the rows halfway
+        # between the rows of the intervals it halves
+        top = 2**levels
+        tree = np.empty((top + 1, lo.size))
+        tree[0], tree[top] = lo, hi
+        for d in range(levels):
+            step = top >> d
+            tree[step // 2 :: step] = np.sqrt(tree[:-1:step] * tree[step::step])
+        stays = side(tree[1:top]) == left
+        row = np.full(lo.size, top // 2)
+        for d in range(levels):
+            active = hi / lo >= 1.0 + 1e-12
+            mid, stay = tree[row, columns], stays[row - 1, columns]
+            lo = np.where(active & stay, mid, lo)
+            hi = np.where(active & ~stay, mid, hi)
+            half = top >> (d + 2)
+            row += np.where(stay, half, -half)
+        steps += levels
     w = np.sqrt(lo * hi)
     evaluated = evaluator(w)
     return [(w[cut], b.pick(evaluated)[cut]) for b, cut in zip(brackets, cuts)]

@@ -36,7 +36,14 @@ from nrcdamp import (
     tf_feedback,
     tf_series,
 )
-from nrcdamp.loops import REAL_POLE_REL_TOL, _pair_discriminant
+import nrcdamp.loops
+from nrcdamp.loops import (
+    _ROOT_PAIRS,
+    REAL_POLE_REL_TOL,
+    _charpoly_coeffs,
+    _cubic_roots,
+    _pair_discriminant,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -190,11 +197,35 @@ def reference_locus(plant, gamma, n_values):
     return p2, p3
 
 
+def stepwise_locus(omega_n, zeta_n, gamma, n_values):
+    """The pole pair of ``root_locus_n`` on the same batched roots, continued
+    one grid point per loop iteration: the argmin of the six pair costs
+    against the pair just chosen."""
+    roots = _cubic_roots(_charpoly_coeffs(omega_n, zeta_n, gamma, n_values))
+    p2 = np.empty(n_values.size, dtype=complex)
+    p3 = np.empty(n_values.size, dtype=complex)
+    # start the pair on the conjugate roots; fall back to the two
+    # largest-magnitude roots when the pair is already real
+    by_imag = sorted(roots[0], key=lambda r: -abs(r.imag))
+    if abs(by_imag[0].imag) > REAL_POLE_REL_TOL * omega_n:
+        p2[0], p3[0] = sorted(by_imag[:2], key=lambda r: -r.imag)
+    else:
+        p2[0], p3[0] = sorted(roots[0], key=lambda r: -abs(r))[:2]
+    for i in range(1, n_values.size):
+        # choose the assignment of the three new roots to (p2, p3) that
+        # moves the pair the least; argmin keeps the first of equal costs
+        pairs = roots[i][_ROOT_PAIRS]
+        cost = np.abs(pairs[:, 0] - p2[i - 1]) + np.abs(pairs[:, 1] - p3[i - 1])
+        p2[i], p3[i] = pairs[cost.argmin()]
+    return p2, p3
+
+
 LOCUS_CASES = [
     *[(zeta, 1.0, np.geomspace(0.5, 5.0, 120)) for zeta in (0.0, 0.01, 0.05, 0.1)],
     (0.0, 0.5, np.geomspace(0.5, 20.0, 80)),
     *[(zeta, gamma, np.geomspace(0.1, 10.0, 500))
       for zeta, gamma in ((0.01, 0.999), (0.1, 0.5), (0.0, 0.9), (0.3, 0.2))],
+    (0.01, 0.999, np.geomspace(0.1, 10.0, 2000)),
 ]
 
 
@@ -205,6 +236,38 @@ class TestRootLocus:
         plant = single_mode(wn=wn, zeta=zeta)
         trace = root_locus_n(wn, zeta, gamma, grid)
         p2, p3 = reference_locus(plant, gamma, grid)
+        assert trace.p2.tobytes() == p2.tobytes()
+        assert trace.p3.tobytes() == p3.tobytes()
+        p2, p3 = stepwise_locus(wn, zeta, gamma, grid)
+        assert trace.p2.tobytes() == p2.tobytes()
+        assert trace.p3.tobytes() == p3.tobytes()
+
+    @pytest.mark.parametrize("block", [1, 7, 499, 4096])
+    @pytest.mark.parametrize(
+        "zeta, gamma, grid",
+        [(0.01, 0.999, np.geomspace(0.1, 10.0, 10_000)),  # blocks of 4096 and a rest
+         (0.0, 1.0, np.geomspace(5.0, 10.0, 500)),  # the pair starts real
+         (0.05, 0.7, np.geomspace(0.1, 10.0, 2))],
+    )
+    def test_continuation_blocks_match_stepwise(self, monkeypatch, block, zeta, gamma, grid):
+        monkeypatch.setattr(nrcdamp.loops, "_LOCUS_BLOCK", block)
+        trace = root_locus_n(TWO_PI * 739.0, zeta, gamma, grid)
+        p2, p3 = stepwise_locus(TWO_PI * 739.0, zeta, gamma, grid)
+        assert trace.p2.tobytes() == p2.tobytes()
+        assert trace.p3.tobytes() == p3.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.floats(0.0, 0.5),
+        st.floats(0.01, 1.0),
+        st.floats(-2.0, 1.0),
+        st.floats(0.1, 3.0),
+        st.integers(2, 700),
+    )
+    def test_drawn_loci_match_stepwise(self, zeta, gamma, log_n_min, decades, points):
+        grid = np.geomspace(10.0**log_n_min, 10.0 ** (log_n_min + decades), points)
+        trace = root_locus_n(1.0, zeta, gamma, grid)
+        p2, p3 = stepwise_locus(1.0, zeta, gamma, grid)
         assert trace.p2.tobytes() == p2.tobytes()
         assert trace.p3.tobytes() == p3.tobytes()
 

@@ -24,6 +24,8 @@ UNREACHED = {
     "lti.RationalTF.__repr__": "__repr__",
     "lti._words": "run at import, to build the CSV kernel's tables",
     "lti._ones": "run at import, to build the CSV kernel's tables",
+    "nrc.nrc_gains": "README library example; commands tune on the plant they built, through nrc._tune",
+    "nrc.synthesize_nrc": "benchmark tracer and checks; commands tune through nrc._tune",
     "plants.nanopositioner_surrogate": "README library example (an installed package ships no configs/)",
     "plants.scale_load": "ROADMAP item 4, the fixed-design load scenarios",
     "sim.discrete_frf": "ROADMAP item 2, the sampled evaluator",

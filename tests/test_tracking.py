@@ -1,12 +1,17 @@
+import functools
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from closed_forms import kp_plant_inverse_approx, steady_state_error
 from nrcdamp import (
     ModeSpec,
     NotchSpec,
+    NrcSpec,
     PiSpec,
     PlantSpec,
     RationalTF,
@@ -18,13 +23,18 @@ from nrcdamp import (
     freq_response,
     log_grid,
     margins,
+    nanopositioner_surrogate,
     nrc,
+    nrc_gains,
     nyquist_net_crossings,
     objective_report,
     pm_feasibility,
     tf_feedback,
     tune_kp,
 )
+import nrcdamp.tracking
+from nrcdamp.loops import _pair_discriminant
+from nrcdamp.tracking import TREE_LEVELS, _bisect, _Brackets, _margins_plan
 
 TWO_PI = 2.0 * np.pi
 COMPLEX = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
@@ -371,3 +381,217 @@ class TestObjectives:
         rep = self.report(grid, g, ct_tf, nrc(0.9, 3.0), 1.0)
         assert rep.highband_loop_gain.value < 1.0
         assert rep.highband_loop_gain.passed
+
+
+def sequential_bisect(brackets, evaluator):
+    """Refine the crossings inside every bracket of the ``_Brackets`` sets.
+
+    All brackets are halved together at their geometric midpoints, one
+    evaluator call per step on the midpoints of every set, until
+    hi/lo < 1 + 1e-12 or 80 steps. Each bracket halves by its own side
+    test, so sets refined together or apart give the same bits. Returns,
+    for each set, the crossings and its response there.
+    """
+    if not brackets:
+        return []
+    ends = np.cumsum([0] + [b.i.size for b in brackets]).tolist()
+    cuts = [slice(a, z) for a, z in zip(ends[:-1], ends[1:])]
+
+    def side(evaluated):
+        return np.concatenate(
+            [b.side(b.pick(evaluated)[cut]) for b, cut in zip(brackets, cuts)]
+        )
+
+    lo = np.concatenate([b.grid[b.i] for b in brackets])
+    hi = np.concatenate([b.grid[b.i + 1] for b in brackets])
+    left = np.concatenate([b.side(b.values[b.i]) for b in brackets])
+    for _ in range(80):
+        active = hi / lo >= 1.0 + 1e-12
+        if not active.any():
+            break
+        mid = np.sqrt(lo * hi)
+        stay = side(evaluator(mid)) == left
+        lo = np.where(active & stay, mid, lo)
+        hi = np.where(active & ~stay, mid, hi)
+    w = np.sqrt(lo * hi)
+    evaluated = evaluator(w)
+    return [(w[cut], b.pick(evaluated)[cut]) for b, cut in zip(brackets, cuts)]
+
+
+def one_d(evaluator, calls=None):
+    """``evaluator`` that refuses anything but a 1-D omega and records the
+    size of each call in ``calls``."""
+
+    def checked(w):
+        if np.ndim(w) != 1:
+            raise AssertionError(f"evaluator called with a {np.ndim(w)}-D omega")
+        if calls is not None:
+            calls.append(np.size(w))
+        return evaluator(w)
+
+    return checked
+
+
+def fields(w):
+    # two responses, as ``cli._DesignContext.at`` returns several
+    return SimpleNamespace(up=w, wave=np.sin(3.0 * np.log(w)))
+
+
+def threshold_set(lo, ratio, cut, field="up"):
+    """One ``_Brackets`` set of brackets [lo, lo * ratio] whose side is
+    whether ``field`` exceeds its value at ``cut``, a threshold omega per
+    bracket (aligned with ``i``)."""
+    lo, ratio, cut = (np.asarray(x, dtype=float) for x in (lo, ratio, cut))
+    grid = np.ravel(np.column_stack([lo, lo * ratio]))
+    i = np.arange(0, grid.size, 2)
+    threshold = getattr(fields(cut), field)
+    return _Brackets(grid, getattr(fields(grid), field), i, lambda v: v > threshold, field)
+
+
+def assert_same_bits(got, want):
+    assert len(got) == len(want)
+    for (w, v), (w0, v0) in zip(got, want):
+        assert w.tobytes() == w0.tobytes()
+        assert np.asarray(v).tobytes() == np.asarray(v0).tobytes()
+
+
+BRACKET = st.tuples(
+    st.floats(1e-3, 1e3),  # lo
+    st.floats(-12.5, 3.0),  # log10(hi/lo - 1): from no halving to about 45
+    st.floats(-0.2, 1.2),  # where the threshold sits, in log units of the bracket
+)
+
+
+class TestTreeBisection:
+    """``tracking._bisect`` against ``sequential_bisect``, its one-halving-
+    per-call form: every bracket ends on the same lo and hi, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.lists(BRACKET, min_size=1, max_size=6), min_size=1, max_size=3),
+           st.sampled_from(["up", "wave"]))
+    @example([[(1.0, -12.5, 0.5), (1.0, 0.0, 0.5), (5.0, 3.0, -0.1)]], "up")
+    def test_drawn_brackets_match_sequential(self, sets, field):
+        brackets = []
+        for drawn in sets:
+            lo, exp10, where = (np.array(x) for x in zip(*drawn))
+            ratio = 1.0 + 10.0**exp10
+            brackets.append(threshold_set(lo, ratio, lo * ratio**where, field))
+        calls = []
+        got = _bisect(brackets, one_d(fields, calls))
+        assert_same_bits(got, sequential_bisect(brackets, fields))
+        # together or apart, each set gets the same bits
+        for b, alone in zip(brackets, got):
+            assert_same_bits(_bisect([b], fields), [alone])
+        assert calls and all(n == calls[0] for n in calls[:-1])
+
+    def test_brackets_stop_at_every_level(self):
+        # hi/lo - 1 from 2**0 to 2**45 times 1e-12: the brackets need 0 to
+        # 46 halvings, so they go inactive at every level of a tree
+        lo = np.full(46, 3.0)
+        ratio = 1.0 + 1e-12 * 2.0 ** np.arange(46)
+        ratio[0] = np.nextafter(1.0 + 1e-12, 0.0)  # inactive from the start
+        sets = [threshold_set(lo, ratio, lo * ratio**0.3), threshold_set(lo, ratio, lo)]
+        calls, halvings = [], []
+        got = _bisect(sets, one_d(fields, calls))
+        assert_same_bits(got, sequential_bisect(sets, one_d(fields, halvings)))
+        assert got[0][0][0] == np.sqrt(3.0 * 3.0 * ratio[0])  # never halved
+        # one call per TREE_LEVELS halvings, and the last one at the crossings
+        assert len(calls) == math.ceil((len(halvings) - 1) / TREE_LEVELS) + 1
+
+    def test_eighty_step_cap(self):
+        # a bracket from 0 never narrows: sqrt(0 * hi) is 0, and a crossing
+        # above every midpoint keeps lo there for all 80 halvings
+        b = _Brackets(np.array([0.0, 2.0]), np.array([0.0, 2.0]), np.array([0]),
+                      lambda v: v > 1e300)
+        calls = []
+        with np.errstate(divide="ignore"):
+            got = _bisect([b], one_d(lambda w: w, calls))
+            assert_same_bits(got, sequential_bisect([b], lambda w: w))
+        assert got[0][0][0] == 0.0
+        assert len(calls) == math.ceil(80 / TREE_LEVELS) + 1
+        assert calls[-2] == (2 ** (80 % TREE_LEVELS or TREE_LEVELS) - 1)
+
+    def test_no_brackets(self):
+        empty = _Brackets(np.array([1.0, 2.0]), np.array([1.0, 2.0]),
+                          np.array([], dtype=int), lambda v: v > 1.5)
+        assert _bisect([], fields) == []
+        assert_same_bits(_bisect([empty], lambda w: w), sequential_bisect([empty], lambda w: w))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.floats(0.0, 0.5), st.floats(0.2, 1.0), st.integers(3, 300))
+    @example(0.01, 0.999, 500)
+    @example(0.0, 1.0, 2000)
+    def test_bifurcation_bisection(self, zeta, gamma, points):
+        n_values = np.geomspace(0.1, 10.0, points)
+        disc = functools.partial(_pair_discriminant, zeta, gamma)
+        values = disc(n_values)
+        hits = np.flatnonzero(values >= 0.0)
+        if not (hits.size and hits[0] > 0):
+            return
+        b = _Brackets(n_values, values, hits[:1] - 1, lambda v: v >= 0.0)
+        assert_same_bits(_bisect([b], one_d(disc)), sequential_bisect([b], disc))
+
+    @pytest.mark.parametrize("ppd", [50, 400, 2000])
+    def test_margins_brackets_match_sequential(self, ppd):
+        # the critical-phase side reads each bracket's own branch, aligned
+        # with i, on every level of the tree
+        plant = nanopositioner_surrogate()
+        g_tf = build_plant(plant)
+        damper = nrc(*nrc_gains(plant, NrcSpec(gamma=0.999, n=8.0)))
+        ct_tf = build_tracker(TrackerSpec(pi=PiSpec(kp=300.0, omega_i_rad_s=TWO_PI * 28.0)))
+
+        def loop(w):
+            return freq_response(g_tf, w) * (freq_response(ct_tf, w) + freq_response(damper, w))
+
+        grid = log_grid(1.0, 10000.0, ppd)
+        brackets, _ = _margins_plan(grid, loop(grid))
+        assert sum(b.i.size for b in brackets) >= 3
+        assert_same_bits(_bisect(brackets, one_d(loop)), sequential_bisect(brackets, loop))
+
+
+class TestEvaluatorContract:
+    """The public analyses call a user's evaluator with 1-D omega only, and
+    report what the one-halving-per-call bisection reports."""
+
+    @pytest.fixture
+    def readme_loop(self):
+        plant = nanopositioner_surrogate()
+        k, wa = nrc_gains(plant, NrcSpec(gamma=0.999, n=8.0))
+        damper = nrc(k, wa)
+        g_tf = build_plant(plant)
+
+        def gd(w):
+            g = freq_response(g_tf, w)
+            return g / (1.0 + g * freq_response(damper, w))
+
+        kp = tune_kp(gd, TWO_PI * 380.0)
+        ct_tf = build_tracker(TrackerSpec(
+            pi=PiSpec(kp=kp, omega_i_rad_s=TWO_PI * 28.0),
+            lowpass_corner_rad_s=TWO_PI * 5000.0,
+        ))
+
+        def loop(w):
+            return freq_response(g_tf, w) * (freq_response(ct_tf, w) + freq_response(damper, w))
+
+        def t_yr(w):
+            return freq_response(g_tf, w) * freq_response(ct_tf, w) / (1.0 + loop(w))
+
+        return log_grid(1.0, 10000.0, 400), loop, t_yr
+
+    def test_reports_with_a_strict_evaluator(self, readme_loop, monkeypatch):
+        grid, loop, t_yr = readme_loop
+        got = (
+            bandwidth(grid, t_yr(grid), one_d(t_yr), 3.0),
+            bandwidth(grid, t_yr(grid), one_d(t_yr), 1.0),
+            margins(grid, loop(grid), one_d(loop)),
+            nyquist_net_crossings(grid, loop(grid), one_d(loop)),
+        )
+        monkeypatch.setattr(nrcdamp.tracking, "_bisect", sequential_bisect)
+        want = (
+            bandwidth(grid, t_yr(grid), t_yr, 3.0),
+            bandwidth(grid, t_yr(grid), t_yr, 1.0),
+            margins(grid, loop(grid), loop),
+            nyquist_net_crossings(grid, loop(grid), loop),
+        )
+        assert got == want
+        assert got[2].crossovers and got[2].gain_margin_db is not None
