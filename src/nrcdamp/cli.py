@@ -12,7 +12,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from types import SimpleNamespace
@@ -22,13 +22,7 @@ import numpy as np
 from .lti import FrfStack, bode_to_csv, freq_response, log_grid, mag_db, write_csv
 from .plants import ModeSpec, PlantSpec, build_plant
 from .nrc import NrcSpec, _tune
-from .loops import (
-    inner_charpoly,
-    inner_closed_loop,
-    locus_to_csv,
-    root_locus_n,
-    routh_cubic,
-)
+from .loops import inner_charpoly, locus_to_csv, root_locus_n, routh_cubic
 from .tracking import (
     BandwidthReport,
     MarginsReport,
@@ -384,19 +378,6 @@ class _DesignContext:
         }
 
 
-def _stability_verdict(ctx: _DesignContext) -> str:
-    """Inner-loop verdict from the delay-free rational closure."""
-    delay_free = replace(ctx.plant_spec, delay_s=0.0)
-    result = inner_closed_loop(delay_free, ctx.cd_tf)
-    poles = result.poles
-    scale = max(1.0, float(np.max(np.abs(poles))))
-    if np.any(np.abs(poles) < 1e-9 * scale):
-        return "marginally stable (integrator pole at s=0)"
-    if np.all(poles.real < 0.0):
-        return "stable"
-    return "UNSTABLE"
-
-
 def _fmt(x, digits=6):
     if x is None:
         return "n/a"
@@ -421,14 +402,22 @@ def run_design(cfg: SimpleNamespace, out_dir: Path, exact_tan60: bool = False) -
         if abs(start_db) > bound:
             where = f"|T_yr| is {start_db:.3g} dB at {grid[0] / TWO_PI:g} Hz"
             _fail(key, f"{where}, outside the +/-{bound:g} dB band")
-    *bws, outer, dual, w_ct = _refine(  # one bisection pass refines every bracket
+    *bws, inner, outer, dual, w_ct = _refine(  # one bisection pass refines every bracket
         [_bandwidth_plan(grid, frf.t_yr, bound, "t_yr") for bound in bounds]
-        + ctx.margins_plans("outer", "ld")
+        + ctx.margins_plans("inner", "outer", "ld")
         + [_corner_plan(grid, frf.ct, "ct")],
         ctx.at,
     )
     bw = dict(zip(bounds, bws))
     margins_out = ctx.margins_json(outer, dual)
+    # the delayed inner loop's Nyquist count; with k = gamma/G(0) from
+    # _tune, 1 + G(0) C_d(0) = 1 - gamma, so gamma = 1 leaves a pole at s = 0
+    if inner.nyquist_net_crossings:
+        verdict = "UNSTABLE"
+    elif abs(1.0 - cfg.nrc.gamma) <= 1e-9:
+        verdict = "marginally stable (integrator pole at s=0)"
+    else:
+        verdict = "stable"
 
     objectives = _scorecard(bundle, bw[3.0], w_ct, float(np.abs(at_n.ld)), ctx.omega_n)
 
@@ -445,7 +434,9 @@ def run_design(cfg: SimpleNamespace, out_dir: Path, exact_tan60: bool = False) -
             "omega_i_hz": cfg.tracker.omega_i_hz,
         },
         "inner_loop": {
-            "verdict": _stability_verdict(ctx),
+            **_margins_dict(inner),
+            "nyquist_net_crossings": inner.nyquist_net_crossings,
+            "verdict": verdict,
             "peak_reduction_db": peak_reduction_db,
         },
         "dual_loop": {  # margins.json's, less the gain margin

@@ -5,11 +5,13 @@ negative feedback yields a third-order inner loop whose pole placement is
 fully characterized in closed form for the marginal tuning (gamma = 1):
 one pole at the origin plus a pair that migrates left, coalesces and
 bifurcates onto the real axis as the corner ratio n grows. This module
-holds the one closure that the pipeline runs, G/(1 + G*C_d) of any
-delay-free plant, with the characteristic cubic, its Routh column and the
-root locus over n. The paper's hand-expanded closed forms (the gamma = 1
-poles and the delayed, loaded, two-mode and tamed loops) are test oracles
-of this closure, in ``tests/closed_forms.py``.
+holds the characteristic cubic, its Routh column and the root locus over
+n, and the delay-free rational reference that the tests compare against:
+G/(1 + G*C_d) of any delay-free plant, which no command runs (their
+verdicts are Nyquist counts of the delayed loops). The paper's
+hand-expanded closed forms (the gamma = 1 poles and the delayed, loaded,
+two-mode and tamed loops) are test oracles of this closure, in
+``tests/closed_forms.py``.
 """
 
 from __future__ import annotations
@@ -93,7 +95,8 @@ def analyze_inner_loop(g_d: RationalTF) -> InnerLoopResult:
 
 
 def inner_closed_loop(plant: PlantSpec, nrc_tf: RationalTF) -> InnerLoopResult:
-    """Close the damping loop G/(1 + G*C_d) rationally and analyze it.
+    """Close the damping loop G/(1 + G*C_d) rationally and analyze it: the
+    delay-free rational reference the tests compare against.
 
     The plant must be delay-free here; a delayed plant is closed at FRF
     level, or after its delay is replaced by a first-order all-pass.

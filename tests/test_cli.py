@@ -13,13 +13,17 @@ import nrcdamp
 import nrcdamp.cli
 import nrcdamp.tracking
 from nrcdamp import (
+    DiscreteSS,
     bandwidth,
+    discretize,
+    dual_loop_state_space,
     freq_response,
     log_grid,
     make_uniform_noise,
     margins,
     objective_report,
     pm_feasibility,
+    spectral_radius,
 )
 from nrcdamp.cli import (
     COMMANDS,
@@ -873,6 +877,10 @@ class TestMergedRefinement:
             wc_1db_hz=_hz(bw[1.0]), wc_3db_hz=_hz(bw[3.0]),
             wc_target_hz=_hz(bw[cfg.targets.bound_db]),
         )
+        inner = margins(grid, frf.inner, lambda w: ctx.at(w).inner)
+        summary["inner_loop"].update(
+            _margins_dict(inner), nyquist_net_crossings=inner.nyquist_net_crossings
+        )
         summary["outer_loop"] = margins_json["outer_loop"]
         summary["dual_loop"] = {
             k: v for k, v in margins_json["dual_loop"].items() if k != "gain_margin_db"
@@ -966,6 +974,96 @@ class TestMergedRefinement:
         )
         assert status == 2 and capsys.readouterr().err == want
         assert not (tmp_path / "d").exists() and not (tmp_path / "s").exists()
+
+
+def sampled_inner_radius(ctx, ts) -> float:
+    """Spectral radius of the inner loop as sampled: the dual loop's state
+    space with an order-0 tracker block."""
+    empty = (np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)), np.zeros((1, 1)))
+    no_tracker = DiscreteSS(*empty, ts)
+    plant_d, nrc_d = discretize(ctx.plant_tf, ts), discretize(ctx.cd_tf, ts)
+    return spectral_radius(dual_loop_state_space(plant_d, no_tracker, nrc_d))
+
+
+class TestInnerVerdict:
+    """``design`` judges the inner loop by the Nyquist count of the delayed
+    G C_d, refined in the same pass as the dual loop's; gamma = 1 reads
+    marginal only while the count is zero."""
+
+    @pytest.mark.parametrize(
+        "n, delay_us, verdict, net, gm_db",
+        [
+            (0.5, 150.0, "UNSTABLE", -1, -12.64),
+            (0.8, 150.0, "UNSTABLE", -1, -3.46),
+            (1.0, 150.0, "stable", 0, 0.69),
+            (2.0, 400.0, "UNSTABLE", -1, -17.40),
+            (8.0, 150.0, "stable", 0, 18.68),
+        ],
+    )
+    def test_verdict_matches_sampled_loop(
+        self, tmp_path, surrogate_raw, n, delay_us, verdict, net, gm_db
+    ):
+        surrogate_raw["nrc"]["n"] = n
+        surrogate_raw["plant"]["delay_us"] = delay_us
+        cfg = parse_config_dict(surrogate_raw)
+        inner = run_design(cfg, tmp_path)["inner_loop"]
+        rho = sampled_inner_radius(_DesignContext(cfg), cfg.sim.ts_s)
+        assert (rho > 1.0) is (verdict == "UNSTABLE")
+        assert inner["verdict"] == verdict
+        assert inner["nyquist_net_crossings"] == net
+        assert inner["gain_margin_db"] == pytest.approx(gm_db, abs=0.01)
+
+    @pytest.mark.parametrize(
+        "n, verdict, net, gm_db",
+        [
+            (0.5, "UNSTABLE", -1, -12.65),
+            (8.0, "marginally stable (integrator pole at s=0)", 0, 18.68),
+        ],
+    )
+    def test_count_wins_over_gamma_one(self, tmp_path, surrogate_raw, n, verdict, net, gm_db):
+        # gamma = 1 puts 1 + G C_d through zero at s = 0; the marginal test
+        # reads gamma and evaluates nothing there, so no warning is raised
+        surrogate_raw["nrc"].update(gamma=1.0, n=n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_command("design", write(tmp_path, surrogate_raw), tmp_path / "out") == 0
+        inner = json.loads((tmp_path / "out" / "summary.json").read_text())["inner_loop"]
+        assert inner["verdict"] == verdict
+        assert inner["nyquist_net_crossings"] == net
+        assert inner["gain_margin_db"] == pytest.approx(gm_db, abs=0.01)
+        assert f"inner loop: {verdict};" in (tmp_path / "out" / "summary.txt").read_text()
+
+    def test_six_mode_plant(self, tmp_path, surrogate_raw):
+        # the surrogate plus four modes: the delay-free rational closure
+        # refused this plant (characteristic polynomial of degree 13)
+        surrogate_raw["plant"]["modes"] += [
+            {"freq_hz": f, "weight": w, "zeta": 0.01}
+            for f, w in ((1376.0, 0.15), (1780.0, 0.12), (2100.0, 0.09), (2556.0, 0.06))
+        ]
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_command("design", write(tmp_path, surrogate_raw), out) == 0
+        inner = json.loads((out / "summary.json").read_text())["inner_loop"]
+        assert inner["verdict"] == "stable"
+        assert inner["nyquist_net_crossings"] == 0
+        cfg = parse_config_dict(surrogate_raw)
+        assert sampled_inner_radius(_DesignContext(cfg), cfg.sim.ts_s) < 1.0
+
+    def test_one_plant_build_per_design(self, tmp_path, surrogate_raw, monkeypatch):
+        # the verdict reads the context's delayed loop; nothing builds a
+        # second, delay-free plant
+        builds = []
+        build = nrcdamp.build_plant
+
+        def counted(spec):
+            builds.append(spec)
+            return build(spec)
+
+        for module in ("nrcdamp.cli", "nrcdamp.nrc", "nrcdamp.loops"):
+            monkeypatch.setattr(sys.modules[module], "build_plant", counted)
+        run_design(parse_config_dict(surrogate_raw), tmp_path)
+        assert len(builds) == 1
 
 
 class TestSummarize:

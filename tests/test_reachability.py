@@ -24,6 +24,13 @@ UNREACHED = {
     "lti.RationalTF.__repr__": "__repr__",
     "lti._words": "run at import, to build the CSV kernel's tables",
     "lti._ones": "run at import, to build the CSV kernel's tables",
+    "lti.poles_zeros": "test oracle of the delay-free closure; moves with ROADMAP item 8",
+    "lti.poly_roots": "test oracle of the delay-free closure; the benchmark tracer wraps it by name; moves with ROADMAP item 8",
+    "lti.tf_feedback": "test oracle of the delay-free closure; moves with ROADMAP item 8",
+    "loops.analyze_inner_loop": "test oracle of the delay-free closure; moves with ROADMAP item 8",
+    "loops.damping_ratio": "test oracle of the delay-free closure; moves with ROADMAP item 8",
+    "loops.inner_closed_loop": "test oracle of the delay-free closure; the benchmark tracer wraps it by name; moves with ROADMAP item 8",
+    "loops.min_resonant_damping": "test oracle of the delay-free closure; moves with ROADMAP item 8",
     "nrc.nrc_gains": "README library example; commands tune on the plant they built, through nrc._tune",
     "nrc.synthesize_nrc": "benchmark tracer and checks; commands tune through nrc._tune",
     "plants.nanopositioner_surrogate": "README library example (an installed package ships no configs/)",
