@@ -75,10 +75,10 @@ COMMANDS = {
 # Bounds on the arrays a run allocates, from the bytes per item measured on
 # the command (grids of 40,001 to 400,001 points, records of 0.17 to 16 M
 # samples): the grid and simulate bounds sit near 400 MB of peak RSS, and
-# identify's near 195 MB.
+# identify's near 92 MB.
 MAX_GRID_POINTS = 1_000_000  # design and sens: about 370 B per grid point
 MAX_SIM_SAMPLES = 5_000_000  # simulate: about 72 B per sample
-MAX_IDENTIFY_SAMPLES = 16_000_000  # identify: about 10 B per sample of its 8x run
+MAX_IDENTIFY_SAMPLES = 16_000_000  # identify: about 3.5 B per sample of its 8x run
 # The batched root locus peaks at about 270 bytes per point of n, so this
 # bounds it near 270 MB.
 MAX_LOCUS_POINTS = 1_000_000

@@ -191,33 +191,53 @@ def spectral_radius(block: DiscreteSS) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(block.a_matrix))))
 
 
+BLOCK_LEN = 128  # samples per block of the blocked state-space engine
+CHUNK_ROWS = 64 * BLOCK_LEN  # input rows per step of ``_blocked_stepper``
+
+
 def run_state_space(block: DiscreteSS, w) -> np.ndarray:
     """Zero-state response of x+ = A x + B w, y = C x + D w to the rows of w.
 
     ``w`` is (samples, inputs) and the result (samples, outputs); an input
     delay of q samples puts the response to the first samples - q rows at
-    row q, after q rows of zeros. The record runs in blocks of L = 128
-    samples. Within a block the forced response is one direct product of
-    the block's inputs with the strictly lower block-Toeplitz matrix of
+    row q, after q rows of zeros. The record runs through
+    ``_blocked_stepper`` one chunk of CHUNK_ROWS rows at a time.
+    """
+    w = np.asarray(w, dtype=float)
+    nsamp, _ = w.shape
+    delay = min(block.input_delay_samples, nsamp)
+    w = w[: nsamp - delay]
+    y = np.zeros((nsamp, block.c_matrix.shape[0]))
+    y_run = y[delay:]  # the rows the undelayed record reaches
+    step = _blocked_stepper(block)
+    for start in range(0, w.shape[0], CHUNK_ROWS):
+        y_run[start : start + CHUNK_ROWS] = step(w[start : start + CHUNK_ROWS])
+    return y
+
+
+def _blocked_stepper(block: DiscreteSS):
+    """A function that runs the next rows of input through ``block``.
+
+    Each call returns the outputs of the rows it is given; the state
+    carries from one call to the next, starting at zero. Every call but
+    the last takes a whole number of blocks of L = BLOCK_LEN rows, and
+    CHUNK_ROWS rows a call keep the temporaries small. The input delay is
+    the caller's. Within a block the forced response is one direct product
+    of the block's inputs with the strictly lower block-Toeplitz matrix of
     the Markov taps C A^(j-1) B; the free response C A^j x0 of the state
     at the block start adds to it, and that state carries on as A^L x0
-    plus the block's forced end state. Blocks run in chunks of 64 so the
-    temporaries stay small. The feedthrough D w adds outside the blocks,
-    so a block without state passes its delayed input on exactly. The
-    error relative to a per-sample run tracks the transient growth
-    max ||A^k|| of the realization once balanced; a power-of-two diagonal
+    plus the block's forced end state. The feedthrough D w adds outside
+    the blocks, so a block without state passes its input on exactly. The
+    error relative to a per-sample run tracks the transient growth max
+    ||A^k|| of the realization once balanced; a power-of-two diagonal
     similarity leaves every output bit unchanged, so balancing cannot
     help. ``discretize``'s state-space Tustin blocks and their closed loop
     (growth below 100) stay within 1e-14 of max|y|; companion forms in z
     (growth 5e3-1.5e4) lose digits, to about 2e-6.
     """
-    w = np.asarray(w, dtype=float)
-    nsamp, n_in = w.shape
-    delay = min(block.input_delay_samples, nsamp)
-    w = w[: nsamp - delay]
     a, b, c, d = block.a_matrix, block.b_matrix, block.c_matrix, block.d_matrix
-    n, n_out = a.shape[0], c.shape[0]
-    block_len = 128
+    n, (n_out, n_in) = a.shape[0], d.shape
+    block_len = BLOCK_LEN
     obs = _power_columns(a.T, c.T, block_len)  # obs[:, j, i]: (C_i A^j)^T
     taps = np.zeros((block_len, n_out, n_in))  # taps[j]: C A^(j-1) B; D stays outside
     taps[1:] = (b.T @ obs[:, :-1].reshape(n, -1)).reshape(n_in, -1, n_out).transpose(1, 2, 0)
@@ -228,14 +248,11 @@ def run_state_space(block: DiscreteSS, w) -> np.ndarray:
     gain = np.hstack([toeplitz.reshape(block_len * n_in, -1), ctrl.reshape(n, -1).T])
     obs = obs.reshape(n, -1)
     a_block = np.linalg.matrix_power(a, block_len)
-
-    y = np.zeros((nsamp, n_out))
-    y_run = y[delay:]  # the rows the undelayed record reaches
-    y_run[:] = w @ d.T
     x = np.zeros(n)
-    chunk = 64 * block_len
-    for start in range(0, w.shape[0], chunk):
-        seg = w[start : start + chunk]
+
+    def step(seg: np.ndarray) -> np.ndarray:
+        nonlocal x
+        y = seg @ d.T
         nseg = seg.shape[0]
         if nseg % block_len:
             seg = np.concatenate([seg, np.zeros((block_len - nseg % block_len, n_in))])
@@ -247,8 +264,10 @@ def run_state_space(block: DiscreteSS, w) -> np.ndarray:
             starts[k] = x
             x = a_block @ x + forced[k]
         out += starts @ obs
-        y_run[start : start + nseg] += out.reshape(-1, n_out)[:nseg]
-    return y
+        y += out.reshape(-1, n_out)[:nseg]
+        return y
+
+    return step
 
 
 def _power_columns(a: np.ndarray, v: np.ndarray, count: int) -> np.ndarray:
@@ -309,7 +328,13 @@ def make_reference(
 
 
 def make_uniform_noise(seed: int, amplitude: float, nsamples: int) -> np.ndarray:
-    """Seeded uniform noise in [-amplitude, amplitude] for reproducible runs."""
+    """Seeded uniform noise in [-amplitude, amplitude] for reproducible runs.
+
+    Amplitude 0 gives zeros without importing ``numpy.random``: the
+    Generator's -0.0 + 0.0 U is +0.0 too, so the bits are the same.
+    """
+    if amplitude == 0.0:
+        return np.zeros(nsamples)
     rng = np.random.default_rng(seed)
     return rng.uniform(-amplitude, amplitude, nsamples)
 
@@ -356,24 +381,30 @@ def log_chirp(
     f1: float = 5000.0,
     amplitude: float = 0.1,
     taper_frac: float = 0.05,
+    start: int = 0,
+    stop: int | None = None,
 ) -> np.ndarray:
-    """Logarithmic chirp with raised-cosine edge tapers.
+    """Samples [start, stop) of a logarithmic chirp with raised-cosine edge
+    tapers; the whole record by default.
 
     The phase is 2 pi beta f0 ((f1/f0)^(t/T) - 1) with beta = T / ln(f1/f0);
     the taper is a symmetric Tukey window of width 2 * taper_frac. The
     arithmetic, and so every bit, is that of ``scipy.signal.chirp(...,
-    method="logarithmic")`` times ``scipy.signal.windows.tukey``; the record
-    is filled in place, a chunk at a time, because it runs to millions of
-    samples.
+    method="logarithmic")`` times ``scipy.signal.windows.tukey``, whatever
+    the range; it is filled in place, a chunk at a time, because a record
+    runs to millions of samples.
     """
     if not (0.0 < f0 < f1 < fs / 2.0):
         raise ValueError("need 0 < f0 < f1 < fs/2")
     nsamp = int(round(duration_s * fs))
-    u = np.empty(nsamp)
+    stop = nsamp if stop is None else stop
+    if not 0 <= start <= stop <= nsamp:
+        raise ValueError(f"need 0 <= start <= stop <= {nsamp}, not [{start}, {stop})")
+    u = np.empty(stop - start)
     chunk = 1 << 16
-    for start in range(0, nsamp, chunk):
-        seg = u[start : start + chunk]
-        np.divide(np.arange(start, start + seg.size), fs, out=seg)
+    for lo in range(0, u.size, chunk):
+        seg = u[lo : lo + chunk]
+        np.divide(np.arange(start + lo, start + lo + seg.size), fs, out=seg)
         seg /= duration_s
         np.power(f1 / f0, seg, out=seg)
         seg -= 1.0
@@ -383,12 +414,14 @@ def log_chirp(
     alpha = min(2.0 * taper_frac, 1.0)
     if nsamp > 1 and alpha > 0.0:
         width = int(math.floor(alpha * (nsamp - 1) / 2.0))
-        n = np.arange(width + 1, dtype=float)
-        u[: width + 1] *= 0.5 * (1 + np.cos(np.pi * (-1 + 2.0 * n / alpha / (nsamp - 1))))
-        n = np.arange(nsamp - width - 1, nsamp, dtype=float)
-        u[nsamp - width - 1 :] *= 0.5 * (
-            1 + np.cos(np.pi * (-2.0 / alpha + 1 + 2.0 * n / alpha / (nsamp - 1)))
-        )
+        if start <= width:  # the leading taper covers samples 0 .. width
+            n = np.arange(start, min(stop, width + 1), dtype=float)
+            u[: n.size] *= 0.5 * (1 + np.cos(np.pi * (-1 + 2.0 * n / alpha / (nsamp - 1))))
+        if stop > nsamp - width - 1:  # the trailing one the last width + 1
+            n = np.arange(max(start, nsamp - width - 1), stop, dtype=float)
+            u[u.size - n.size :] *= 0.5 * (
+                1 + np.cos(np.pi * (-2.0 / alpha + 1 + 2.0 * n / alpha / (nsamp - 1)))
+            )
     return u
 
 
@@ -418,26 +451,52 @@ def open_loop_response(
     The plant is integrated at m = ``oversample`` times the output rate
     (the excitation is evaluated directly at the fine rate, as a continuous
     drive would be) and input and output are sampled at fs, which keeps
-    discretization warping far below the identification tolerances. The
-    fine-rate plant is the bilinear (c = 2/ts) map (A, b, c, d) of its
-    modal state space, whose powers stay bounded. Only the kept samples
-    are computed: the plant runs lifted at fs (Chen & Francis 1995), with
-    state x[k] = x_fine[m k] and one row of m fine inputs per step, so
-    A_L = A^m and B_L = [A^(m-1) b ... b]. The fine delay n_d is written
-    m q - r with 0 <= r < m; output k is the fine output at phase r of
-    lifted step k - q, so C_L = c A^r and the feedthrough row D_L holds
-    c A^(r-1-i) b for i < r and d at i = r. No fine output is formed:
-    only the lifted steps that reach a kept sample run, on rows that view
-    the record (copied only when its end cuts the last of them). Returns
+    discretization warping far below the identification tolerances. Only
+    the kept samples are computed: the plant runs lifted at fs
+    (``_lifted_plant``), one row of m fine inputs per step, and only the
+    lifted steps that reach a kept sample run. The fine record is never
+    held: the chirp is generated one stepper chunk (CHUNK_ROWS rows of m
+    samples) at a time, every m-th sample kept, and the chunk run through
+    the lifted plant, whose state carries to the next; only the row the
+    record's end cuts is padded, and its tail reaches no output. Returns
     (u, y) at fs.
     """
     integral = isinstance(oversample, numbers.Integral) and not isinstance(oversample, bool)
     if not integral or oversample < 1:
         raise ValueError(f"oversample must be an integer >= 1, not {oversample!r}")
     m = int(oversample)
+    lifted, q = _lifted_plant(plant, fs, m)
+    step = _blocked_stepper(lifted)
     fs_fine = fs * m
-    u_fine = log_chirp(fs_fine, duration_s, f1=f1)
-    ts_fine = 1.0 / fs_fine
+    n_fine = int(round(duration_s * fs_fine))  # as log_chirp counts the record
+    n_keep = -(-n_fine // m)  # the samples of the fine record's [::m]
+    steps = max(n_keep - q, 0)  # lifted steps that reach a kept sample
+    u, y = np.empty(n_keep), np.zeros(n_keep)
+    for k0 in range(0, n_keep, CHUNK_ROWS):
+        k1 = min(k0 + CHUNK_ROWS, n_keep)
+        chunk = log_chirp(fs_fine, duration_s, f1=f1, start=k0 * m, stop=min(k1 * m, n_fine))
+        u[k0:k1] = chunk[::m]
+        nrows = min(k1, steps) - k0  # the chunk's lifted steps that reach a kept sample
+        if nrows > 0:
+            rows = chunk[: nrows * m]
+            if rows.size < nrows * m:  # the record's end cuts the last row; no output sees its tail
+                rows = np.concatenate([rows, np.zeros(nrows * m - rows.size)])
+            y[q + k0 : q + k0 + nrows] = step(rows.reshape(nrows, m))[:, 0]
+    return u, y
+
+
+def _lifted_plant(plant: PlantSpec, fs: float, m: int) -> tuple[DiscreteSS, int]:
+    """The plant integrated at m fs, lifted to fs, and its delay in lifted steps.
+
+    The fine-rate plant is the bilinear (c = 2/ts) map (A, b, c, d) of its
+    modal state space, whose powers stay bounded. Lifted (Chen & Francis
+    1995), its state is x[k] = x_fine[m k] and each step takes one row of m
+    fine inputs, so A_L = A^m and B_L = [A^(m-1) b ... b]. The fine delay
+    n_d is written m q - r with 0 <= r < m; output k is the fine output at
+    phase r of lifted step k - q, so C_L = c A^r and the feedthrough row
+    D_L holds c A^(r-1-i) b for i < r and d at i = r. Returns (block, q).
+    """
+    ts_fine = 1.0 / (fs * m)
     a, b, c, d = _bilinear_state_space(*modal_state_space(plant), 0.0, ts_fine)
     n_delay = int(round(plant.delay_s / ts_fine))
     q = -(-n_delay // m)  # n_delay = m q - r with 0 <= r < m
@@ -453,14 +512,7 @@ def open_loop_response(
         d_matrix=d_lift[np.newaxis],
         ts=1.0 / fs,
     )
-    n_keep = -(-u_fine.size // m)  # the samples of u_fine[::m]
-    steps = max(n_keep - q, 0)  # lifted steps that reach a kept sample
-    rows = u_fine[: steps * m]
-    if rows.size < steps * m:  # the record's end cuts the last row; its tail reaches no output
-        rows = np.concatenate([rows, np.zeros(steps * m - rows.size)])
-    y = np.zeros(n_keep)
-    y[n_keep - steps :] = run_state_space(lifted, rows.reshape(steps, m))[:, 0]
-    return u_fine[::m].copy(), y
+    return lifted, q
 
 
 @dataclass(frozen=True)
@@ -478,23 +530,27 @@ def _welch_spectra(u: np.ndarray, y: np.ndarray, fs: float, segment_len: int):
 
     Periodic Hann windows on half-overlapping segments, no detrending,
     density scaling 1/(fs sum w^2), every bin doubled except DC and (for an
-    even length) Nyquist, then the mean over segments (Welch 1967).
+    even length) Nyquist, then the mean over segments (Welch 1967). The
+    segments are transformed and summed one at a time, so no stack of them
+    is held; the sums and the one division keep every bit of the mean.
     """
     win = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(segment_len) / segment_len)
     step = segment_len - segment_len // 2
-
-    def windowed_fft(x):
-        segs = np.lib.stride_tricks.sliding_window_view(x, segment_len)[::step]
-        return np.fft.rfft(segs * win, axis=-1)
-
-    fu, fy = windowed_fft(u), windowed_fft(y)
+    count = (u.size - segment_len) // step + 1
+    for lo in range(0, count * step, step):  # one segment at a time
+        fu = np.fft.rfft(u[lo : lo + segment_len] * win)
+        fy = np.fft.rfft(y[lo : lo + segment_len] * win)
+        terms = (fu.real**2 + fu.imag**2, fy.real**2 + fy.imag**2, np.conj(fu) * fy)
+        if lo:  # in order, as numpy's mean over axis 0 adds the rows
+            for acc, term in zip(sums, terms):
+                acc += term
+        else:
+            sums = terms
     scale = np.full(segment_len // 2 + 1, 2.0 / (fs * np.sum(win * win)))
     scale[0] /= 2.0
     if segment_len % 2 == 0:
         scale[-1] /= 2.0
-    s_uu = np.mean(fu.real**2 + fu.imag**2, axis=0) * scale
-    s_yy = np.mean(fy.real**2 + fy.imag**2, axis=0) * scale
-    s_uy = np.mean(np.conj(fu) * fy, axis=0) * scale
+    s_uu, s_yy, s_uy = (acc / count * scale for acc in sums)
     return np.fft.rfftfreq(segment_len, 1.0 / fs), s_uu, s_yy, s_uy
 
 

@@ -855,3 +855,183 @@ class TestIdentifyMatchesScipyReference:
         for _ in range(22):  # k = 1, 2, 4, ..., 2^21 > identify's 2.67 M samples
             assert np.linalg.norm(power, 2) <= 1.1
             power = power @ power
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def whole_record_response(plant, fs, duration_s, f1, m=8):
+    """open_loop_response's output from the whole fine record at once: the
+    full chirp, then one run_state_space pass over every lifted row."""
+    from nrcdamp.sim import _lifted_plant
+
+    lifted, q = _lifted_plant(plant, fs, m)
+    u_fine = log_chirp(m * fs, duration_s, f1=f1)
+    n_keep = -(-u_fine.size // m)
+    steps = max(n_keep - q, 0)
+    rows = np.zeros(steps * m)
+    rows[: min(u_fine.size, rows.size)] = u_fine[: rows.size]
+    y = np.zeros(n_keep)
+    y[n_keep - steps :] = run_state_space(lifted, rows.reshape(steps, m))[:, 0]
+    return u_fine[::m], y
+
+
+def batched_welch(u, y, fs, seg):
+    """_welch_spectra with every segment stacked: one rfft over the stack and
+    numpy's mean over axis 0."""
+    win = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(seg) / seg)
+
+    def windowed_fft(x):
+        segs = np.lib.stride_tricks.sliding_window_view(x, seg)[:: seg - seg // 2]
+        return np.fft.rfft(segs * win, axis=-1)
+
+    fu, fy = windowed_fft(u), windowed_fft(y)
+    scale = np.full(seg // 2 + 1, 2.0 / (fs * np.sum(win * win)))
+    scale[0] /= 2.0
+    if seg % 2 == 0:
+        scale[-1] /= 2.0
+    return (
+        np.fft.rfftfreq(seg, 1.0 / fs),
+        np.mean(fu.real**2 + fu.imag**2, axis=0) * scale,
+        np.mean(fy.real**2 + fy.imag**2, axis=0) * scale,
+        np.mean(np.conj(fu) * fy, axis=0) * scale,
+    )
+
+
+class TestStreamedIdentify:
+    """identify never holds its fine record, and keeps every bit of the
+    whole-record computation."""
+
+    @pytest.mark.parametrize("case", ["surrogate", "no_delay", "delay_153us", "short"])
+    def test_streamed_response_is_whole_record_bits(self, surrogate_raw, case):
+        # no_delay pads the ragged last lifted row (q = 0, and the fine
+        # record is not a multiple of 8), 153 us is phase 7 of 8, and the
+        # short record is less than one stepper chunk
+        from nrcdamp.cli import parse_config_dict
+        from nrcdamp.sim import CHUNK_ROWS
+
+        if case == "no_delay":
+            surrogate_raw["plant"]["delay_us"] = 0.0
+        elif case == "delay_153us":
+            surrogate_raw["plant"]["delay_us"] = 153.0
+        duration_s = 0.2 if case == "short" else 10.0
+        cfg = parse_config_dict(surrogate_raw)
+        plant = cfg.plant.to_spec()
+        fs, f1 = identify_rates(cfg)
+        u, y = open_loop_response(plant, fs=fs, duration_s=duration_s, f1=f1)
+        want_u, want_y = whole_record_response(plant, fs, duration_s, f1)
+        n_fine = round(duration_s * 8 * fs)
+        if case == "no_delay":
+            assert n_fine % 8
+        if case == "short":
+            assert u.size < CHUNK_ROWS
+        else:
+            assert u.size > 40 * CHUNK_ROWS
+        assert_same_bits(u, want_u)
+        assert_same_bits(y, want_y)
+
+    @pytest.mark.parametrize("nsamp, seg", [(333334, 65536), (60000, 4096), (5001, 1001)])
+    def test_welch_sums_are_the_batched_mean(self, nsamp, seg):
+        from nrcdamp.sim import _welch_spectra
+
+        rng = np.random.default_rng(seg)
+        u = rng.normal(size=nsamp)
+        y = np.convolve(u, [1.0, 0.5, -0.2], "same") + 0.1 * rng.normal(size=nsamp)
+        want = batched_welch(u, y, 33300.0, seg)
+        for got, ref in zip(_welch_spectra(u, y, 33300.0, seg), want):
+            assert_same_bits(got, ref)
+
+    @pytest.mark.parametrize(
+        "fs, duration_s, f1, taper, ranges",
+        [
+            # 1000 samples, tapers over 0..49 and 950..999
+            (1000.0, 1.0, 400.0, 0.05,
+             [(0, 10), (40, 60), (45, 960), (940, 1000), (951, 952), (0, 1000), (500, 500)]),
+            # 80,000 samples: ranges across log_chirp's 65,536-sample fill chunks
+            (8 / 30e-6, 0.3, 5000.0, 0.05, [(65530, 65542), (3990, 70000), (70000, 80000)]),
+            # 151 samples at alpha 1: the two tapers share sample 75
+            (151.0, 1.0, 50.0, 0.5, [(70, 80), (75, 76), (0, 151), (76, 151)]),
+        ],
+    )
+    def test_chirp_range_is_a_slice_of_the_record(self, fs, duration_s, f1, taper, ranges):
+        kw = dict(f0=10.0, f1=f1, amplitude=0.1, taper_frac=taper)
+        record = log_chirp(fs, duration_s, **kw)
+        for start, stop in ranges:
+            assert_same_bits(log_chirp(fs, duration_s, start=start, stop=stop, **kw),
+                             record[start:stop])
+
+    @pytest.mark.parametrize("start, stop", [(-1, 10), (10, 9), (0, 1001)])
+    def test_chirp_range_outside_the_record_rejected(self, start, stop):
+        with pytest.raises(ValueError, match="start <= stop"):
+            log_chirp(1000.0, 1.0, f1=400.0, start=start, stop=stop)
+
+    def test_fine_record_is_never_held(self, surrogate_raw):
+        # the surrogate's 8x record is 2.67 M samples, 21 MB; holding it
+        # again, or a copy of it, fails this
+        import tracemalloc
+
+        from nrcdamp.cli import parse_config_dict
+
+        cfg = parse_config_dict(surrogate_raw)
+        fs, f1 = identify_rates(cfg)
+        tracemalloc.start()
+        try:
+            open_loop_response(cfg.plant.to_spec(), fs=fs, duration_s=10.0, f1=f1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < round(10.0 * 8 * fs) * 8
+
+
+class TestUniformNoise:
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**32 + 5])
+    @pytest.mark.parametrize("nsamples", [0, 1, 16667])
+    def test_zero_amplitude_is_the_generator_bits(self, seed, nsamples):
+        want = np.random.default_rng(seed).uniform(-0.0, 0.0, nsamples)
+        assert_same_bits(make_uniform_noise(seed, 0.0, nsamples), want)
+        assert not np.signbit(want).any()
+
+    def test_noiseless_trace_keeps_its_bytes(self, tmp_path, surrogate_raw):
+        # simulate on the noiseless surrogate, against the same run with
+        # the Generator's zero-amplitude noise
+        import json
+
+        from nrcdamp.cli import _DesignContext, parse_config_dict, run_command
+        from nrcdamp.sim import trace_to_csv
+
+        p = tmp_path / "config.json"
+        p.write_text(json.dumps(surrogate_raw))
+        assert run_command("simulate", p, tmp_path / "out") == 0
+        cfg = parse_config_dict(surrogate_raw)
+        ctx, sim = _DesignContext(cfg), cfg.sim
+        assert sim.noise_amplitude == 0.0
+        blocks = tuple(discretize(tf, sim.ts_s) for tf in (ctx.plant_tf, ctx.ct_tf, ctx.cd_tf))
+        ref = sim.reference
+        r = make_reference(ref.kind, ref.amplitude, sim.ts_s, sim.duration_s, ref.freq_hz)
+        n = np.random.default_rng(sim.seed).uniform(-0.0, 0.0, r.size)
+        trace_to_csv(simulate_dual_loop(*blocks, r, np.zeros(r.size), n), tmp_path / "want.csv")
+        assert (tmp_path / "out" / "trace.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    def test_noiseless_simulate_skips_numpy_random(self, tmp_path):
+        import os
+        import subprocess
+        import sys
+
+        from conftest import SURROGATE_JSON
+
+        code = (
+            "import sys, numpy\n"
+            "eager = 'numpy.random' in sys.modules\n"
+            "from nrcdamp.cli import run_command\n"
+            "assert run_command('simulate', sys.argv[1], sys.argv[2]) == 0\n"
+            "print(eager, 'numpy.random' in sys.modules)\n"
+        )
+        argv = [sys.executable, "-c", code, str(SURROGATE_JSON), str(tmp_path / "out")]
+        env = {**os.environ, "PYTHONPATH": str(SURROGATE_JSON.parent.parent / "src")}
+        out = subprocess.run(argv, env=env, capture_output=True, text=True, check=True).stdout.split()
+        if out[0] == "True":
+            pytest.skip("this numpy imports numpy.random with numpy")
+        assert out == ["False", "False"]
