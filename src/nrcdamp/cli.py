@@ -217,15 +217,39 @@ def _build(section: str, spec, **fields):
         raise ConfigError(f"config error at {section}: {exc}") from exc
 
 
-def parse_config_dict(raw: dict) -> SimpleNamespace:
+class _Config(SimpleNamespace):
+    """A parsed config (see ``parse_config_dict``), with its ``design``.
+
+    The design sits in a slot, outside the namespace's fields, so a config
+    compares and prints the same before and after a command has run on it.
+    """
+
+    __slots__ = ("_design",)
+
+    @property
+    def design(self) -> "_DesignContext":
+        """The config's design, built the first time a command asks for it
+        and then shared by every command run on the config."""
+        try:
+            return self._design
+        except AttributeError:
+            self._design = _DesignContext(self)
+            return self._design
+
+
+def parse_config_dict(raw: dict) -> _Config:
     """Validate a configuration dictionary against ``SCHEMA``, then the
     checks that span keys. Returns one namespace per section (None for an
     absent optional one); ``plant`` is a ``PlantConfig``, ``nrc`` an
     ``NrcSpec``, the tracker's notches ``NotchSpec``s, and ``sim`` gains
-    ``ts_s``."""
+    ``ts_s``.
+
+    The config is read-only: nothing changes it once it is returned. So its
+    design, the refined reports included, is evaluated once, on first use,
+    and shared by every command run on it (``_Config.design``)."""
     if not isinstance(raw, dict):
         raise ConfigError("config error at top level: expected a JSON object")
-    cfg = _walk(SCHEMA, raw, "")
+    cfg = _Config(**vars(_walk(SCHEMA, raw, "")))
     p = cfg.plant
     modes = tuple(ModeSpec(TWO_PI * m.freq_hz, m.zeta, m.weight) for m in p.modes)
     cfg.plant = PlantConfig(p.gain, modes, p.amp_corner_hz, p.delay_us)
@@ -286,21 +310,25 @@ def _read_config_json(path):
 
 
 class _DesignContext:
-    """One configured design, evaluated once.
+    """One configured design, evaluated once and shared by every command
+    run on its config (see ``_Config.design``).
 
     Holds the transfer functions, the exact pointwise evaluator ``at``
     (delay included) for the analyses' refinements, and its value ``frf``
-    on the config grid and the sensitivity ``bundle``, each computed on
-    first use.
+    on the config grid, the sensitivity ``bundle`` and the refined
+    ``reports``, each computed on first use. It keeps the config's tracker
+    and targets rather than the config, which holds it, so the two form no
+    reference cycle and the design goes with its config.
     """
 
     def __init__(self, cfg: SimpleNamespace):
-        self.cfg = cfg
+        self.tracker, self.targets = cfg.tracker, cfg.targets
         self.plant_spec = cfg.plant.to_spec()
         self.plant_tf = build_plant(self.plant_spec)  # the context's one build
         self.k, self.omega_a, self.cd_tf = _tune(self.plant_tf, self.plant_spec, cfg.nrc)
         self.grid = log_grid(cfg.grid.f_min_hz, cfg.grid.f_max_hz, cfg.grid.pts_per_decade)
         self.omega_n = self.plant_spec.omega_n
+        self._reports = {}
 
         self.frfs = FrfStack((self.plant_tf, self.cd_tf))  # ``at``'s one evaluation
         self.ct_tf = None
@@ -347,21 +375,37 @@ class _DesignContext:
     def bundle(self):
         return dual_sensitivities(self.frf.g, self.frf.ct, self.frf.cd, self.grid)
 
-    def margins_plans(self, *loops) -> list:
-        """The ``margins`` plans of the named ``at`` fields, on the grid, each
-        told the lightly damped poles it has: G's modes in G C_d, C_t's
-        notches in C_t G_d, and both in L_D."""
+    def reports(self, *names) -> list:
+        """The refined report of each named plan: a bound in dB names the
+        band exit of T_yr there, "inner", "outer" and "ld" the margins of
+        those ``at`` fields, and "ct" O2's tracker corner. The plans not
+        refined yet are refined together in one ``_refine`` pass, and each
+        report is kept; ``_bisect`` gives the same bits to plans refined
+        together or apart."""
+        todo = [name for name in dict.fromkeys(names) if name not in self._reports]
+        if todo:
+            plans = [self._plan(name) for name in todo]
+            self._reports.update(zip(todo, _refine(plans, self.at)))
+        return [self._reports[name] for name in names]
+
+    def _plan(self, name):
+        if name == "ct":
+            return _corner_plan(self.grid, self.frf.ct, "ct")
+        if name not in ("inner", "outer", "ld"):
+            return _bandwidth_plan(self.grid, self.frf.t_yr, name, "t_yr")
+        # each loop is told the lightly damped poles it has: G's modes in
+        # G C_d, C_t's notches in C_t G_d, and both in L_D
         modes = [(m.omega_rad_s, m.zeta) for m in self.plant_spec.modes]
-        tracker = self.cfg.tracker
+        tracker = self.tracker
         notches = [(nt.omega_rad_s, 0.5 / nt.q_den) for nt in tracker.notches] if tracker else []
-        resonances = {"inner": modes, "outer": notches, "ld": modes + notches}
-        return [_margins_plan(self.grid, getattr(self.frf, f), f, resonances[f]) for f in loops]
+        resonances = {"inner": modes, "outer": notches, "ld": modes + notches}[name]
+        return _margins_plan(self.grid, getattr(self.frf, name), name, resonances)
 
     def margins_json(self, outer: MarginsReport, dual: MarginsReport) -> dict:
         """The ``margins.json`` payload of a design with a tracker: outer-loop
         margins with their target flags, dual-loop margins with the Nyquist
         verdict."""
-        targets = self.cfg.targets
+        targets = self.targets
         return {
             "outer_loop": {
                 **_margins_dict(outer),
@@ -386,29 +430,24 @@ def _fmt(x, digits=6):
     return f"{x:.{digits}g}"
 
 
-def run_design(cfg: SimpleNamespace, out_dir: Path, exact_tan60: bool = False) -> dict:
+def run_design(cfg: _Config, out_dir: Path, exact_tan60: bool = False) -> dict:
     """Full pipeline: damping synthesis, inner-loop report, tracker tuning,
     sensitivities, margins/bandwidth and the objective scorecard."""
-    ctx = _DesignContext(cfg)
+    ctx = cfg.design
     grid = ctx.grid
 
     at_n = ctx.at(ctx.omega_n)
     peak_reduction_db = 20.0 * math.log10(abs(complex(at_n.g)) / abs(complex(at_n.gd)))
 
     bundle, frf = ctx.bundle, ctx.frf
-    bounds = tuple(dict.fromkeys((3.0, 1.0, cfg.targets.bound_db)))  # each distinct one once
     start_db = float(mag_db(frf.t_yr[0]))  # every band must hold T_yr at the grid start
     for bound, key in ((1.0, "grid.f_min_hz"), (cfg.targets.bound_db, "targets.bound_db")):
         if abs(start_db) > bound:
             where = f"|T_yr| is {start_db:.3g} dB at {grid[0] / TWO_PI:g} Hz"
             _fail(key, f"{where}, outside the +/-{bound:g} dB band")
-    *bws, inner, outer, dual, w_ct = _refine(  # one bisection pass refines every bracket
-        [_bandwidth_plan(grid, frf.t_yr, bound, "t_yr") for bound in bounds]
-        + ctx.margins_plans("inner", "outer", "ld")
-        + [_corner_plan(grid, frf.ct, "ct")],
-        ctx.at,
+    bw3, bw1, bw_target, inner, outer, dual, w_ct = ctx.reports(
+        3.0, 1.0, cfg.targets.bound_db, "inner", "outer", "ld", "ct"
     )
-    bw = dict(zip(bounds, bws))
     margins_out = ctx.margins_json(outer, dual)
     # the delayed inner loop's Nyquist count; with k = gamma/G(0) from
     # _tune, 1 + G(0) C_d(0) = 1 - gamma, so gamma = 1 leaves a pole at s = 0
@@ -419,7 +458,7 @@ def run_design(cfg: SimpleNamespace, out_dir: Path, exact_tan60: bool = False) -
     else:
         verdict = "stable"
 
-    objectives = _scorecard(bundle, bw[3.0], w_ct, float(np.abs(at_n.ld)), ctx.omega_n)
+    objectives = _scorecard(bundle, bw3, w_ct, float(np.abs(at_n.ld)), ctx.omega_n)
 
     feasibility = None
     if ctx.nu is not None:
@@ -444,9 +483,9 @@ def run_design(cfg: SimpleNamespace, out_dir: Path, exact_tan60: bool = False) -
         },
         "outer_loop": margins_out["outer_loop"],
         "bandwidth": {
-            "wc_1db_hz": _hz(bw[1.0]),
-            "wc_3db_hz": _hz(bw[3.0]),
-            "wc_target_hz": _hz(bw[cfg.targets.bound_db]),
+            "wc_1db_hz": _hz(bw1),
+            "wc_3db_hz": _hz(bw3),
+            "wc_target_hz": _hz(bw_target),
             "bound_db": cfg.targets.bound_db,
         },
         "objectives": {
@@ -532,12 +571,12 @@ def summarize(summary: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run_bode(cfg: SimpleNamespace, out_dir: Path) -> dict:
+def run_bode(cfg: _Config, out_dir: Path) -> dict:
     if cfg.nrc is None:
         grid = log_grid(cfg.grid.f_min_hz, cfg.grid.f_max_hz, cfg.grid.pts_per_decade)
         cols = {"plant": freq_response(build_plant(cfg.plant.to_spec()), grid)}
     else:
-        ctx = _DesignContext(cfg)
+        ctx = cfg.design
         grid, cols = ctx.grid, {"plant": ctx.frf.g, "nrc": ctx.frf.cd, "inner_loop": ctx.frf.gd}
     bode_to_csv(out_dir / "bode.csv", grid, cols)
     return {"files": ["bode.csv"], "columns": list(cols)}
@@ -562,19 +601,19 @@ def run_rootlocus(
     return summary
 
 
-def run_sens(cfg: SimpleNamespace, out_dir: Path) -> dict:
-    ctx = _DesignContext(cfg)
+def run_sens(cfg: _Config, out_dir: Path) -> dict:
+    ctx = cfg.design
     bundle_to_csv(ctx.bundle, out_dir / "sensitivities.csv")
     return {"files": ["sensitivities.csv"], "points": int(ctx.grid.size)}
 
 
-def run_margins(cfg: SimpleNamespace, out_dir: Path) -> dict:
-    ctx = _DesignContext(cfg)
+def run_margins(cfg: _Config, out_dir: Path) -> dict:
+    ctx = cfg.design
     if ctx.ct_tf is None:
-        (inner,) = _refine(ctx.margins_plans("inner"), ctx.at)
+        (inner,) = ctx.reports("inner")
         out = {"inner_loop": _margins_dict(inner)}
     else:
-        out = ctx.margins_json(*_refine(ctx.margins_plans("outer", "ld"), ctx.at))
+        out = ctx.margins_json(*ctx.reports("outer", "ld"))
     _write_json(out_dir / "margins.json", out)
     return out
 
@@ -587,13 +626,13 @@ def _margins_dict(rep: MarginsReport) -> dict:
     return {"gain_margin_db": rep.gain_margin_db, "crossovers": _crossovers(rep)}
 
 
-def run_simulate(cfg: SimpleNamespace, out_dir: Path) -> dict:
+def run_simulate(cfg: _Config, out_dir: Path) -> dict:
     """Simulate the sampled dual loop; a loop whose closed-loop spectral
     radius exceeds 1 diverges and is refused before it runs."""
     ts = cfg.sim.ts_s
     if round(cfg.sim.duration_s / ts) > MAX_SIM_SAMPLES:
         _fail("sim.duration_s", f"must last at most {MAX_SIM_SAMPLES} samples of ts_us")
-    ctx = _DesignContext(cfg)
+    ctx = cfg.design
     plant_d = discretize(ctx.plant_tf, ts)
     tracker_d = discretize(ctx.ct_tf, ts)
     nrc_d = discretize(ctx.cd_tf, ts)
@@ -677,10 +716,13 @@ def _edit(raw: dict, key: str, value) -> dict:
     return raw
 
 
-def run_sweep(configs, out_dir: Path, param: str, values, exact_tan60=False) -> dict:
-    """Re-run the design pipeline over a one-parameter sweep."""
+def run_sweep(configs: list, out_dir: Path, param: str, values, exact_tan60=False) -> dict:
+    """Re-run the design pipeline over a one-parameter sweep, one config of
+    ``configs`` per value. The list is emptied as it runs, so each config,
+    and the design it holds, goes when its value is done."""
     rows = []
-    for cfg, v in zip(configs, values):
+    for v in values:
+        cfg = configs.pop(0)
         sub = out_dir / f"{param.replace('.', '_')}_{v:g}"
         summary = run_design(cfg, sub, exact_tan60=exact_tan60)
         rows.append(

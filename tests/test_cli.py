@@ -1,9 +1,11 @@
+import gc
 import json
 import math
 import os
 import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -819,8 +821,9 @@ class TestCommands:
 
 
 def perturbed(raw, variant):
-    """The surrogate with a perturbed design: a loaded, retuned one and one
-    whose dual loop is unstable."""
+    """The surrogate with a perturbed design: a loaded, retuned one, one
+    whose dual loop is unstable, or one with a single design feature
+    changed."""
     if variant == "loaded":
         raw["nrc"].update(gamma=0.97, n=5.0)
         raw["tracker"]["omega_b_hz"] = 300.0
@@ -831,6 +834,18 @@ def perturbed(raw, variant):
         raw["nrc"]["n"] = 4.5
         raw["tracker"]["omega_b_hz"] = 800.0
         raw["targets"]["bound_db"] = 1.0
+    elif variant == "no_tracker":
+        del raw["tracker"]
+    elif variant == "kp":
+        raw["tracker"]["kp"] = 0.9
+        del raw["tracker"]["omega_b_hz"]
+    elif variant == "gamma_1":
+        raw["nrc"]["gamma"] = 1.0
+    elif variant == "no_delay":
+        raw["plant"]["delay_us"] = 0.0
+    elif variant == "taming":
+        raw["nrc"]["taming_l"] = 3.0
+        raw["plant"]["amp_corner_hz"] = 20000.0
     return raw
 
 
@@ -1064,6 +1079,131 @@ class TestInnerVerdict:
             monkeypatch.setattr(sys.modules[module], "build_plant", counted)
         run_design(parse_config_dict(surrogate_raw), tmp_path)
         assert len(builds) == 1
+
+
+def run_each(cfg_of, cmds, root) -> dict:
+    """Each command run on ``cfg_of()`` into ``root/<cmd>``; the bytes of
+    every file written, and of the message of a command that fails."""
+    for cmd in cmds:
+        out = root / cmd
+        out.mkdir(parents=True)
+        try:
+            getattr(nrcdamp.cli, f"run_{cmd}")(cfg_of(), out)
+        except ValueError as exc:
+            (out / "error.txt").write_text(f"{type(exc).__name__}: {exc}")
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+class TestSharedDesign:
+    """Every command run on one parsed config shares its one design: the
+    plant, the tuning, the grid evaluation, the sensitivities and each
+    refined report are made once, with the bytes each command writes alone."""
+
+    @pytest.mark.parametrize("ppd", [50, 400, 2000])
+    @pytest.mark.parametrize(
+        "variant", ["surrogate", "no_tracker", "kp", "gamma_1", "no_delay", "taming"]
+    )
+    @pytest.mark.parametrize(
+        "cmds",
+        [
+            ("design", "sens", "margins", "bode", "simulate"),
+            ("margins", "sens", "design", "bode", "simulate"),  # design fills no cache first
+        ],
+        ids=["design_first", "margins_first"],
+    )
+    def test_sharing_changes_no_bytes(self, tmp_path, surrogate_raw, variant, ppd, cmds):
+        raw = perturbed(surrogate_raw, variant)
+        raw["grid"]["pts_per_decade"] = ppd
+        raw["sim"]["duration_s"] = 0.05
+        if variant == "no_tracker":
+            cmds = tuple(c for c in cmds if c in ("sens", "margins", "bode"))
+        shared = parse_config_dict(raw)
+        together = run_each(lambda: shared, cmds, tmp_path / "shared")
+        alone = run_each(lambda: parse_config_dict(raw), cmds, tmp_path / "alone")
+        assert len(together) >= len(cmds)
+        assert together == alone
+
+    def test_one_pass_does_each_step_once(self, tmp_path, surrogate_raw, monkeypatch):
+        calls = {}
+
+        def counted(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        for module in (nrcdamp.cli, sys.modules["nrcdamp.nrc"]):
+            counted(module, "build_plant")
+        for name in ("_tune", "tune_kp", "dual_sensitivities"):
+            counted(nrcdamp.cli, name)
+        cfg = parse_config_dict(surrogate_raw)
+        for cmd in ("design", "sens", "margins", "bode", "rootlocus"):
+            (tmp_path / cmd).mkdir()
+            getattr(nrcdamp.cli, f"run_{cmd}")(cfg, tmp_path / cmd)
+        assert calls == {"build_plant": 1, "_tune": 1, "tune_kp": 1, "dual_sensitivities": 1}
+
+    def test_margins_after_design_evaluates_nothing(self, tmp_path, surrogate_raw, monkeypatch):
+        at_calls = []
+        at = _DesignContext.at
+
+        def counted_at(ctx, omega):
+            at_calls.append(np.size(omega))
+            return at(ctx, omega)
+
+        monkeypatch.setattr(_DesignContext, "at", counted_at)
+        cfg = parse_config_dict(surrogate_raw)
+        run_design(cfg, tmp_path / "design")
+        assert at_calls
+        at_calls.clear()
+        (tmp_path / "margins").mkdir()
+        run_margins(cfg, tmp_path / "margins")
+        assert at_calls == []
+
+    def test_design_goes_with_its_config(self, tmp_path, surrogate_raw):
+        # the design holds no reference back to its config, so reference
+        # counting alone frees both
+        cfg = parse_config_dict(surrogate_raw)
+        run_design(cfg, tmp_path)
+        design = weakref.ref(cfg.design)
+        gc.disable()
+        try:
+            del cfg
+            assert design() is None
+        finally:
+            gc.enable()
+
+    def test_config_unchanged_by_a_command(self, tmp_path, surrogate_raw):
+        cfg = parse_config_dict(surrogate_raw)
+        before = repr(cfg)
+        run_design(cfg, tmp_path)
+        assert cfg == parse_config_dict(surrogate_raw)
+        assert repr(cfg) == before
+        assert "_design" not in vars(cfg)
+
+    def test_sweep_keeps_one_design(self, tmp_path, surrogate_raw, monkeypatch):
+        alive, most = weakref.WeakSet(), []
+        init = _DesignContext.__init__
+
+        def tracked(ctx, cfg):
+            init(ctx, cfg)
+            alive.add(ctx)
+            most.append(len(alive))
+
+        monkeypatch.setattr(_DesignContext, "__init__", tracked)
+        surrogate_raw["grid"]["pts_per_decade"] = 2000
+        p = write(tmp_path, surrogate_raw)
+        gc.disable()
+        try:
+            status = run_command(
+                "sweep", p, tmp_path / "out", param="nrc.n", values=["5", "6", "7", "8"]
+            )
+        finally:
+            gc.enable()
+        assert status == 0
+        assert most == [1, 1, 1, 1]
 
 
 class TestSummarize:
