@@ -309,16 +309,57 @@ def _read_config_json(path):
 # pipeline pieces
 
 
+class _Frf:
+    """G, C_d and C_t at a set of frequencies, and the loop functions taken
+    from them on each access: G_d = G/(1+G C_d), the inner loop G C_d, the
+    outer loop C_t G_d, L_D = G (C_t + C_d) and T_yr. So a value kept on
+    the grid holds three arrays, not eight."""
+
+    __slots__ = ("g", "cd", "ct")
+
+    def __init__(self, g, cd, ct):
+        self.g, self.cd, self.ct = g, cd, ct
+
+    # Each derived operand is named before use. From 256 KiB on, numpy
+    # computes ``a * <temporary>`` in the temporary's buffer as
+    # ``<temporary> * a``, and a complex product with its operands swapped
+    # can differ in the last bit from the eager algebra's.
+
+    @property
+    def inner(self):
+        return self.g * self.cd
+
+    @property
+    def gd(self):
+        inner = self.inner
+        return self.g / (1.0 + inner)
+
+    @property
+    def outer(self):
+        gd = self.gd
+        return self.ct * gd
+
+    @property
+    def ld(self):
+        return self.g * (self.ct + self.cd)
+
+    @property
+    def t_yr(self):
+        ld = self.ld
+        return self.g * self.ct / (1.0 + ld)
+
+
 class _DesignContext:
     """One configured design, evaluated once and shared by every command
     run on its config (see ``_Config.design``).
 
     Holds the transfer functions, the exact pointwise evaluator ``at``
-    (delay included) for the analyses' refinements, and its value ``frf``
-    on the config grid, the sensitivity ``bundle`` and the refined
-    ``reports``, each computed on first use. It keeps the config's tracker
-    and targets rather than the config, which holds it, so the two form no
-    reference cycle and the design goes with its config.
+    (delay included) for the analyses' refinements, its value ``frf`` on
+    the config grid (G, C_d and C_t; the loop functions are derived from
+    them), the bytes of the design's one ``sensitivities.csv`` and the
+    refined ``reports``, each computed on first use. It keeps the config's
+    tracker and targets rather than the config, which holds it, so the two
+    form no reference cycle and the design goes with its config.
     """
 
     def __init__(self, cfg: SimpleNamespace):
@@ -329,6 +370,7 @@ class _DesignContext:
         self.grid = log_grid(cfg.grid.f_min_hz, cfg.grid.f_max_hz, cfg.grid.pts_per_decade)
         self.omega_n = self.plant_spec.omega_n
         self._reports = {}
+        self._sensitivities_csv = None
 
         self.frfs = FrfStack((self.plant_tf, self.cd_tf))  # ``at``'s one evaluation
         self.ct_tf = None
@@ -353,27 +395,29 @@ class _DesignContext:
             )
             self.frfs = FrfStack((self.plant_tf, self.cd_tf, self.ct_tf))
 
-    def at(self, omega) -> SimpleNamespace:
+    def at(self, omega) -> _Frf:
         """G, C_d and C_t at ``omega`` (vector-safe), evaluated together in one
-        stacked pass with the bits of ``freq_response``, and from them
-        G_d = G/(1+G C_d), the inner loop G C_d, the outer loop C_t G_d,
-        L_D = G (C_t + C_d) and T_yr; C_t is zeros without a tracker."""
+        stacked pass with the bits of ``freq_response``, with the loop
+        functions derived from them (see ``_Frf``); C_t is zeros without a
+        tracker."""
         g, cd, *ct = self.frfs(omega)
-        ct = ct[0] if ct else np.zeros_like(g)
-        inner = g * cd
-        gd = g / (1.0 + inner)
-        ld = g * (ct + cd)
-        return SimpleNamespace(
-            g=g, cd=cd, ct=ct, gd=gd, inner=inner, outer=ct * gd, ld=ld, t_yr=g * ct / (1.0 + ld)
-        )
+        return _Frf(g, cd, ct[0] if ct else np.zeros_like(g))
 
     @cached_property
-    def frf(self) -> SimpleNamespace:
+    def frf(self) -> _Frf:
         return self.at(self.grid)
 
-    @cached_property
-    def bundle(self):
-        return dual_sensitivities(self.frf.g, self.frf.ct, self.frf.cd, self.grid)
+    def write_sensitivities(self, path: Path) -> None:
+        """Write the design's ``sensitivities.csv`` to ``path``. The first
+        write formats it, streamed from a sensitivity bundle built for that
+        write alone; the design keeps the bytes of that file and writes
+        them again for every later command."""
+        if self._sensitivities_csv is None:
+            frf = self.frf
+            bundle_to_csv(dual_sensitivities(frf.g, frf.ct, frf.cd, self.grid), path)
+            self._sensitivities_csv = path.read_bytes()
+        else:
+            path.write_bytes(self._sensitivities_csv)
 
     def reports(self, *names) -> list:
         """The refined report of each named plan: a bound in dB names the
@@ -439,7 +483,7 @@ def run_design(cfg: _Config, out_dir: Path, exact_tan60: bool = False) -> dict:
     at_n = ctx.at(ctx.omega_n)
     peak_reduction_db = 20.0 * math.log10(abs(complex(at_n.g)) / abs(complex(at_n.gd)))
 
-    bundle, frf = ctx.bundle, ctx.frf
+    frf = ctx.frf
     start_db = float(mag_db(frf.t_yr[0]))  # every band must hold T_yr at the grid start
     for bound, key in ((1.0, "grid.f_min_hz"), (cfg.targets.bound_db, "targets.bound_db")):
         if abs(start_db) > bound:
@@ -458,7 +502,9 @@ def run_design(cfg: _Config, out_dir: Path, exact_tan60: bool = False) -> dict:
     else:
         verdict = "stable"
 
-    objectives = _scorecard(bundle, bw3, w_ct, float(np.abs(at_n.ld)), ctx.omega_n)
+    # the scorecard reads a bundle's grid and loop gain, which is L_D
+    loop = SimpleNamespace(grid=grid, loop_gain=frf.ld)
+    objectives = _scorecard(loop, bw3, w_ct, float(np.abs(at_n.ld)), ctx.omega_n)
 
     feasibility = None
     if ctx.nu is not None:
@@ -501,7 +547,7 @@ def run_design(cfg: _Config, out_dir: Path, exact_tan60: bool = False) -> dict:
         summary["pm_feasibility"] = feasibility
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    bundle_to_csv(bundle, out_dir / "sensitivities.csv")
+    ctx.write_sensitivities(out_dir / "sensitivities.csv")
     _write_json(out_dir / "margins.json", margins_out)
     _write_json(out_dir / "summary.json", summary)
     (out_dir / "summary.txt").write_text(summarize(summary), encoding="utf-8")
@@ -603,7 +649,7 @@ def run_rootlocus(
 
 def run_sens(cfg: _Config, out_dir: Path) -> dict:
     ctx = cfg.design
-    bundle_to_csv(ctx.bundle, out_dir / "sensitivities.csv")
+    ctx.write_sensitivities(out_dir / "sensitivities.csv")
     return {"files": ["sensitivities.csv"], "points": int(ctx.grid.size)}
 
 

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 import weakref
 from pathlib import Path
@@ -19,6 +20,7 @@ from nrcdamp import (
     bandwidth,
     discretize,
     dual_loop_state_space,
+    dual_sensitivities,
     freq_response,
     log_grid,
     make_uniform_noise,
@@ -882,7 +884,8 @@ class TestMergedRefinement:
         }
         margins_json = public_margins(ctx)
         objectives = objective_report(
-            ctx.bundle, bw[3.0], frf.ct, lambda w: freq_response(ctx.ct_tf, w),
+            dual_sensitivities(frf.g, frf.ct, frf.cd, grid), bw[3.0], frf.ct,
+            lambda w: freq_response(ctx.ct_tf, w),
             lambda w: ctx.at(w).ld, ctx.omega_n,
         )
         assert (tmp_path / "margins.json").read_bytes() == json_bytes(margins_json)
@@ -1204,6 +1207,97 @@ class TestSharedDesign:
             gc.enable()
         assert status == 0
         assert most == [1, 1, 1, 1]
+
+
+# the variants of the sensitivities tests, and the commands whose order
+# they run in (design needs a tracker)
+SENS_ORDERS = {
+    "surrogate": [("design", "sens"), ("sens", "design")],
+    "no_tracker": [("sens", "sens")],
+    "kp": [("design", "sens"), ("sens", "design")],
+    "no_delay": [("design", "sens"), ("sens", "design")],
+    "gamma_1": [("design", "sens"), ("sens", "design")],
+}
+
+
+class TestSensitivitiesOnce:
+    """A design formats its ``sensitivities.csv`` once, and keeps on the grid
+    only G, C_d and C_t, from which the loop functions are derived."""
+
+    @pytest.mark.parametrize("ppd", [50, 400, 2000, 8000])
+    @pytest.mark.parametrize("variant", list(SENS_ORDERS))
+    def test_formatted_once(self, tmp_path, surrogate_raw, monkeypatch, variant, ppd):
+        raw = perturbed(surrogate_raw, variant)
+        raw["grid"]["pts_per_decade"] = ppd
+        (tmp_path / "alone").mkdir()
+        nrcdamp.cli.run_sens(parse_config_dict(raw), tmp_path / "alone")
+        expected = (tmp_path / "alone" / "sensitivities.csv").read_bytes()
+
+        formats = []
+        write = nrcdamp.cli.bundle_to_csv
+
+        def counted(bundle, path):
+            formats.append(path)
+            return write(bundle, path)
+
+        monkeypatch.setattr(nrcdamp.cli, "bundle_to_csv", counted)
+        for order in SENS_ORDERS[variant]:
+            formats.clear()
+            cfg = parse_config_dict(raw)
+            for k, cmd in enumerate(order):
+                out = tmp_path / "-".join(order) / f"{k}_{cmd}"
+                out.mkdir(parents=True)
+                getattr(nrcdamp.cli, f"run_{cmd}")(cfg, out)
+                assert (out / "sensitivities.csv").read_bytes() == expected
+            assert len(formats) == 1
+
+    @pytest.mark.parametrize("ppd", [50, 400, 2000, 8000])
+    @pytest.mark.parametrize("variant", list(SENS_ORDERS))
+    def test_derived_fields(self, tmp_path, surrogate_raw, variant, ppd):
+        raw = perturbed(surrogate_raw, variant)
+        raw["grid"]["pts_per_decade"] = ppd
+        cfg = parse_config_dict(raw)
+        ctx = cfg.design
+        frf = ctx.at(ctx.grid)
+        g, cd, ct = frf.g, frf.cd, frf.ct
+        inner = g * cd
+        gd = g / (1.0 + inner)
+        ld = g * (ct + cd)
+        eager = {"gd": gd, "inner": inner, "outer": ct * gd, "ld": ld, "t_yr": g * ct / (1.0 + ld)}
+        for name, value in eager.items():
+            assert np.array_equal(getattr(frf, name), value), name
+
+        bundle = dual_sensitivities(g, ct, cd, ctx.grid)
+        assert np.array_equal(ctx.frf.ld, bundle.loop_gain)
+        if cfg.tracker is not None:
+            grid = ctx.grid
+            o4 = float(np.max(np.abs(bundle.loop_gain[grid >= grid[-1] / math.sqrt(10.0)])))
+            summary = run_design(cfg, tmp_path)
+            assert summary["objectives"]["highband_loop_gain"]["value"] == o4
+
+    @pytest.mark.parametrize("ppd", [2000, 8000])
+    def test_what_the_design_keeps(self, tmp_path, surrogate_raw, ppd):
+        # what goes when the config goes, once design, sens and bode have
+        # run: G, C_d and C_t, the grid, the csv bytes and small objects
+        # (the reports, the transfer functions, the config's own fields)
+        slack = 64 * 1024
+        surrogate_raw["grid"]["pts_per_decade"] = ppd
+        tracemalloc.start()
+        try:
+            cfg = parse_config_dict(surrogate_raw)
+            for cmd in ("design", "sens", "bode"):
+                (tmp_path / cmd).mkdir()
+                getattr(nrcdamp.cli, f"run_{cmd}")(cfg, tmp_path / cmd)
+            points = cfg.design.grid.size
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+            del cfg
+            gc.collect()
+            held -= tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        text = (tmp_path / "sens" / "sensitivities.csv").stat().st_size
+        assert held <= 3 * 16 * points + 8 * points + text + slack
 
 
 class TestSummarize:
