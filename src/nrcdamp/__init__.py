@@ -32,7 +32,6 @@ from .plants import (
 from .nrc import (
     NrcSpec,
     nrc,
-    nrc_gains,
     synthesize_nrc,
     tame_nrc,
 )
@@ -82,5 +81,6 @@ from .sim import (
     spectral_radius,
     tracking_metrics,
 )
+from .design import Design
 
 __version__ = "0.1.0"

@@ -13,15 +13,14 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 
-from .lti import FrfStack, bode_to_csv, freq_response, log_grid, mag_db, write_csv
+from .lti import bode_to_csv, freq_response, log_grid, mag_db, write_csv
 from .plants import ModeSpec, PlantSpec, build_plant
-from .nrc import NrcSpec, _tune
+from .nrc import NrcSpec
 from .loops import inner_charpoly, locus_to_csv, root_locus_n, routh_cubic
 from .tracking import (
     BandwidthReport,
@@ -29,17 +28,9 @@ from .tracking import (
     NotchSpec,
     PiSpec,
     TrackerSpec,
-    _bandwidth_plan,
-    _corner_plan,
-    _margins_plan,
-    _refine,
-    _scorecard,
-    build_tracker,
-    bundle_to_csv,
-    dual_sensitivities,
     pm_feasibility,
-    tune_kp,
 )
+from .design import Design
 from .sim import (
     IDENTIFY_OVERSAMPLE,
     SINE_SKIP_FRAC,
@@ -227,14 +218,21 @@ class _Config(SimpleNamespace):
     __slots__ = ("_design",)
 
     @property
-    def design(self) -> "_DesignContext":
-        """The config's design, built the first time a command asks for it
-        and then shared by every command run on the config."""
-        try:
-            return self._design
-        except AttributeError:
-            self._design = _DesignContext(self)
-            return self._design
+    def design(self) -> Design:
+        """The config's design, built from its specs the first time a command
+        asks for it and then shared by every command run on the config."""
+        if not hasattr(self, "_design"):
+            tr = self.tracker
+            tracker = omega_b = None
+            if tr is not None:
+                kp = 1.0 if tr.kp is None else tr.kp  # stands in when the design tunes kp
+                pi = PiSpec(kp=kp, omega_i_rad_s=TWO_PI * tr.omega_i_hz)
+                lowpass = None if tr.lowpass_hz is None else TWO_PI * tr.lowpass_hz
+                tracker = TrackerSpec(pi=pi, notches=tr.notches, lowpass_corner_rad_s=lowpass)
+                omega_b = None if tr.omega_b_hz is None else TWO_PI * tr.omega_b_hz
+            grid = log_grid(self.grid.f_min_hz, self.grid.f_max_hz, self.grid.pts_per_decade)
+            self._design = Design(self.plant.to_spec(), self.nrc, grid, tracker, omega_b)
+        return self._design
 
 
 def parse_config_dict(raw: dict) -> _Config:
@@ -305,165 +303,24 @@ def _read_config_json(path):
         raise ConfigError(f"config error: invalid JSON ({exc})")
 
 
-# ---------------------------------------------------------------------------
-# pipeline pieces
-
-
-class _Frf:
-    """G, C_d and C_t at a set of frequencies, and the loop functions taken
-    from them on each access: G_d = G/(1+G C_d), the inner loop G C_d, the
-    outer loop C_t G_d, L_D = G (C_t + C_d) and T_yr. So a value kept on
-    the grid holds three arrays, not eight."""
-
-    __slots__ = ("g", "cd", "ct")
-
-    def __init__(self, g, cd, ct):
-        self.g, self.cd, self.ct = g, cd, ct
-
-    # Each derived operand is named before use. From 256 KiB on, numpy
-    # computes ``a * <temporary>`` in the temporary's buffer as
-    # ``<temporary> * a``, and a complex product with its operands swapped
-    # can differ in the last bit from the eager algebra's.
-
-    @property
-    def inner(self):
-        return self.g * self.cd
-
-    @property
-    def gd(self):
-        inner = self.inner
-        return self.g / (1.0 + inner)
-
-    @property
-    def outer(self):
-        gd = self.gd
-        return self.ct * gd
-
-    @property
-    def ld(self):
-        return self.g * (self.ct + self.cd)
-
-    @property
-    def t_yr(self):
-        ld = self.ld
-        return self.g * self.ct / (1.0 + ld)
-
-
-class _DesignContext:
-    """One configured design, evaluated once and shared by every command
-    run on its config (see ``_Config.design``).
-
-    Holds the transfer functions, the exact pointwise evaluator ``at``
-    (delay included) for the analyses' refinements, its value ``frf`` on
-    the config grid (G, C_d and C_t; the loop functions are derived from
-    them), the bytes of the design's one ``sensitivities.csv`` and the
-    refined ``reports``, each computed on first use. It keeps the config's
-    tracker and targets rather than the config, which holds it, so the two
-    form no reference cycle and the design goes with its config.
-    """
-
-    def __init__(self, cfg: SimpleNamespace):
-        self.tracker, self.targets = cfg.tracker, cfg.targets
-        self.plant_spec = cfg.plant.to_spec()
-        self.plant_tf = build_plant(self.plant_spec)  # the context's one build
-        self.k, self.omega_a, self.cd_tf = _tune(self.plant_tf, self.plant_spec, cfg.nrc)
-        self.grid = log_grid(cfg.grid.f_min_hz, cfg.grid.f_max_hz, cfg.grid.pts_per_decade)
-        self.omega_n = self.plant_spec.omega_n
-        self._reports = {}
-        self._sensitivities_csv = None
-
-        self.frfs = FrfStack((self.plant_tf, self.cd_tf))  # ``at``'s one evaluation
-        self.ct_tf = None
-        self.kp = None
-        self.nu = None
-        if cfg.tracker is not None:
-            wi = TWO_PI * cfg.tracker.omega_i_hz
-            if cfg.tracker.kp is not None:
-                self.kp = cfg.tracker.kp
-            else:
-                wb = TWO_PI * cfg.tracker.omega_b_hz
-                self.kp = tune_kp(lambda w: self.at(w).gd, wb)
-                self.nu = self.omega_n / wb
-            self.ct_tf = build_tracker(
-                TrackerSpec(
-                    pi=PiSpec(kp=self.kp, omega_i_rad_s=wi),
-                    notches=cfg.tracker.notches,
-                    lowpass_corner_rad_s=None
-                    if cfg.tracker.lowpass_hz is None
-                    else TWO_PI * cfg.tracker.lowpass_hz,
-                )
-            )
-            self.frfs = FrfStack((self.plant_tf, self.cd_tf, self.ct_tf))
-
-    def at(self, omega) -> _Frf:
-        """G, C_d and C_t at ``omega`` (vector-safe), evaluated together in one
-        stacked pass with the bits of ``freq_response``, with the loop
-        functions derived from them (see ``_Frf``); C_t is zeros without a
-        tracker."""
-        g, cd, *ct = self.frfs(omega)
-        return _Frf(g, cd, ct[0] if ct else np.zeros_like(g))
-
-    @cached_property
-    def frf(self) -> _Frf:
-        return self.at(self.grid)
-
-    def write_sensitivities(self, path: Path) -> None:
-        """Write the design's ``sensitivities.csv`` to ``path``. The first
-        write formats it, streamed from a sensitivity bundle built for that
-        write alone; the design keeps the bytes of that file and writes
-        them again for every later command."""
-        if self._sensitivities_csv is None:
-            frf = self.frf
-            bundle_to_csv(dual_sensitivities(frf.g, frf.ct, frf.cd, self.grid), path)
-            self._sensitivities_csv = path.read_bytes()
-        else:
-            path.write_bytes(self._sensitivities_csv)
-
-    def reports(self, *names) -> list:
-        """The refined report of each named plan: a bound in dB names the
-        band exit of T_yr there, "inner", "outer" and "ld" the margins of
-        those ``at`` fields, and "ct" O2's tracker corner. The plans not
-        refined yet are refined together in one ``_refine`` pass, and each
-        report is kept; ``_bisect`` gives the same bits to plans refined
-        together or apart."""
-        todo = [name for name in dict.fromkeys(names) if name not in self._reports]
-        if todo:
-            plans = [self._plan(name) for name in todo]
-            self._reports.update(zip(todo, _refine(plans, self.at)))
-        return [self._reports[name] for name in names]
-
-    def _plan(self, name):
-        if name == "ct":
-            return _corner_plan(self.grid, self.frf.ct, "ct")
-        if name not in ("inner", "outer", "ld"):
-            return _bandwidth_plan(self.grid, self.frf.t_yr, name, "t_yr")
-        # each loop is told the lightly damped poles it has: G's modes in
-        # G C_d, C_t's notches in C_t G_d, and both in L_D
-        modes = [(m.omega_rad_s, m.zeta) for m in self.plant_spec.modes]
-        tracker = self.tracker
-        notches = [(nt.omega_rad_s, 0.5 / nt.q_den) for nt in tracker.notches] if tracker else []
-        resonances = {"inner": modes, "outer": notches, "ld": modes + notches}[name]
-        return _margins_plan(self.grid, getattr(self.frf, name), name, resonances)
-
-    def margins_json(self, outer: MarginsReport, dual: MarginsReport) -> dict:
-        """The ``margins.json`` payload of a design with a tracker: outer-loop
-        margins with their target flags, dual-loop margins with the Nyquist
-        verdict."""
-        targets = self.targets
-        return {
-            "outer_loop": {
-                **_margins_dict(outer),
-                "meets_gm_target": outer.gain_margin_db is not None
-                and outer.gain_margin_db >= targets.gm_db,
-                "meets_pm_target": bool(outer.crossovers)
-                and min(pm for _, pm in outer.crossovers) >= targets.pm_deg,
-            },
-            "dual_loop": {
-                **_margins_dict(dual),
-                "nyquist_net_crossings": dual.nyquist_net_crossings,
-                "stable": dual.nyquist_net_crossings == 0,
-            },
-        }
+def margins_json(outer: MarginsReport, dual: MarginsReport, targets) -> dict:
+    """The ``margins.json`` payload of a design with a tracker: outer-loop
+    margins with their flags against ``targets``, dual-loop margins with the
+    Nyquist verdict."""
+    return {
+        "outer_loop": {
+            **_margins_dict(outer),
+            "meets_gm_target": outer.gain_margin_db is not None
+            and outer.gain_margin_db >= targets.gm_db,
+            "meets_pm_target": bool(outer.crossovers)
+            and min(pm for _, pm in outer.crossovers) >= targets.pm_deg,
+        },
+        "dual_loop": {
+            **_margins_dict(dual),
+            "nyquist_net_crossings": dual.nyquist_net_crossings,
+            "stable": dual.nyquist_net_crossings == 0,
+        },
+    }
 
 
 def _fmt(x, digits=6):
@@ -475,36 +332,21 @@ def _fmt(x, digits=6):
 
 
 def run_design(cfg: _Config, out_dir: Path, exact_tan60: bool = False) -> dict:
-    """Full pipeline: damping synthesis, inner-loop report, tracker tuning,
-    sensitivities, margins/bandwidth and the objective scorecard."""
+    """The config's ``Design`` read into ``summary.json``, ``margins.json``,
+    ``summary.txt`` and ``sensitivities.csv``: damping synthesis, inner-loop
+    report, tracker tuning, margins/bandwidth and the objective scorecard."""
     ctx = cfg.design
-    grid = ctx.grid
-
-    at_n = ctx.at(ctx.omega_n)
-    peak_reduction_db = 20.0 * math.log10(abs(complex(at_n.g)) / abs(complex(at_n.gd)))
-
-    frf = ctx.frf
-    start_db = float(mag_db(frf.t_yr[0]))  # every band must hold T_yr at the grid start
+    peak_reduction_db = ctx.peak_reduction_db
+    start_db = float(mag_db(ctx.frf.t_yr[0]))  # every band must hold T_yr at the grid start
     for bound, key in ((1.0, "grid.f_min_hz"), (cfg.targets.bound_db, "targets.bound_db")):
         if abs(start_db) > bound:
-            where = f"|T_yr| is {start_db:.3g} dB at {grid[0] / TWO_PI:g} Hz"
+            where = f"|T_yr| is {start_db:.3g} dB at {ctx.grid[0] / TWO_PI:g} Hz"
             _fail(key, f"{where}, outside the +/-{bound:g} dB band")
     bw3, bw1, bw_target, inner, outer, dual, w_ct = ctx.reports(
         3.0, 1.0, cfg.targets.bound_db, "inner", "outer", "ld", "ct"
     )
-    margins_out = ctx.margins_json(outer, dual)
-    # the delayed inner loop's Nyquist count; with k = gamma/G(0) from
-    # _tune, 1 + G(0) C_d(0) = 1 - gamma, so gamma = 1 leaves a pole at s = 0
-    if inner.nyquist_net_crossings:
-        verdict = "UNSTABLE"
-    elif abs(1.0 - cfg.nrc.gamma) <= 1e-9:
-        verdict = "marginally stable (integrator pole at s=0)"
-    else:
-        verdict = "stable"
-
-    # the scorecard reads a bundle's grid and loop gain, which is L_D
-    loop = SimpleNamespace(grid=grid, loop_gain=frf.ld)
-    objectives = _scorecard(loop, bw3, w_ct, float(np.abs(at_n.ld)), ctx.omega_n)
+    margins_out = margins_json(outer, dual, cfg.targets)
+    objectives = ctx.objectives()
 
     feasibility = None
     if ctx.nu is not None:
@@ -521,7 +363,7 @@ def run_design(cfg: _Config, out_dir: Path, exact_tan60: bool = False) -> dict:
         "inner_loop": {
             **_margins_dict(inner),
             "nyquist_net_crossings": inner.nyquist_net_crossings,
-            "verdict": verdict,
+            "verdict": ctx.inner_verdict(),
             "peak_reduction_db": peak_reduction_db,
         },
         "dual_loop": {  # margins.json's, less the gain margin
@@ -659,7 +501,7 @@ def run_margins(cfg: _Config, out_dir: Path) -> dict:
         (inner,) = ctx.reports("inner")
         out = {"inner_loop": _margins_dict(inner)}
     else:
-        out = ctx.margins_json(*ctx.reports("outer", "ld"))
+        out = margins_json(*ctx.reports("outer", "ld"), cfg.targets)
     _write_json(out_dir / "margins.json", out)
     return out
 

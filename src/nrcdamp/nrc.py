@@ -55,12 +55,6 @@ def nrc(k: float, omega_a: float) -> RationalTF:
     return RationalTF.from_coeffs([-k * omega_a, k], [omega_a, 1.0])
 
 
-def nrc_gains(plant: PlantSpec, spec: NrcSpec) -> tuple[float, float]:
-    """Derived (k, w_a) for a plant: k = gamma / G(0), w_a = n * w_n."""
-    k, omega_a, _ = _tune(build_plant(plant), plant, spec)
-    return k, omega_a
-
-
 def synthesize_nrc(plant: PlantSpec, spec: NrcSpec) -> RationalTF:
     """Tune the damping controller against a plant.
 
@@ -72,8 +66,8 @@ def synthesize_nrc(plant: PlantSpec, spec: NrcSpec) -> RationalTF:
 
 
 def _tune(g: RationalTF, plant: PlantSpec, spec: NrcSpec):
-    """(k, w_a, C_d) of ``nrc_gains`` and ``synthesize_nrc`` from ``g``, the
-    plant's transfer function as ``build_plant`` gives it."""
+    """(k, w_a, C_d) for ``synthesize_nrc`` from ``g``, the plant's transfer
+    function as ``build_plant`` gives it: k = gamma / G(0), w_a = n * w_n."""
     g0 = dc_gain(g)
     if not math.isfinite(g0) or g0 == 0.0:
         raise ValueError("plant DC gain must be finite and nonzero")

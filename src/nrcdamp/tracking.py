@@ -185,7 +185,7 @@ class _Brackets:
     ``values`` is the response on ``grid``; ``side`` maps values aligned
     with ``i`` on their last axis (one row per bisection tree node) to
     booleans. ``field`` names the response among the fields
-    of an evaluator that returns several (such as ``cli._DesignContext.at``);
+    of an evaluator that returns several (such as ``design.Design.at``);
     None reads the evaluator's value itself.
     """
 
@@ -457,10 +457,9 @@ def _corner_plan(grid, ct, field=None):
     return [corner], report
 
 
-def _scorecard(bundle, bw3, w_ct: float, ld_res: float, omega_n: float):
-    """``objective_report`` from its refined values: the tracker corner
-    ``w_ct`` and the resonance loop gain ``ld_res``."""
-    grid = bundle.grid
+def _scorecard(grid, loop_gain, bw3, w_ct: float, ld_res: float, omega_n: float):
+    """``objective_report`` from the loop gain L_D on ``grid`` and its refined
+    values: the tracker corner ``w_ct`` and the resonance loop gain ``ld_res``."""
     wc = float(grid[-1]) if bw3.grid_end else bw3.omega_c_rad_s
     o1 = ObjectiveResult(value=wc, target=omega_n, passed=wc > omega_n)
     o2 = ObjectiveResult(
@@ -473,7 +472,7 @@ def _scorecard(bundle, bw3, w_ct: float, ld_res: float, omega_n: float):
         target=MIN_RESONANCE_LOOP_GAIN,
         passed=ld_res >= MIN_RESONANCE_LOOP_GAIN,
     )
-    ld_hi = float(np.max(np.abs(bundle.loop_gain[grid >= grid[-1] / math.sqrt(10.0)])))
+    ld_hi = float(np.max(np.abs(loop_gain[grid >= grid[-1] / math.sqrt(10.0)])))
     o4 = ObjectiveResult(
         value=ld_hi,
         target=MAX_HIGHBAND_LOOP_GAIN,
@@ -500,7 +499,8 @@ def objective_report(
     gain is |L_D(i w_n)|; the high band is the grid's top half-decade.
     """
     (w_ct,) = _refine([_corner_plan(bundle.grid, ct)], ct_eval)
-    return _scorecard(bundle, bw3, w_ct, float(np.abs(ld_eval(omega_n))), omega_n)
+    ld_res = float(np.abs(ld_eval(omega_n)))
+    return _scorecard(bundle.grid, bundle.loop_gain, bw3, w_ct, ld_res, omega_n)
 
 
 def bundle_to_csv(bundle: SensitivityBundle, path) -> None:

@@ -9,6 +9,8 @@ the documented steady-state-error law. The package computes none of them:
 its commands close every loop through the generic
 ``tf_feedback(build_plant(spec), C_d)`` or its frequency-response
 equivalent, and the tests check that closure against these formulas.
+``nrc_gains`` gives the damper's tuning rule (k, w_a) alone, which the
+package computes only together with C_d, in ``nrc._tune``.
 """
 
 from __future__ import annotations
@@ -19,7 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from nrcdamp import Polynomial, RationalTF, freq_response
+from nrcdamp import NrcSpec, PlantSpec, Polynomial, RationalTF, build_plant, freq_response
+from nrcdamp.nrc import _tune
+
+
+def nrc_gains(plant: PlantSpec, spec: NrcSpec) -> tuple[float, float]:
+    """Derived (k, w_a) for a plant: k = gamma / G(0), w_a = n * w_n."""
+    k, omega_a, _ = _tune(build_plant(plant), plant, spec)
+    return k, omega_a
 
 
 def pade1(tau_s: float) -> RationalTF:

@@ -3,7 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from closed_forms import min_damping_n
+from closed_forms import min_damping_n, nrc_gains
 from nrcdamp import (
     ModeSpec,
     NrcSpec,
@@ -12,7 +12,6 @@ from nrcdamp import (
     freq_response,
     nanopositioner_surrogate,
     nrc,
-    nrc_gains,
     poles_zeros,
     synthesize_nrc,
     tame_nrc,

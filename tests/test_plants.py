@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from closed_forms import two_mode_zero
+from closed_forms import nrc_gains, two_mode_zero
 from nrcdamp import (
     ModeSpec,
     PlantSpec,
@@ -12,7 +12,6 @@ from nrcdamp import (
     freq_response,
     modal_state_space,
     nanopositioner_surrogate,
-    nrc_gains,
     NrcSpec,
     poles_zeros,
     scale_load,

@@ -31,14 +31,13 @@ UNREACHED = {
     "loops.damping_ratio": "test oracle of the delay-free closure; moves with ROADMAP item 8",
     "loops.inner_closed_loop": "test oracle of the delay-free closure; the benchmark tracer wraps it by name; moves with ROADMAP item 8",
     "loops.min_resonant_damping": "test oracle of the delay-free closure; moves with ROADMAP item 8",
-    "nrc.nrc_gains": "README library example; commands tune on the plant they built, through nrc._tune",
     "nrc.synthesize_nrc": "benchmark tracer and checks; commands tune through nrc._tune",
     "plants.nanopositioner_surrogate": "README library example (an installed package ships no configs/)",
     "plants.scale_load": "ROADMAP item 4, the fixed-design load scenarios",
     "sim.discrete_frf": "ROADMAP item 2, the sampled evaluator",
-    "tracking.bandwidth": "README library example; benchmark tracer",
-    "tracking.margins": "README library example; benchmark tracer",
-    "tracking.nyquist_net_crossings": "README library example; benchmark tracer",
+    "tracking.bandwidth": "benchmark tracer",
+    "tracking.margins": "benchmark tracer",
+    "tracking.nyquist_net_crossings": "benchmark tracer",
     "tracking.objective_report": "benchmark tracer",
 }
 

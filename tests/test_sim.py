@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import signal as sps
 
-from closed_forms import two_mode_zero
+from closed_forms import nrc_gains, two_mode_zero
 from nrcdamp import (
     DiscreteSS,
     ModeSpec,
@@ -30,7 +30,6 @@ from nrcdamp import (
     make_uniform_noise,
     nanopositioner_surrogate,
     nrc,
-    nrc_gains,
     open_loop_response,
     run_state_space,
     simulate_dual_loop,
@@ -146,10 +145,10 @@ class TestDiscretize:
         # the plant, tracker and damper at the sim rate and at identify's
         # oversampled rate against G(s) at s = (2/ts)(z-1)/(z+1), which on
         # the unit circle is s = i (2/ts) tan(w ts/2), from 1 Hz to 0.49 fs
-        from nrcdamp.cli import _DesignContext, parse_config_dict
+        from nrcdamp.cli import parse_config_dict
 
         cfg = parse_config_dict(surrogate_raw)
-        ctx = _DesignContext(cfg)
+        ctx = cfg.design
         ts = 1.0 / ((1.0 / cfg.sim.ts_s) * oversample)
         w = TWO_PI * np.geomspace(1.0, 0.49 / ts, 500)
         warped = (2.0 / ts) * np.tan(w * ts / 2.0)
@@ -255,10 +254,10 @@ class TestDualLoop:
     def test_sine_gain_and_phase_match_surrogate_frf(self, surrogate_raw):
         # gain within 2% and, once the documented one-sample measurement
         # offset of the causal loop is removed, phase within 3 deg
-        from nrcdamp.cli import _DesignContext, parse_config_dict
+        from nrcdamp.cli import parse_config_dict
 
         cfg = parse_config_dict(surrogate_raw)
-        ctx = _DesignContext(cfg)
+        ctx = cfg.design
         ts = cfg.sim.ts_s
         blocks = (
             discretize(ctx.plant_tf, ts),
@@ -323,7 +322,7 @@ LOOP_VARIANTS = ("surrogate", "no_delay", "one_sample_delay", "step", "no_integr
 def loop_case(raw, variant, disc=discretize):
     """Blocks, by ``disc``, and (r, d, n) of one closed-loop contract case:
     the surrogate with noise and a 700 Hz disturbance, altered by variant."""
-    from nrcdamp.cli import _DesignContext, parse_config_dict
+    from nrcdamp.cli import parse_config_dict
 
     raw["sim"].update(noise_amplitude=0.01, disturbance_amplitude=0.2,
                       disturbance_freq_hz=700.0)
@@ -338,7 +337,7 @@ def loop_case(raw, variant, disc=discretize):
     elif variant == "p_only":  # a pure-gain tracker
         raw["tracker"] = {"kp": 1.0, "omega_i_hz": 0.0}
     cfg = parse_config_dict(raw)
-    ctx = _DesignContext(cfg)
+    ctx = cfg.design
     sim = cfg.sim
     blocks = tuple(disc(tf, sim.ts_s) for tf in (ctx.plant_tf, ctx.ct_tf, ctx.cd_tf))
     ref = sim.reference
@@ -999,14 +998,14 @@ class TestUniformNoise:
         # the Generator's zero-amplitude noise
         import json
 
-        from nrcdamp.cli import _DesignContext, parse_config_dict, run_command
+        from nrcdamp.cli import parse_config_dict, run_command
         from nrcdamp.sim import trace_to_csv
 
         p = tmp_path / "config.json"
         p.write_text(json.dumps(surrogate_raw))
         assert run_command("simulate", p, tmp_path / "out") == 0
         cfg = parse_config_dict(surrogate_raw)
-        ctx, sim = _DesignContext(cfg), cfg.sim
+        ctx, sim = cfg.design, cfg.sim
         assert sim.noise_amplitude == 0.0
         blocks = tuple(discretize(tf, sim.ts_s) for tf in (ctx.plant_tf, ctx.ct_tf, ctx.cd_tf))
         ref = sim.reference

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from closed_forms import kp_plant_inverse_approx, steady_state_error
+from closed_forms import kp_plant_inverse_approx, nrc_gains, steady_state_error
 from nrcdamp import (
     ModeSpec,
     NotchSpec,
@@ -25,7 +25,6 @@ from nrcdamp import (
     margins,
     nanopositioner_surrogate,
     nrc,
-    nrc_gains,
     nyquist_net_crossings,
     objective_report,
     pm_feasibility,
@@ -433,7 +432,7 @@ def one_d(evaluator, calls=None):
 
 
 def fields(w):
-    # two responses, as ``cli._DesignContext.at`` returns several
+    # two responses, as ``design.Design.at`` returns several
     return SimpleNamespace(up=w, wave=np.sin(3.0 * np.log(w)))
 
 
