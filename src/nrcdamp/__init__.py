@@ -47,11 +47,11 @@ from .loops import (
 )
 from .tracking import (
     BandwidthReport,
+    Frf,
     MarginsReport,
     NotchSpec,
     ObjectiveReport,
     PiSpec,
-    SensitivityBundle,
     TrackerSpec,
     bandwidth,
     build_tracker,

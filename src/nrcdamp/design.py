@@ -17,49 +17,9 @@ from .lti import FrfStack
 from .plants import PlantSpec, build_plant
 from .nrc import NrcSpec, _tune
 from .tracking import (
-    ObjectiveReport, TrackerSpec, _bandwidth_plan, _corner_plan, _margins_plan, _refine,
+    Frf, ObjectiveReport, TrackerSpec, _bandwidth_plan, _corner_plan, _margins_plan, _refine,
     _scorecard, build_tracker, bundle_to_csv, dual_sensitivities, tune_kp,
 )
-
-
-class Frf:
-    """G, C_d and C_t at a set of frequencies, and the loop functions taken
-    from them on each access: G_d = G/(1+G C_d), the inner loop G C_d, the
-    outer loop C_t G_d, L_D = G (C_t + C_d) and T_yr. So a value kept on
-    the grid holds three arrays, not eight."""
-
-    __slots__ = ("g", "cd", "ct")
-
-    def __init__(self, g, cd, ct):
-        self.g, self.cd, self.ct = g, cd, ct
-
-    # Each derived operand is named before use. From 256 KiB on, numpy
-    # computes ``a * <temporary>`` in the temporary's buffer as
-    # ``<temporary> * a``, and a complex product with its operands swapped
-    # can differ in the last bit from the eager algebra's.
-
-    @property
-    def inner(self):
-        return self.g * self.cd
-
-    @property
-    def gd(self):
-        inner = self.inner
-        return self.g / (1.0 + inner)
-
-    @property
-    def outer(self):
-        gd = self.gd
-        return self.ct * gd
-
-    @property
-    def ld(self):
-        return self.g * (self.ct + self.cd)
-
-    @property
-    def t_yr(self):
-        ld = self.ld
-        return self.g * self.ct / (1.0 + ld)
 
 
 class Design:
@@ -97,10 +57,10 @@ class Design:
     def at(self, omega) -> Frf:
         """G, C_d and C_t at ``omega`` (vector-safe), evaluated together in one
         stacked pass with the bits of ``freq_response``, with the loop
-        functions derived from them (see ``Frf``); C_t is zeros without a
-        tracker."""
+        functions derived from them (see ``tracking.Frf``); C_t is zeros
+        without a tracker."""
         g, cd, *ct = self.frfs(omega)
-        return Frf(g, cd, ct[0] if ct else np.zeros_like(g))
+        return Frf(omega, g, cd, ct[0] if ct else np.zeros_like(g))
 
     @cached_property
     def frf(self) -> Frf:
@@ -119,9 +79,9 @@ class Design:
 
     def write_sensitivities(self, path: Path) -> None:
         """Write the design's ``sensitivities.csv`` to ``path``. The first
-        write formats it, streamed from a sensitivity bundle built for that
-        write alone; the design keeps the bytes of that file and writes
-        them again for every later command."""
+        write formats the six dual closed-loop functions of ``frf``; the
+        design keeps the bytes of that file and writes them again for every
+        later command."""
         if self._sensitivities_csv is None:
             frf = self.frf
             bundle_to_csv(dual_sensitivities(frf.g, frf.ct, frf.cd, self.grid), path)
@@ -171,4 +131,4 @@ class Design:
         tracker corner, and on |L_D| at the first resonance."""
         bw3, w_ct = self.reports(3.0, "ct")
         ld_res = float(np.abs(self.at_n.ld))
-        return _scorecard(self.grid, self.frf.ld, bw3, w_ct, ld_res, self.omega_n)
+        return _scorecard(self.frf, bw3, w_ct, ld_res, self.omega_n)

@@ -4,6 +4,9 @@ The outer tracker is a PI stage, optional notch biquads and an optional
 first-order low-pass in series. With a damping controller C_d in the inner
 loop and a tracker C_t outside, the loop functions evaluated here are
 
+    G C_d                            inner loop
+    G_d    = G / (1 + G C_d)         damped plant (inner closed loop)
+    C_t G_d                          outer loop
     L_D    = G (C_t + C_d)           dual loop gain
     T_yr   = G C_t / (1 + L_D)       reference -> measured output
     S_yn   = 1 / (1 + L_D)           output disturbance -> measured output
@@ -27,7 +30,6 @@ import numpy as np
 from .lti import (
     RationalTF,
     bode_to_csv,
-    freq_response,
     mag_db,
     tf_series,
 )
@@ -99,13 +101,9 @@ def build_tracker(spec: TrackerSpec) -> RationalTF:
 
 
 def tune_kp(g_d, omega_b: float) -> float:
-    """Proportional gain from a target crossover: kp = 1/|G_d(i*w_b)|.
-
-    Accepts the damped inner loop as a RationalTF or as a pointwise
-    evaluator (omega -> complex).
-    """
-    value = freq_response(g_d, omega_b) if isinstance(g_d, RationalTF) else g_d(omega_b)
-    mag = abs(complex(np.asarray(value).reshape(())))
+    """Proportional gain from a target crossover: kp = 1/|G_d(i*w_b)|, where
+    ``g_d`` evaluates the damped inner loop pointwise (omega -> complex)."""
+    mag = abs(complex(np.asarray(g_d(omega_b)).reshape(())))
     if not np.isfinite(mag) or mag == 0.0:
         raise ValueError("|G_d| at omega_b must be finite and nonzero")
     return 1.0 / mag
@@ -129,52 +127,82 @@ def pm_feasibility(nu: float, n: float, exact_tan60: bool = False):
     return value, value <= 0.0
 
 
-@dataclass(frozen=True)
-class SensitivityBundle:
-    """The six dual closed-loop responses on a shared frequency grid.
+class Frf:
+    """G, C_d and C_t at the frequencies ``omega`` (rad/s), and the loop
+    functions of the module docstring taken from them on each access. So a
+    value kept on a grid holds three arrays beside omega, not twelve. The
+    five closed loops over 1 + L_D are complex(inf, 0) where 1 + L_D == 0."""
 
-    ``flagged`` marks grid points where 1 + L_D vanished (division
-    singular); values there are infinite rather than raising.
-    """
+    __slots__ = ("omega", "g", "cd", "ct")
 
-    grid: np.ndarray
-    t_yr: np.ndarray
-    t_xr_comp: np.ndarray
-    s_yn: np.ndarray
-    s_xn: np.ndarray
-    ps_yd: np.ndarray
-    loop_gain: np.ndarray
-    flagged: np.ndarray
+    def __init__(self, omega, g, cd, ct):
+        self.omega, self.g, self.cd, self.ct = omega, g, cd, ct
+
+    # Each derived operand is named before use. From 256 KiB on, numpy
+    # computes ``a * <temporary>`` in the temporary's buffer as
+    # ``<temporary> * a``, and a complex product with its operands swapped
+    # can differ in the last bit from the eager algebra's.
+
+    @property
+    def inner(self):
+        return self.g * self.cd
+
+    @property
+    def gd(self):
+        inner = self.inner
+        return self.g / (1.0 + inner)
+
+    @property
+    def outer(self):
+        gd = self.gd
+        return self.ct * gd
+
+    @property
+    def ld(self):
+        return self.g * (self.ct + self.cd)
+
+    @staticmethod
+    def _closed(num, ld):
+        """num / (1 + ld), complex(inf, 0) where 1 + ld == 0. With no singular
+        point it costs one ``all`` test: ``at``'s T_yr is read in every bisection."""
+        one_plus = 1.0 + ld
+        if one_plus.all():
+            return num / one_plus
+        singular = one_plus == 0.0
+        return np.where(singular, complex(np.inf, 0.0), num / np.where(singular, 1.0, one_plus))
+
+    @property
+    def t_yr(self):
+        return self._closed(self.g * self.ct, self.ld)
+
+    @property
+    def t_xr_comp(self):
+        inner = self.inner
+        return self._closed(1.0 + inner, self.ld)
+
+    @property
+    def s_yn(self):
+        return self._closed(1.0, self.ld)
+
+    @property
+    def s_xn(self):
+        ld = self.ld
+        return self._closed(-ld, ld)
+
+    @property
+    def ps_yd(self):
+        return self._closed(self.g, self.ld)
 
 
-def dual_sensitivities(plant_frf, ct_frf, cd_frf, grid) -> SensitivityBundle:
-    """Pointwise dual closed-loop functions from aligned FRF arrays."""
+def dual_sensitivities(plant_frf, ct_frf, cd_frf, grid) -> Frf:
+    """The dual closed-loop functions of aligned G, C_t and C_d arrays."""
     g = np.asarray(plant_frf, dtype=complex)
     ct = np.asarray(ct_frf, dtype=complex)
     cd = np.asarray(cd_frf, dtype=complex)
     grid = np.asarray(grid, dtype=float)
     if not (g.shape == ct.shape == cd.shape == grid.shape):
         raise ValueError("plant, controller and grid arrays must be aligned")
-    loop = g * (ct + cd)
-    one_plus = 1.0 + loop
-    flagged = one_plus == 0.0
-    safe = np.where(flagged, 1.0, one_plus)
-    inf = complex(np.inf, 0.0)
-    t_yr = np.where(flagged, inf, g * ct / safe)
-    s_yn = np.where(flagged, inf, 1.0 / safe)
-    ps_yd = np.where(flagged, inf, g / safe)
-    s_xn = np.where(flagged, inf, -loop / safe)
-    t_xr_comp = np.where(flagged, inf, (1.0 + g * cd) / safe)
-    return SensitivityBundle(
-        grid=grid,
-        t_yr=t_yr,
-        t_xr_comp=t_xr_comp,
-        s_yn=s_yn,
-        s_xn=s_xn,
-        ps_yd=ps_yd,
-        loop_gain=loop,
-        flagged=flagged,
-    )
+    return Frf(grid, g, cd, ct)
 
 
 @dataclass(frozen=True)
@@ -457,9 +485,10 @@ def _corner_plan(grid, ct, field=None):
     return [corner], report
 
 
-def _scorecard(grid, loop_gain, bw3, w_ct: float, ld_res: float, omega_n: float):
-    """``objective_report`` from the loop gain L_D on ``grid`` and its refined
-    values: the tracker corner ``w_ct`` and the resonance loop gain ``ld_res``."""
+def _scorecard(frf: Frf, bw3, w_ct: float, ld_res: float, omega_n: float):
+    """``objective_report`` from L_D on ``frf``'s grid and the refined values:
+    the tracker corner ``w_ct`` and the resonance loop gain ``ld_res``."""
+    grid, ld = frf.omega, frf.ld
     wc = float(grid[-1]) if bw3.grid_end else bw3.omega_c_rad_s
     o1 = ObjectiveResult(value=wc, target=omega_n, passed=wc > omega_n)
     o2 = ObjectiveResult(
@@ -472,7 +501,7 @@ def _scorecard(grid, loop_gain, bw3, w_ct: float, ld_res: float, omega_n: float)
         target=MIN_RESONANCE_LOOP_GAIN,
         passed=ld_res >= MIN_RESONANCE_LOOP_GAIN,
     )
-    ld_hi = float(np.max(np.abs(loop_gain[grid >= grid[-1] / math.sqrt(10.0)])))
+    ld_hi = float(np.max(np.abs(ld[grid >= grid[-1] / math.sqrt(10.0)])))
     o4 = ObjectiveResult(
         value=ld_hi,
         target=MAX_HIGHBAND_LOOP_GAIN,
@@ -484,26 +513,26 @@ def _scorecard(grid, loop_gain, bw3, w_ct: float, ld_res: float, omega_n: float)
 
 
 def objective_report(
-    bundle: SensitivityBundle,
+    frf: Frf,
     bw3: BandwidthReport,
-    ct,
     ct_eval,
     ld_eval,
     omega_n: float,
 ) -> ObjectiveReport:
     """Evaluate the four shaping objectives against their targets.
 
-    ``bw3`` is the +/-3 dB bandwidth of T_yr and ``ct`` is C_t on the grid;
-    ``ct_eval`` and ``ld_eval`` map omega to C_t and L_D. The tracker corner
-    is refined where |C_t| crosses its threshold and the resonance loop
-    gain is |L_D(i w_n)|; the high band is the grid's top half-decade.
+    ``frf`` holds C_t and L_D on the grid and ``bw3`` is the +/-3 dB
+    bandwidth of T_yr; ``ct_eval`` and ``ld_eval`` map omega to C_t and
+    L_D. The tracker corner is refined where |C_t| crosses its threshold
+    and the resonance loop gain is |L_D(i w_n)|; the high band is the
+    grid's top half-decade.
     """
-    (w_ct,) = _refine([_corner_plan(bundle.grid, ct)], ct_eval)
+    (w_ct,) = _refine([_corner_plan(frf.omega, frf.ct)], ct_eval)
     ld_res = float(np.abs(ld_eval(omega_n)))
-    return _scorecard(bundle.grid, bundle.loop_gain, bw3, w_ct, ld_res, omega_n)
+    return _scorecard(frf, bw3, w_ct, ld_res, omega_n)
 
 
-def bundle_to_csv(bundle: SensitivityBundle, path) -> None:
-    """Write the sensitivity bundle as CSV (freq in Hz, dB/deg pairs)."""
-    names = ("t_yr", "t_xr_comp", "s_yn", "s_xn", "ps_yd", "loop_gain")
-    bode_to_csv(path, bundle.grid, {n: getattr(bundle, n) for n in names})
+def bundle_to_csv(frf: Frf, path) -> None:
+    """Write the six dual closed-loop functions as CSV (freq in Hz, dB/deg pairs)."""
+    names = ("t_yr", "t_xr_comp", "s_yn", "s_xn", "ps_yd")
+    bode_to_csv(path, frf.omega, {**{n: getattr(frf, n) for n in names}, "loop_gain": frf.ld})

@@ -294,7 +294,7 @@ def test_criterion_12_pm_feasibility_boundary():
     wn, wb = 1.0, 0.5
     plant = nd.PlantSpec(gain=1.0, modes=(nd.ModeSpec(wn, 0.0),))
     gd = nd.tf_feedback(nd.build_plant(plant), nd.nrc(1.0, n_ref * wn))
-    kp = nd.tune_kp(gd, wb)
+    kp = nd.tune_kp(lambda w: nd.freq_response(gd, w), wb)
     grid = nd.log_grid(1e-3 / TWO_PI, 10.0 / TWO_PI, 400)
 
     def l_eval(w):

@@ -910,7 +910,7 @@ class TestMergedRefinement:
         }
         margins_json = public_margins(cfg)
         objectives = objective_report(
-            dual_sensitivities(frf.g, frf.ct, frf.cd, grid), bw[3.0], frf.ct,
+            dual_sensitivities(frf.g, frf.ct, frf.cd, grid), bw[3.0],
             lambda w: freq_response(ctx.ct_tf, w),
             lambda w: ctx.at(w).ld, ctx.omega_n,
         )
@@ -1262,9 +1262,9 @@ class TestSensitivitiesOnce:
         formats = []
         write = nrcdamp.design.bundle_to_csv
 
-        def counted(bundle, path):
+        def counted(frf, path):
             formats.append(path)
-            return write(bundle, path)
+            return write(frf, path)
 
         monkeypatch.setattr(nrcdamp.design, "bundle_to_csv", counted)
         for order in SENS_ORDERS[variant]:
@@ -1289,15 +1289,19 @@ class TestSensitivitiesOnce:
         inner = g * cd
         gd = g / (1.0 + inner)
         ld = g * (ct + cd)
-        eager = {"gd": gd, "inner": inner, "outer": ct * gd, "ld": ld, "t_yr": g * ct / (1.0 + ld)}
+        eager = {
+            "gd": gd, "inner": inner, "outer": ct * gd, "ld": ld, "t_yr": g * ct / (1.0 + ld),
+            "t_xr_comp": (1.0 + g * cd) / (1.0 + ld), "s_yn": 1.0 / (1.0 + ld),
+            "s_xn": -ld / (1.0 + ld), "ps_yd": g / (1.0 + ld),
+        }
         for name, value in eager.items():
             assert np.array_equal(getattr(frf, name), value), name
 
         bundle = dual_sensitivities(g, ct, cd, ctx.grid)
-        assert np.array_equal(ctx.frf.ld, bundle.loop_gain)
+        assert np.array_equal(ctx.frf.ld, bundle.ld)
         if cfg.tracker is not None:
             grid = ctx.grid
-            o4 = float(np.max(np.abs(bundle.loop_gain[grid >= grid[-1] / math.sqrt(10.0)])))
+            o4 = float(np.max(np.abs(bundle.ld[grid >= grid[-1] / math.sqrt(10.0)])))
             summary = run_design(cfg, tmp_path)
             assert summary["objectives"]["highband_loop_gain"]["value"] == o4
 
