@@ -240,7 +240,8 @@ def root_locus_n(omega_n: float, zeta_n: float, gamma: float, n_grid) -> RootLoc
     bifurcation_n = None
     if hits.size and hits[0] > 0:
         ((n_bif, _),) = _bisect(
-            [_Brackets(n_values, values, hits[:1] - 1, lambda v: v >= 0.0)], disc
+            [_Brackets(n_values, values, hits[:1] - 1, lambda v: v >= 0.0, residual=lambda v: v)],
+            disc,
         )
         bifurcation_n = float(n_bif[0])
     elif hits.size and hits[0] == 0:

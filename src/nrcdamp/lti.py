@@ -69,8 +69,14 @@ class Polynomial:
         return self.degree == 0 and self.coeffs[0] == 0.0
 
     def __call__(self, s):
-        """Evaluate at scalar or array argument (real or complex)."""
-        return np.polynomial.polynomial.polyval(s, self.coeffs)
+        """Evaluate at scalar or array argument (real or complex), by Horner's
+        rule in the operation order of numpy's ``polyval``, with its bits;
+        ``numpy.polynomial`` is not imported on the way."""
+        c = self.coeffs
+        value = c[-1] + s * 0
+        for coeff in c[-2::-1]:
+            value = coeff + value * s
+        return value
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         return Polynomial(np.convolve(self.coeffs, other.coeffs))
@@ -288,9 +294,30 @@ def log_grid(f_min_hz: float, f_max_hz: float, pts_per_decade: int = 400) -> np.
     )
 
 
+def unwrap(p) -> np.ndarray:
+    """``np.unwrap`` of a 1-D float array, bit for bit. np.unwrap forms the
+    modular correction of every step and then zeroes it where the step is
+    below pi; this forms it only at the steps that are not (NaN included),
+    which on a phase along a grid are a handful."""
+    p = np.asarray(p, dtype=float)
+    dd = np.diff(p)
+    jumps = np.flatnonzero(~(np.abs(dd) < np.pi))
+    step = dd[jumps]
+    period = 2.0 * np.pi
+    low = -period / 2.0
+    ddmod = np.mod(step - low, period) + low
+    ddmod[(ddmod == low) & (step > 0.0)] = -low
+    # np.unwrap adds the cumsum of corrections that are +0.0 between the
+    # jumps, so each running sum holds from its jump to the next
+    held = np.append(0.0, np.cumsum(ddmod - step))
+    up = p.copy()
+    up[1:] = p[1:] + np.repeat(held, np.diff(np.concatenate(([0], jumps, [dd.size]))))
+    return up
+
+
 def unwrapped_phase_deg(values: np.ndarray) -> np.ndarray:
-    """Unwrapped phase along a grid, in degrees."""
-    return np.degrees(np.unwrap(np.angle(values)))
+    """Phase along a grid in degrees, unwrapped by ``unwrap``."""
+    return np.degrees(unwrap(np.angle(values)))
 
 
 def mag_db(values: np.ndarray) -> np.ndarray:

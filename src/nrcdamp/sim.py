@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lti import RationalTF, write_csv
+from .lti import RationalTF, unwrap, write_csv
 from .plants import PlantSpec, modal_state_space
 
 SINE_SKIP_FRAC = 0.6  # share of a record sinusoid_phasor skips as start-up transient
@@ -574,7 +574,7 @@ def chirp_identify(u, y, fs: float, segment_len: int) -> FrfEstimate:
     with np.errstate(divide="ignore", invalid="ignore"):
         h = np.where(s_uu > 0.0, s_uy / s_uu, np.nan)
         mag = 20.0 * np.log10(np.abs(h))
-    phase = np.degrees(np.unwrap(np.angle(h)))
+    phase = np.degrees(unwrap(np.angle(h)))
     return FrfEstimate(freq_hz=f, mag_db=mag, phase_deg=phase, coherence=coh)
 
 

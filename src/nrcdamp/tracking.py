@@ -32,6 +32,7 @@ from .lti import (
     bode_to_csv,
     mag_db,
     tf_series,
+    unwrap,
 )
 
 
@@ -211,10 +212,14 @@ class _Brackets:
     ``side`` changes.
 
     ``values`` is the response on ``grid``; ``side`` maps values aligned
-    with ``i`` on their last axis (one row per bisection tree node) to
-    booleans. ``field`` names the response among the fields
-    of an evaluator that returns several (such as ``design.Design.at``);
-    None reads the evaluator's value itself.
+    with ``i`` on their last axis (one row per halving) to booleans.
+    ``residual`` maps them the same way to a float that is zero where the
+    response crosses, such as |T| in dB less the bound; ``_bisect`` only
+    predicts from it where to halve, so a residual that is None, NaN or of
+    the wrong sign costs evaluator calls and never changes a bit. ``field``
+    names the response among the fields of an evaluator that returns
+    several (such as ``design.Design.at``); None reads the evaluator's
+    value itself.
     """
 
     grid: np.ndarray
@@ -222,15 +227,23 @@ class _Brackets:
     i: np.ndarray
     side: Callable
     field: str | None = None
+    residual: Callable | None = None
 
     def pick(self, evaluated):
         return evaluated if self.field is None else getattr(evaluated, self.field)
 
+    def residuals(self, values):
+        if self.residual is None:
+            return np.full(np.shape(values), np.nan)
+        return self.residual(values)
 
-# bisection levels per evaluator call: the tree of every bracket's next
-# TREE_LEVELS midpoints is evaluated at once (deeper trees cost more points
-# than the calls they save)
-TREE_LEVELS = 4
+
+def _wide(lo: float, hi: float) -> bool:
+    """The halving test, numpy's ``hi / lo >= 1 + 1e-12``, on Python floats,
+    which raise where numpy divides by zero."""
+    if lo:
+        return hi / lo >= 1.0 + 1e-12
+    return math.copysign(1.0, lo) * hi > 0.0
 
 
 def _bisect(brackets, evaluator):
@@ -238,59 +251,81 @@ def _bisect(brackets, evaluator):
 
     Each bracket is halved at its geometric midpoint sqrt(lo*hi), keeping
     the half whose ends ``side`` tells apart, while hi/lo >= 1 + 1e-12 and
-    for at most 80 halvings. The halvings are taken ``TREE_LEVELS`` at a
-    time: every midpoint the next levels can reach (2**TREE_LEVELS - 1 per
-    bracket, each formed from the ends of the interval it halves, as one
-    halving would form it) is evaluated in one evaluator call on a flat
-    omega array, and the tree of those midpoints is then walked level by
-    level with each halving's own stop and side tests. So each bracket
-    ends on the lo and hi of one halving per call, and sets refined
-    together or apart give the same bits. Returns, for each set, the
+    for at most 80 halvings. Each pass predicts every bracket's crossing
+    by regula falsi in log omega on the residuals at its ends, and forms
+    the midpoints of the halvings that lead to the prediction, each as one
+    halving would form it and with that halving's own stop test and cap.
+    One evaluator call on a flat omega array evaluates them all. The pass
+    keeps each bracket's halvings up to and including the first whose side
+    test disagrees with the prediction, so each bracket ends on the lo and
+    hi that one halving per call gives, and sets refined together or apart
+    give the same bits; the prediction only decides how many halvings a
+    pass confirms (at least one per bracket). Returns, for each set, the
     crossings and its response there.
     """
     if not brackets:
         return []
     ends = np.cumsum([0] + [b.i.size for b in brackets]).tolist()
     cuts = [slice(a, z) for a, z in zip(ends[:-1], ends[1:])]
-
-    def side(nodes):
-        # nodes: (midpoints, brackets); each set's side sees its own columns
-        values = evaluator(nodes.ravel())
-        return np.concatenate(
-            [
-                b.side(np.reshape(b.pick(values), nodes.shape)[:, cut])
-                for b, cut in zip(brackets, cuts)
-            ],
-            axis=1,
-        )
-
-    lo = np.concatenate([b.grid[b.i] for b in brackets])
-    hi = np.concatenate([b.grid[b.i + 1] for b in brackets])
-    left = np.concatenate([b.side(b.values[b.i]) for b in brackets])
-    columns = np.arange(lo.size)
-    steps = 0
-    while steps < 80 and (hi / lo >= 1.0 + 1e-12).any():
-        levels = min(TREE_LEVELS, 80 - steps)
-        # every end the next halvings can reach, in order: row 0 is lo, row
-        # ``top`` is hi, and each level's midpoints fill the rows halfway
-        # between the rows of the intervals it halves
-        top = 2**levels
-        tree = np.empty((top + 1, lo.size))
-        tree[0], tree[top] = lo, hi
-        for d in range(levels):
-            step = top >> d
-            tree[step // 2 :: step] = np.sqrt(tree[:-1:step] * tree[step::step])
-        stays = side(tree[1:top]) == left
-        row = np.full(lo.size, top // 2)
-        for d in range(levels):
-            active = hi / lo >= 1.0 + 1e-12
-            mid, stay = tree[row, columns], stays[row - 1, columns]
-            lo = np.where(active & stay, mid, lo)
-            hi = np.where(active & ~stay, mid, hi)
-            half = top >> (d + 2)
-            row += np.where(stay, half, -half)
-        steps += levels
-    w = np.sqrt(lo * hi)
+    lo = np.concatenate([b.grid[b.i] for b in brackets]).tolist()
+    hi = np.concatenate([b.grid[b.i + 1] for b in brackets]).tolist()
+    left = np.concatenate([b.side(b.values[b.i]) for b in brackets]).tolist()
+    r_lo, r_hi = np.concatenate(
+        [b.residuals(np.stack((b.values[b.i], b.values[b.i + 1]))) for b in brackets], axis=1
+    ).tolist()
+    halvings = [0] * len(lo)
+    todo = [k for k in range(len(lo)) if _wide(lo[k], hi[k])]
+    while todo:
+        # regula falsi in log omega: where the chord of the residuals
+        # through the bracket's ends crosses zero
+        with np.errstate(all="ignore"):
+            a, z, ra, rz = (np.array([x[k] for k in todo]) for x in (lo, hi, r_lo, r_hi))
+            guesses = (a * (z / a) ** (ra / (ra - rz))).tolist()
+        # each bracket's path: the midpoints of its halvings, had each side
+        # test agreed with the guess (a NaN guess keeps every lower half);
+        # the stop test is ``_wide``, inlined where lo is not zero
+        omega, start, length, guess = [], [0] * len(lo), [0] * len(lo), [math.nan] * len(lo)
+        for k, g in zip(todo, guesses):
+            a, z = lo[k], hi[k]
+            start[k], guess[k] = len(omega), g
+            for _ in range(80 - halvings[k]):
+                m = math.sqrt(a * z)
+                omega.append(m)
+                if m <= g:
+                    a = m
+                else:
+                    z = m
+                if not (z / a >= 1.0 + 1e-12 if a else _wide(a, z)):
+                    break
+            length[k] = len(omega) - start[k]
+        evaluated = evaluator(np.array(omega))
+        starts, lengths = np.array(start), np.array(length)
+        for b, cut in zip(brackets, cuts):
+            n = lengths[cut]
+            if not n.any():
+                continue
+            # values aligned with i: row j holds each path's jth midpoint,
+            # and repeats its last one past the path's end
+            rows = np.minimum(np.arange(n.max())[:, None], np.maximum(n - 1, 0))
+            values = b.pick(evaluated)[starts[cut] + rows]
+            sides, residuals = b.side(values).T.tolist(), b.residuals(values).T.tolist()
+            for k, side, residual in zip(range(cut.start, cut.stop), sides, residuals):
+                if not length[k]:
+                    continue
+                a, z, ra, rz, g, was = lo[k], hi[k], r_lo[k], r_hi[k], guess[k], left[k]
+                path = omega[start[k] : start[k] + length[k]]
+                for kept, (m, s, r) in enumerate(zip(path, side, residual), 1):
+                    stay = s == was
+                    if stay:
+                        a, ra = m, r
+                    else:
+                        z, rz = m, r
+                    if stay != (m <= g):
+                        break
+                lo[k], hi[k], r_lo[k], r_hi[k] = a, z, ra, rz
+                halvings[k] += kept
+        todo = [k for k in todo if halvings[k] < 80 and _wide(lo[k], hi[k])]
+    w = np.sqrt(np.array(lo) * np.array(hi))
     evaluated = evaluator(w)
     return [(w[cut], b.pick(evaluated)[cut]) for b, cut in zip(brackets, cuts)]
 
@@ -331,7 +366,8 @@ def _bandwidth_plan(omega, values, bound_db: float, field=None):
     if not outside.any():
         return [], lambda _: BandwidthReport(bound_db=bound_db, omega_c_rad_s=None, grid_end=True)
     i = np.argmax(outside, keepdims=True) - 1
-    band_exit = _Brackets(omega, t, i, lambda v: np.abs(mag_db(v)) > bound_db, field)
+    band_exit = _Brackets(omega, t, i, lambda v: np.abs(mag_db(v)) > bound_db, field,
+                          lambda v: np.abs(mag_db(v)) - bound_db)
 
     def report(refined):
         ((wc, _),) = refined
@@ -378,7 +414,7 @@ def _critical_brackets(omega, values, field, resonances=()):
     each, as along a Nyquist contour that passes an axis pole on its right.
     """
     lag = sum(np.arctan2(2.0 * z * w * omega, w * w - omega * omega) for w, z in resonances)
-    phase = np.degrees(np.unwrap(np.angle(values) + lag) - lag)
+    phase = np.degrees(unwrap(np.angle(values) + lag) - lag)
     k = np.arange(
         math.ceil((np.max(phase) + 180.0) / -360.0),
         math.floor((np.min(phase) + 180.0) / -360.0) + 1,
@@ -387,12 +423,14 @@ def _critical_brackets(omega, values, field, resonances=()):
     kk, i = np.nonzero(np.diff(np.sign(phase - targets[:, None]), axis=1))
     middle, target = 0.5 * (phase[i] + phase[i + 1]), targets[kk]
 
-    def beyond(v):
+    def branch(v):
         # the wrapped phase, put on its bracket's grid-unwrapped branch
         a = np.degrees(np.angle(v))
-        return a + 360.0 * np.round((middle - a) / 360.0) > target
+        return a + 360.0 * np.round((middle - a) / 360.0)
 
-    return _Brackets(omega, values, i, beyond, field), phase[i + 1] < phase[i]
+    brackets = _Brackets(omega, values, i, lambda v: branch(v) > target, field,
+                         lambda v: branch(v) - target)
+    return brackets, phase[i + 1] < phase[i]
 
 
 def _margins_plan(omega, values, field=None, resonances=()):
@@ -401,7 +439,7 @@ def _margins_plan(omega, values, field=None, resonances=()):
     (see ``_critical_brackets``)."""
     omega, values = np.asarray(omega, dtype=float), np.asarray(values)
     i = np.flatnonzero(np.diff(np.sign(np.abs(values) - 1.0)))
-    unity = _Brackets(omega, values, i, lambda v: np.abs(v) > 1.0, field)
+    unity = _Brackets(omega, values, i, lambda v: np.abs(v) > 1.0, field, mag_db)
     critical, down = _critical_brackets(omega, values, field, resonances)
 
     def report(refined):
@@ -476,7 +514,8 @@ def _corner_plan(grid, ct, field=None):
         return [], lambda _: 0.0
     if high[-1] == grid.size - 1:
         return [], lambda _: float(grid[-1])
-    corner = _Brackets(grid, ct, high[-1:], lambda v: np.abs(v) >= TRACKER_GAIN_THRESHOLD, field)
+    corner = _Brackets(grid, ct, high[-1:], lambda v: np.abs(v) >= TRACKER_GAIN_THRESHOLD, field,
+                       lambda v: mag_db(v / TRACKER_GAIN_THRESHOLD))
 
     def report(refined):
         ((w, _),) = refined

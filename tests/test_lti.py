@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from closed_forms import pade1
@@ -17,7 +17,7 @@ from nrcdamp import (
     tf_feedback,
     tf_series,
 )
-from nrcdamp.lti import _CSV_BLOCK, _FRF_BLOCK, _scale, write_csv
+from nrcdamp.lti import _CSV_BLOCK, _FRF_BLOCK, _scale, unwrap, write_csv
 
 
 def tf(num, den, delay=0.0):
@@ -69,6 +69,60 @@ class TestPolyRoots:
             conj = np.conj(roots)
             for r in roots[np.abs(roots.imag) > 1e-12]:
                 assert np.min(np.abs(conj - r)) < 1e-8 * max(1.0, abs(r))
+
+
+class TestPolynomialCall:
+    """``Polynomial.__call__`` is Horner's rule in ``polyval``'s operation
+    order: the same bits and type, without numpy.polynomial."""
+
+    @pytest.mark.parametrize("coeffs", [[2.5], [0.0], [1.0, -3.0], [2.0, 3.0, 1.0],
+                                        [1e-3, -7.0, 0.5, 4e4, 1.0]])
+    @pytest.mark.parametrize("s", [0.0, -1.5, 2j, 1e3 - 4e2j,
+                                   np.array([0.0, 1.5, -3.0]), np.array([1j, 2.0 + 1j, -5e3j]),
+                                   np.array(0.5), np.array([[1j, 2.0], [3.0, -1j]])])
+    def test_same_bits_as_polyval(self, coeffs, s):
+        got, want = Polynomial(coeffs)(s), np.polynomial.polynomial.polyval(s, coeffs)
+        assert type(got) is type(want)
+        assert np.asarray(got).dtype == np.asarray(want).dtype
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+# phases with steps of exactly +/-pi and +/-2pi between them, beside NaN,
+# +/-inf, +/-0.0 and any float
+PHASES = st.one_of(
+    st.sampled_from([0.0, -0.0, np.pi, -np.pi, 2.0 * np.pi, -2.0 * np.pi, 3.0 * np.pi,
+                     np.nan, np.inf, -np.inf]),
+    st.floats(-10.0, 10.0),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+class TestUnwrap:
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(PHASES, min_size=1, max_size=40))
+    @example([0.0])
+    @example([-0.0])
+    @example([np.nan])
+    @example([0.0, np.pi])
+    @example([0.0, -np.pi])
+    @example([np.pi, -np.pi])
+    @example([-np.pi, np.pi])
+    @example([0.0, 2.0 * np.pi])
+    @example([-0.0, -2.0 * np.pi, -0.0, np.inf, 1.0, -np.inf, np.nan, -0.0])
+    def test_same_bits_as_numpy(self, phases):
+        p = np.array(phases, dtype=float)
+        with np.errstate(invalid="ignore"):
+            want = np.unwrap(p)
+            got = unwrap(p)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_phase_along_a_grid(self, seed):
+        # a long wrapped phase with a handful of jumps, as in the CSV writers
+        rng = np.random.default_rng(seed)
+        p = np.angle(np.exp(1j * np.cumsum(rng.normal(0.0, 0.3, 8001))))
+        assert unwrap(p).tobytes() == np.unwrap(p).tobytes()
 
 
 class TestSeries:

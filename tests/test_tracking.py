@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import warnings
 from types import SimpleNamespace
@@ -34,7 +35,7 @@ from nrcdamp import (
 )
 import nrcdamp.tracking
 from nrcdamp.loops import _pair_discriminant
-from nrcdamp.tracking import TREE_LEVELS, _bisect, _Brackets, _margins_plan
+from nrcdamp.tracking import _bisect, _Brackets, _margins_plan
 
 TWO_PI = 2.0 * np.pi
 COMPLEX = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
@@ -451,19 +452,33 @@ def one_d(evaluator, calls=None):
 
 
 def fields(w):
-    # two responses, as ``design.Design.at`` returns several
-    return SimpleNamespace(up=w, wave=np.sin(3.0 * np.log(w)))
+    # three responses, as ``design.Design.at`` returns several; ``line`` is
+    # linear in log omega, as regula falsi assumes
+    return SimpleNamespace(up=w, wave=np.sin(3.0 * np.log(w)), line=np.log(w))
 
 
-def threshold_set(lo, ratio, cut, field="up"):
+# residual hints of a threshold set: the true one, and hints that predict
+# nothing or the wrong place; each may cost calls and none may change a bit
+RESIDUALS = {
+    "true": lambda threshold: lambda v: v - threshold,
+    "missing": lambda threshold: None,
+    "nan": lambda threshold: lambda v: np.full(np.shape(v), np.nan),
+    "negated": lambda threshold: lambda v: threshold - v,
+    "one sign": lambda threshold: lambda v: np.abs(v - threshold) + 1.0,
+    "inf": lambda threshold: lambda v: np.where(v > threshold, np.inf, -1.0),
+}
+
+
+def threshold_set(lo, ratio, cut, field="up", residual="true"):
     """One ``_Brackets`` set of brackets [lo, lo * ratio] whose side is
     whether ``field`` exceeds its value at ``cut``, a threshold omega per
-    bracket (aligned with ``i``)."""
+    bracket (aligned with ``i``), with a ``RESIDUALS`` hint."""
     lo, ratio, cut = (np.asarray(x, dtype=float) for x in (lo, ratio, cut))
     grid = np.ravel(np.column_stack([lo, lo * ratio]))
     i = np.arange(0, grid.size, 2)
     threshold = getattr(fields(cut), field)
-    return _Brackets(grid, getattr(fields(grid), field), i, lambda v: v > threshold, field)
+    return _Brackets(grid, getattr(fields(grid), field), i, lambda v: v > threshold, field,
+                     RESIDUALS[residual](threshold))
 
 
 def assert_same_bits(got, want):
@@ -481,53 +496,79 @@ BRACKET = st.tuples(
 
 
 class TestTreeBisection:
-    """``tracking._bisect`` against ``sequential_bisect``, its one-halving-
-    per-call form: every bracket ends on the same lo and hi, bit for bit."""
+    """``tracking._bisect``, which halves along predicted paths, against
+    ``sequential_bisect``, its one-halving-per-call form: every bracket ends
+    on the same lo and hi, bit for bit, whatever its residual hint, and in
+    no more evaluator calls."""
 
     @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.lists(BRACKET, min_size=1, max_size=6), min_size=1, max_size=3),
-           st.sampled_from(["up", "wave"]))
-    @example([[(1.0, -12.5, 0.5), (1.0, 0.0, 0.5), (5.0, 3.0, -0.1)]], "up")
+    @given(st.lists(st.tuples(st.lists(BRACKET, min_size=1, max_size=6),
+                              st.sampled_from(sorted(RESIDUALS))), min_size=1, max_size=3),
+           st.sampled_from(["up", "wave", "line"]))
+    @example([([(1.0, -12.5, 0.5), (1.0, 0.0, 0.5), (5.0, 3.0, -0.1)], "true")], "up")
+    @example([([(1.0, 0.0, 0.5)], "nan"), ([(2.0, 1.0, 0.9)], "missing"),
+              ([(3.0, 2.0, 0.1)], "one sign")], "wave")
     def test_drawn_brackets_match_sequential(self, sets, field):
         brackets = []
-        for drawn in sets:
+        for drawn, residual in sets:
             lo, exp10, where = (np.array(x) for x in zip(*drawn))
             ratio = 1.0 + 10.0**exp10
-            brackets.append(threshold_set(lo, ratio, lo * ratio**where, field))
-        calls = []
+            brackets.append(threshold_set(lo, ratio, lo * ratio**where, field, residual))
+        calls, halvings = [], []
         got = _bisect(brackets, one_d(fields, calls))
-        assert_same_bits(got, sequential_bisect(brackets, fields))
+        assert_same_bits(got, sequential_bisect(brackets, one_d(fields, halvings)))
         # together or apart, each set gets the same bits
         for b, alone in zip(brackets, got):
             assert_same_bits(_bisect([b], fields), [alone])
-        assert calls and all(n == calls[0] for n in calls[:-1])
+        assert len(calls) <= len(halvings)
 
     def test_brackets_stop_at_every_level(self):
         # hi/lo - 1 from 2**0 to 2**45 times 1e-12: the brackets need 0 to
-        # 46 halvings, so they go inactive at every level of a tree
+        # 46 halvings, so they go inactive on every level of a path
         lo = np.full(46, 3.0)
         ratio = 1.0 + 1e-12 * 2.0 ** np.arange(46)
         ratio[0] = np.nextafter(1.0 + 1e-12, 0.0)  # inactive from the start
-        sets = [threshold_set(lo, ratio, lo * ratio**0.3), threshold_set(lo, ratio, lo)]
+        sets = [threshold_set(lo, ratio, lo * ratio**0.3, "line"),
+                threshold_set(lo, ratio, lo, "line")]
         calls, halvings = [], []
         got = _bisect(sets, one_d(fields, calls))
         assert_same_bits(got, sequential_bisect(sets, one_d(fields, halvings)))
         assert got[0][0][0] == np.sqrt(3.0 * 3.0 * ratio[0])  # never halved
-        # one call per TREE_LEVELS halvings, and the last one at the crossings
-        assert len(calls) == math.ceil((len(halvings) - 1) / TREE_LEVELS) + 1
+        # a residual linear in log omega predicts every path: one call on the
+        # midpoints of every halving and one at the crossings, where one
+        # halving a call takes 42 and one
+        assert len(calls) == 2 and calls[1] == 92
+        assert len(halvings) == 43
 
     def test_eighty_step_cap(self):
-        # a bracket from 0 never narrows: sqrt(0 * hi) is 0, and a crossing
-        # above every midpoint keeps lo there for all 80 halvings
-        b = _Brackets(np.array([0.0, 2.0]), np.array([0.0, 2.0]), np.array([0]),
-                      lambda v: v > 1e300)
-        calls = []
-        with np.errstate(divide="ignore"):
+        capped = [
+            # from 0, a bracket never narrows: sqrt(0 * hi) is 0, and a
+            # crossing above every midpoint keeps lo there
+            (np.array([0.0, 2.0]), lambda v: v > 1e300),
+            # to inf, the midpoints are inf: a crossing below them keeps hi
+            (np.array([1.0, np.inf]), lambda v: v > 1.5),
+        ]
+        for (grid, side), residual in itertools.product(capped, ["true", "missing"]):
+            b = _Brackets(grid, grid, np.array([0]), side, residual=RESIDUALS[residual](1.0))
+            calls, halvings = [], []
+            with np.errstate(divide="ignore", invalid="ignore"):
+                got = _bisect([b], one_d(lambda w: w, calls))
+                assert_same_bits(got, sequential_bisect([b], one_d(lambda w: w, halvings)))
+            assert got[0][0][0] == np.sqrt(grid[0] * grid[1])
+            assert len(halvings) == 81
+            assert len(calls) <= 81
+
+    def test_bracket_from_zero(self):
+        # the grid's side at 0 disagrees with the evaluator's: the first
+        # halving keeps the lower half, [0, 0], and stops
+        b = _Brackets(np.array([0.0, 4.0]), np.array([-1.0, 4.0]), np.array([0]),
+                      lambda v: v > -0.5, residual=lambda v: v)
+        calls, halvings = [], []
+        with np.errstate(divide="ignore", invalid="ignore"):
             got = _bisect([b], one_d(lambda w: w, calls))
-            assert_same_bits(got, sequential_bisect([b], lambda w: w))
+            assert_same_bits(got, sequential_bisect([b], one_d(lambda w: w, halvings)))
         assert got[0][0][0] == 0.0
-        assert len(calls) == math.ceil(80 / TREE_LEVELS) + 1
-        assert calls[-2] == (2 ** (80 % TREE_LEVELS or TREE_LEVELS) - 1)
+        assert len(calls) == len(halvings) == 2
 
     def test_no_brackets(self):
         empty = _Brackets(np.array([1.0, 2.0]), np.array([1.0, 2.0]),
@@ -546,13 +587,13 @@ class TestTreeBisection:
         hits = np.flatnonzero(values >= 0.0)
         if not (hits.size and hits[0] > 0):
             return
-        b = _Brackets(n_values, values, hits[:1] - 1, lambda v: v >= 0.0)
+        b = _Brackets(n_values, values, hits[:1] - 1, lambda v: v >= 0.0, residual=lambda v: v)
         assert_same_bits(_bisect([b], one_d(disc)), sequential_bisect([b], disc))
 
     @pytest.mark.parametrize("ppd", [50, 400, 2000])
     def test_margins_brackets_match_sequential(self, ppd):
-        # the critical-phase side reads each bracket's own branch, aligned
-        # with i, on every level of the tree
+        # the critical-phase side and residual read each bracket's own
+        # branch, aligned with i, on every level of a path
         plant = nanopositioner_surrogate()
         g_tf = build_plant(plant)
         damper = nrc(*nrc_gains(plant, NrcSpec(gamma=0.999, n=8.0)))
