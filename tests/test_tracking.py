@@ -1,6 +1,5 @@
 import functools
 import itertools
-import math
 import warnings
 from types import SimpleNamespace
 
