@@ -279,8 +279,8 @@ def _bisect(brackets, evaluator):
         # regula falsi in log omega: where the chord of the residuals
         # through the bracket's ends crosses zero
         with np.errstate(all="ignore"):
-            a, z, ra, rz = (np.array([x[k] for k in todo]) for x in (lo, hi, r_lo, r_hi))
-            guesses = (a * (z / a) ** (ra / (ra - rz))).tolist()
+            los, his, r_los, r_his = (np.array([x[k] for k in todo]) for x in (lo, hi, r_lo, r_hi))
+            guesses = (los * (his / los) ** (r_los / (r_los - r_his))).tolist()
         # each bracket's path: the midpoints of its halvings, had each side
         # test agreed with the guess (a NaN guess keeps every lower half);
         # the stop test is ``_wide``, inlined where lo is not zero
