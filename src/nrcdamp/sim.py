@@ -43,12 +43,17 @@ def _controller_canonical(num: np.ndarray, den: np.ndarray):
 
     Does the arithmetic of ``scipy.signal.tf2ss`` for one real SISO
     polynomial pair, so the matrices are bit-identical to it; importing
-    ``scipy.signal`` would dominate the start-up of every command.
+    ``scipy.signal`` would dominate the start-up of every command. The one
+    departure: it trims only exact zeros off the numerator's lead, where
+    tf2ss also trims coefficients of magnitude 1e-14 or less. Descending
+    coefficients carry different powers of omega, so no threshold, absolute
+    or relative, tells which is negligible; tf2ss's drops the plant's terms
+    at a gain of 1e-30 and C_d's at 1e30.
     """
     den = np.trim_zeros(den, "f")
     num, den = num / den[0], den / den[0]
-    lead = 0  # leading numerator coefficients below 1e-14 count as zeros
-    while lead < num.size - 1 and abs(num[lead]) <= 1e-14:
+    lead = 0
+    while lead < num.size - 1 and num[lead] == 0.0:
         lead += 1
     num = num[lead:]
     k = den.size

@@ -1,13 +1,10 @@
 import gc
 import json
 import math
-import os
-import subprocess
 import sys
 import tracemalloc
 import warnings
 import weakref
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -202,6 +199,24 @@ class TestParseConfig:
             _read_config_json(tmp_path / "nope.json")
 
 
+ANALYSES = ("design", "margins", "sens", "bode", "rootlocus")
+SIM_RUNS = ("simulate", "identify")
+
+# edits of the surrogate that reach other branches of the evaluators, and
+# the commands each runs with warnings as errors
+QUIET_EDITS = {
+    "surrogate": (lambda raw: None, ANALYSES + SIM_RUNS),
+    "gamma_1": (lambda raw: raw["nrc"].update(gamma=1.0), ANALYSES),
+    "no_lowpass": (lambda raw: raw["tracker"].update(lowpass_hz=None), ANALYSES),
+    "no_delay": (lambda raw: raw["plant"].update(delay_us=0.0), ANALYSES + SIM_RUNS),
+    "wb_800": (lambda raw: raw["tracker"].update(omega_b_hz=800.0), ANALYSES),
+    "zeta_0": (lambda raw: raw["plant"]["modes"][1].update(zeta=0.0), ANALYSES),
+    "p_only": (lambda raw: raw.update(tracker={"kp": 1.0, "omega_i_hz": 0.0}), ("simulate",)),
+    "delay_153": (lambda raw: raw["plant"].update(delay_us=153.0), ("identify",)),
+    "no_sim": (lambda raw: raw.pop("sim"), ("identify",)),
+}
+
+
 class TestCommands:
     def test_rootlocus_reference(self, tmp_path):
         raw = minimal_config()
@@ -215,18 +230,13 @@ class TestCommands:
         header = (out / "rootlocus.csv").read_text().splitlines()[0]
         assert header == "n,re_p2,im_p2,re_p3,im_p3"
 
-    def test_rootlocus_wide_n_range_ends(self, tmp_path, surrogate_raw):
+    def test_rootlocus_wide_n_range_ends(self, tmp_path, surrogate_raw, run_python):
         # far out in n the pole pair looks real to rounding while the cubic's
         # discriminant says complex; at gamma 0.999 it is complex again from
         # n = 46.2, so no grid point of 0.1 .. 1e60 bifurcates
         out = tmp_path / "out"
-        src = str(Path(nrcdamp.__file__).resolve().parent.parent)
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "nrcdamp.cli", "rootlocus", str(write(tmp_path, surrogate_raw)),
-             "--n-max", "1e60", "--n-points", "5", "--out", str(out)],
-            env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=60,
-        )
+        proc = run_python("-m", "nrcdamp.cli", "rootlocus", str(write(tmp_path, surrogate_raw)),
+                          "--n-max", "1e60", "--n-points", "5", "--out", str(out))
         assert proc.returncode == 0, proc.stderr
         assert json.loads((out / "summary.json").read_text())["bifurcation_n"] is None
 
@@ -313,11 +323,13 @@ class TestCommands:
         assert "marginally stable (integrator pole at s=0)" in text
 
     def test_simulate_outputs(self, tmp_path, surrogate_raw):
+        surrogate_raw["sim"]["duration_s"] = 5.0
         p = write(tmp_path, surrogate_raw)
         out = tmp_path / "out"
         assert run_command("simulate", p, out) == 0
-        header = (out / "trace.csv").read_text().splitlines()[0]
-        assert header == "time_s,r,d,n,u,x_true,y_meas,e"
+        lines = (out / "trace.csv").read_text().splitlines()
+        assert lines[0] == "time_s,r,d,n,u,x_true,y_meas,e"
+        assert len(lines) == 1 + 166_667  # a header and 5 s at 30 us
         metrics = json.loads((out / "metrics.json").read_text())
         assert set(metrics) >= {"e_max", "e_rms"}
         assert metrics["e_rms"] <= metrics["e_max"]
@@ -521,6 +533,16 @@ class TestCommands:
             warnings.simplefilter("error")
             assert run_command(cmd, write(tmp_path, surrogate_raw), tmp_path / "out") == 0
 
+    @pytest.mark.parametrize("variant", list(QUIET_EDITS))
+    def test_commands_end_without_warning(self, tmp_path, surrogate_raw, variant):
+        edit, cmds = QUIET_EDITS[variant]
+        edit(surrogate_raw)
+        p = write(tmp_path, surrogate_raw)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for cmd in cmds:
+                assert run_command(cmd, p, tmp_path / cmd) == 0, cmd
+
     @pytest.mark.xfail(
         strict=True,
         reason="ROADMAP item 10: an undamped higher mode on a grid point makes _bisect"
@@ -528,17 +550,12 @@ class TestCommands:
         " 'cannot convert float NaN to integer'",
     )
     @pytest.mark.parametrize("cmd", ["design", "margins"])
-    def test_undamped_second_mode_on_grid_point(self, tmp_path, surrogate_raw, cmd):
+    def test_undamped_second_mode_on_grid_point(self, tmp_path, surrogate_raw, run_python, cmd):
         # 1000 Hz is a point of the 400-per-decade grid from 1 Hz; a valid
         # config exits 0, or 2 if refused, and never reports a NaN
         surrogate_raw["plant"]["modes"][1].update(freq_hz=1000.0, zeta=0.0)
-        src = str(Path(nrcdamp.__file__).resolve().parent.parent)
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "nrcdamp.cli", cmd, str(write(tmp_path, surrogate_raw)),
-             "--out", str(tmp_path / "out")],
-            env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=60,
-        )
+        proc = run_python("-m", "nrcdamp.cli", cmd, str(write(tmp_path, surrogate_raw)),
+                          "--out", str(tmp_path / "out"))
         assert proc.returncode in (0, 2), proc.stderr
         assert "NaN" not in proc.stderr
 
@@ -823,9 +840,9 @@ class TestCommands:
         assert not out.exists()
 
     @pytest.mark.parametrize("cmd", COMMANDS)
-    def test_command_loads_no_scipy(self, tmp_path, surrogate_raw, cmd):
+    def test_command_loads_no_scipy(self, tmp_path, surrogate_raw, run_python, cmd):
         # scipy is a test dependency only: with its import blocked, every
-        # command still runs
+        # command still runs, and ends with no warning
         p = write(tmp_path, surrogate_raw)
         extra = ["--values", "4,8"] if cmd == "sweep" else []
         argv = [cmd, str(p), "--out", str(tmp_path / "out")] + extra
@@ -835,18 +852,11 @@ class TestCommands:
             "import nrcdamp.cli\n"
             f"assert nrcdamp.cli.main({argv!r}) == 0\n"
         )
-        src = str(Path(nrcdamp.__file__).resolve().parent.parent)
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", code],
-            env=dict(os.environ, PYTHONPATH=path),
-            capture_output=True,
-            text=True,
-        )
+        proc = run_python("-W", "error", "-c", code)
         assert proc.returncode == 0, proc.stderr
 
     @pytest.mark.parametrize("cmd", ["design", "simulate", "identify"])
-    def test_command_loads_no_numpy_polynomial(self, tmp_path, surrogate_raw, cmd):
+    def test_command_loads_no_numpy_polynomial(self, tmp_path, surrogate_raw, run_python, cmd):
         # a fresh process evaluates its polynomials without loading
         # numpy.polynomial, where a bare ``import numpy`` does not load it
         argv = [cmd, str(write(tmp_path, surrogate_raw)), "--out", str(tmp_path / "out")]
@@ -861,14 +871,7 @@ class TestCommands:
             "    assert exit.code == 0, exit.code\n"
             "print(bare, 'numpy.polynomial' in sys.modules)\n"
         )
-        src = str(Path(nrcdamp.__file__).resolve().parent.parent)
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", code],
-            env=dict(os.environ, PYTHONPATH=path),
-            capture_output=True,
-            text=True,
-        )
+        proc = run_python("-c", code)
         assert proc.returncode == 0, proc.stderr
         bare, loaded = proc.stdout.split()
         assert loaded == bare

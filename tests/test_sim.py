@@ -1,12 +1,12 @@
 import warnings
 from collections import deque
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import signal as sps
 
 from closed_forms import nrc_gains, two_mode_zero
 from nrcdamp import (
@@ -43,6 +43,14 @@ from nrcdamp import (
 TWO_PI = 2.0 * np.pi
 TS = 30e-6
 
+
+@pytest.fixture(scope="session")
+def sps():
+    """scipy.signal, the reference of the tests that take it; they skip
+    where scipy is not installed."""
+    return pytest.importorskip("scipy.signal")
+
+
 # Polynomial coefficients with exact zeros and values either side of the
 # 1e-14 threshold below which tf2ss treats a leading coefficient as zero.
 COEFF = st.one_of(
@@ -73,7 +81,7 @@ def _bilinear_poly(coeffs_s: np.ndarray, c: float, n_total: int) -> np.ndarray:
     return out
 
 
-def old_discretize(tf, ts):
+def old_discretize(sps, tf, ts):
     """num and den expanded through s = (2/ts)(z-1)/(z+1), then tf2ss."""
     n = tf.den.degree
     num_z = _bilinear_poly(tf.num.coeffs, 2.0 / ts, n)
@@ -162,19 +170,26 @@ class TestDiscretize:
         num=st.lists(COEFF, min_size=1, max_size=17),
         den=st.lists(COEFF, min_size=1, max_size=17).filter(any),
     )
-    def test_controller_canonical_matches_scipy_tf2ss(self, num, den):
+    def test_controller_canonical_matches_scipy_tf2ss(self, sps, num, den):
+        # tf2ss trims a leading column of the numerator only if all of it is
+        # 1e-14 or less after the division by den[0]: a second row, 1 there
+        # where the first is not an exact zero, leaves it only the exact
+        # zeros to trim, and the first row's arithmetic as it is alone
         from nrcdamp.sim import _controller_canonical
 
         num, den = np.array(num), np.array(den)
         with warnings.catch_warnings(), np.errstate(all="ignore"):
             warnings.simplefilter("ignore", sps.BadCoefficients)
+            lead = np.trim_zeros(den, "f")[0]
+            guard = np.where(num / lead != 0.0, lead, 0.0)
             try:
-                expected = sps.tf2ss(num, den)
+                a, b, c, d = sps.tf2ss(np.vstack([num, guard]), den)
             except ValueError:  # improper
                 with pytest.raises(ValueError, match="improper"):
                     _controller_canonical(num, den)
                 return
             got = _controller_canonical(num, den)
+        expected = (a, b, c[:1], d[:1])
         for g, e in zip(got, expected):  # a subnormal den[0] gives the same nan
             assert g.shape == e.shape and np.array_equal(g, e, equal_nan=True)
 
@@ -387,14 +402,14 @@ class TestClosedLoopStateSpace:
         assert np.array_equal(trace.e, r - trace.y_meas)
 
     @pytest.mark.parametrize("variant", LOOP_VARIANTS)
-    def test_trace_matches_previous_discretization(self, surrogate_raw, variant):
+    def test_trace_matches_previous_discretization(self, sps, surrogate_raw, variant):
         # simulate's contract against the previous release, a per-sample run
         # of the polynomial path's blocks, and the closed-loop spectral radius
         # within 1e-10 relative. The companion forms in z grow too much in
         # transient for a blocked run (see run_state_space), so the
         # per-sample reference loop runs them.
         blocks, (r, d, n) = loop_case(surrogate_raw, variant)
-        old, _ = loop_case(surrogate_raw, variant, old_discretize)
+        old, _ = loop_case(surrogate_raw, variant, partial(old_discretize, sps))
         trace = simulate_dual_loop(*blocks, r, d, n)
         want = reference_dual_loop(*old, r, d, n)
         assert_trace_contract(trace, want, r, variant)
@@ -469,6 +484,28 @@ class TestClosedLoopStateSpace:
             discretize(build_plant(plant), TS), discretize(ct, TS), discretize(nrc(k, wa), TS)
         )
         assert spectral_radius(loop) > 1.0
+
+    def test_spectral_radius_independent_of_plant_gain(self, tmp_path, surrogate_raw):
+        # k = gamma/G(0) and kp, tuned on G_d, cancel the plant's gain, so
+        # its scale moves no pole of the sampled loop: the realizations keep
+        # every numerator coefficient, however small against 1e-14
+        import json
+
+        from nrcdamp.cli import run_command
+
+        def radius(gain):
+            raw = json.loads(json.dumps(surrogate_raw))
+            raw["plant"]["gain"] = gain
+            blocks, _ = loop_case(raw, "surrogate")
+            return spectral_radius(dual_loop_state_space(*blocks))
+
+        want = radius(surrogate_raw["plant"]["gain"])
+        for gain in np.logspace(-30.0, 30.0, 11):
+            assert radius(gain) == pytest.approx(want, rel=1e-9), gain
+        surrogate_raw["plant"]["gain"] = 1e-30
+        p = tmp_path / "config.json"
+        p.write_text(json.dumps(surrogate_raw))
+        assert run_command("simulate", p, tmp_path / "out") == 0
 
     def test_runner_applies_input_delay(self):
         blk = discretize(RationalTF.from_coeffs([2.0], [1.0], delay_s=3 * TS), TS)
@@ -687,14 +724,14 @@ def delay_shift(y, n_delay):
     return np.concatenate([np.zeros(n_delay), y[:-n_delay]]) if n_delay else y
 
 
-def scipy_open_loop(plant, fs, duration_s, f1, oversample):
+def scipy_open_loop(sps, plant, fs, duration_s, f1, oversample):
     """The scipy path of open_loop_response: tf -> ss -> tf, then lfilter."""
     fs_fine = fs * oversample
     nsamp = int(round(duration_s * fs_fine))
     t = np.arange(nsamp) / fs_fine
     u = 0.1 * sps.chirp(t, f0=10.0, t1=duration_s, f1=f1, method="logarithmic")
     u = u * sps.windows.tukey(nsamp, alpha=0.1)
-    blk = old_discretize(replace(build_plant(plant), delay_s=0.0), 1.0 / fs_fine)
+    blk = old_discretize(sps, replace(build_plant(plant), delay_s=0.0), 1.0 / fs_fine)
     num, den = sps.ss2tf(blk.a_matrix, blk.b_matrix, blk.c_matrix, blk.d_matrix)
     y = delay_shift(sps.lfilter(num[0], den, u), int(round(plant.delay_s * fs_fine)))
     return u[::oversample], y[::oversample]
@@ -730,7 +767,7 @@ class TestIdentifyMatchesScipyReference:
         [(8 / 30e-6, 10.0, 5000.0, 0.05), (8 * 33300.0, 2.0, 5000.0, 0.05),
          (1000.0, 1.0, 400.0, 0.05), (333.0, 0.5, 100.0, 0.2), (500.0, 0.3, 50.0, 0.5)],
     )
-    def test_log_chirp_is_scipy_bits(self, fs, duration_s, f1, taper):
+    def test_log_chirp_is_scipy_bits(self, sps, fs, duration_s, f1, taper):
         nsamp = int(round(duration_s * fs))
         t = np.arange(nsamp) / fs
         want = 0.1 * sps.chirp(t, f0=10.0, t1=duration_s, f1=f1, method="logarithmic")
@@ -741,7 +778,7 @@ class TestIdentifyMatchesScipyReference:
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
 
     @pytest.mark.parametrize("nsamp, seg", [(333334, 65536), (60000, 4096), (5001, 1001)])
-    def test_spectra_match_scipy_welch_and_csd(self, nsamp, seg):
+    def test_spectra_match_scipy_welch_and_csd(self, sps, nsamp, seg):
         from nrcdamp.sim import _welch_spectra
 
         rng = np.random.default_rng(seg)
@@ -755,7 +792,7 @@ class TestIdentifyMatchesScipyReference:
         np.testing.assert_allclose(s_uy, sps.csd(u, y, **kw)[1], rtol=1e-12)
 
     @pytest.mark.parametrize("variant", CONTRACT_VARIANTS)
-    def test_fine_rate_response(self, surrogate_raw, variant):
+    def test_fine_rate_response(self, sps, surrogate_raw, variant):
         # identify's oversampled run, 1 s of it: exact to 1e-10 of max|y|,
         # and within 1e-5 of the scipy path it replaced
         from nrcdamp.cli import parse_config_dict
@@ -767,7 +804,7 @@ class TestIdentifyMatchesScipyReference:
         scale = np.max(np.abs(y))
         exact = exact_fine_response(plant, u, 1.0 / (8 * fs))
         assert np.max(np.abs(y - exact)) <= 1e-10 * scale
-        _, y_scipy = scipy_open_loop(plant, 8 * fs, 1.0, f1, oversample=1)
+        _, y_scipy = scipy_open_loop(sps, plant, 8 * fs, 1.0, f1, oversample=1)
         assert np.max(np.abs(y - y_scipy)) <= 1e-5 * scale
 
     @pytest.mark.parametrize("case", CONTRACT_VARIANTS + ("delay_153us", "ragged_record"))
@@ -806,7 +843,7 @@ class TestIdentifyMatchesScipyReference:
             open_loop_response(single_mode(), fs=1000.0, oversample=oversample, f1=400.0)
 
     @pytest.mark.parametrize("variant", CONTRACT_VARIANTS)
-    def test_identify_frf_matches_scipy_path(self, tmp_path, surrogate_raw, variant):
+    def test_identify_frf_matches_scipy_path(self, sps, tmp_path, surrogate_raw, variant):
         import json
         import math
 
@@ -821,7 +858,7 @@ class TestIdentifyMatchesScipyReference:
 
         cfg = parse_config_dict(raw)
         fs, f1 = identify_rates(cfg)
-        u, y = scipy_open_loop(cfg.plant.to_spec(), fs, 10.0, f1, oversample=8)
+        u, y = scipy_open_loop(sps, cfg.plant.to_spec(), fs, 10.0, f1, oversample=8)
         seg = min(1 << max(10, int(math.log2(u.size / 5.0))), u.size // 2)
         kw = dict(fs=fs, window="hann", nperseg=seg, noverlap=seg // 2, detrend=False)
         f, s_uu = sps.welch(u, **kw)
