@@ -66,10 +66,10 @@ COMMANDS = {
 # Bounds on the arrays a run allocates, from the bytes per item measured on
 # the command (grids of 40,001 to 400,001 points, records of 0.17 to 16 M
 # samples): the grid and simulate bounds sit near 400 MB of peak RSS, and
-# identify's near 92 MB.
+# identify's near 55 MB.
 MAX_GRID_POINTS = 1_000_000  # design and sens: about 370 B per grid point
 MAX_SIM_SAMPLES = 5_000_000  # simulate: about 72 B per sample
-MAX_IDENTIFY_SAMPLES = 16_000_000  # identify: about 3.5 B per sample of its 8x run
+MAX_IDENTIFY_SAMPLES = 16_000_000  # identify: about 1.2 B per sample of its 8x run
 # The batched root locus peaks at about 270 bytes per point of n, so this
 # bounds it near 270 MB.
 MAX_LOCUS_POINTS = 1_000_000
@@ -570,10 +570,8 @@ def run_identify(cfg: SimpleNamespace, out_dir: Path) -> dict:
     band = (freqs > 50.0) & (freqs < f_hi)
     if not band.any():  # also when f_hi <= 10 Hz, the sweep's start
         _fail("sim.ts_us", "too slow to identify: no Welch bin in (50 Hz, 0.4/ts)")
-    u, y = open_loop_response(
-        cfg.plant.to_spec(), fs=fs, duration_s=duration, f1=f_hi
-    )
-    est = chirp_identify(u, y, fs, seg)
+    chunks = open_loop_response(cfg.plant.to_spec(), fs=fs, duration_s=duration, f1=f_hi)
+    est = chirp_identify(chunks, fs, seg)
     frf_to_csv(est, out_dir / "frf.csv")
     peak_hz = float(est.freq_hz[band][np.argmax(est.mag_db[band])])
     summary = {

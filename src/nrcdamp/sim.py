@@ -459,35 +459,42 @@ def open_loop_response(
     discretization warping far below the identification tolerances. Only
     the kept samples are computed: the plant runs lifted at fs
     (``_lifted_plant``), one row of m fine inputs per step, and only the
-    lifted steps that reach a kept sample run. The fine record is never
-    held: the chirp is generated one stepper chunk (CHUNK_ROWS rows of m
-    samples) at a time, every m-th sample kept, and the chunk run through
-    the lifted plant, whose state carries to the next; only the row the
-    record's end cuts is padded, and its tail reaches no output. Returns
-    (u, y) at fs.
+    lifted steps that reach a kept sample run. No record is held: the
+    chirp is generated one stepper chunk (CHUNK_ROWS rows of m samples) at
+    a time, every m-th sample kept, and the chunk run through the lifted
+    plant, whose state carries to the next; only the row the record's end
+    cuts is padded, and its tail reaches no output. Returns an iterator of
+    (u, y) chunks at fs, CHUNK_ROWS samples each but the last; their
+    concatenation is the record. The plant is built and ``oversample``
+    checked before the first chunk is asked for.
     """
     integral = isinstance(oversample, numbers.Integral) and not isinstance(oversample, bool)
     if not integral or oversample < 1:
         raise ValueError(f"oversample must be an integer >= 1, not {oversample!r}")
     m = int(oversample)
     lifted, q = _lifted_plant(plant, fs, m)
-    step = _blocked_stepper(lifted)
+    return _lifted_chunks(_blocked_stepper(lifted), q, fs, m, duration_s, f1)
+
+
+def _lifted_chunks(step, q: int, fs: float, m: int, duration_s: float, f1: float):
+    """The (u, y) chunks of ``open_loop_response``; ``step`` runs the lifted
+    plant, whose outputs reach y q samples late."""
     fs_fine = fs * m
     n_fine = int(round(duration_s * fs_fine))  # as log_chirp counts the record
     n_keep = -(-n_fine // m)  # the samples of the fine record's [::m]
     steps = max(n_keep - q, 0)  # lifted steps that reach a kept sample
-    u, y = np.empty(n_keep), np.zeros(n_keep)
+    late = np.zeros(min(q, n_keep))  # y from here on, not yet handed out
     for k0 in range(0, n_keep, CHUNK_ROWS):
         k1 = min(k0 + CHUNK_ROWS, n_keep)
         chunk = log_chirp(fs_fine, duration_s, f1=f1, start=k0 * m, stop=min(k1 * m, n_fine))
-        u[k0:k1] = chunk[::m]
         nrows = min(k1, steps) - k0  # the chunk's lifted steps that reach a kept sample
         if nrows > 0:
             rows = chunk[: nrows * m]
             if rows.size < nrows * m:  # the record's end cuts the last row; no output sees its tail
                 rows = np.concatenate([rows, np.zeros(nrows * m - rows.size)])
-            y[q + k0 : q + k0 + nrows] = step(rows.reshape(nrows, m))[:, 0]
-    return u, y
+            late = np.concatenate([late, step(rows.reshape(nrows, m))[:, 0]])
+        yield chunk[::m].copy(), late[: k1 - k0]
+        late = late[k1 - k0 :]
 
 
 def _lifted_plant(plant: PlantSpec, fs: float, m: int) -> tuple[DiscreteSS, int]:
@@ -530,54 +537,99 @@ class FrfEstimate:
     coherence: np.ndarray
 
 
-def _welch_spectra(u: np.ndarray, y: np.ndarray, fs: float, segment_len: int):
-    """One-sided Welch densities (f, S_uu, S_yy, S_uy), as scipy.signal computes them.
+def _welch_spectra(chunks, fs: float, segment_len: int):
+    """One-sided Welch densities of a record streamed as (u, y) chunks.
 
     Periodic Hann windows on half-overlapping segments, no detrending,
     density scaling 1/(fs sum w^2), every bin doubled except DC and (for an
-    even length) Nyquist, then the mean over segments (Welch 1967). The
-    segments are transformed and summed one at a time, so no stack of them
-    is held; the sums and the one division keep every bit of the mean.
+    even length) Nyquist, then the mean over segments (Welch 1967), as
+    scipy.signal computes them. The chunks go into a ring of one segment
+    for u and one for y; each segment is windowed out of its ring, then
+    transformed and summed as soon as it is complete, so no record or stack
+    of segments is held, and the sums and the one division keep every bit
+    of the mean. y is scaled by 2^-e, e the binary exponent of its peak in
+    the first segment that is not all zero (0 if none is), so its squares
+    neither overflow nor underflow at any plant gain. The scaling is exact
+    for every sample within some 300 decades of that peak, and the segments
+    before that one are zero at any e. Returns (f, S_uu, S_yy, S_uy, e),
+    S_yy and S_uy those of y 2^-e.
     """
     win = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(segment_len) / segment_len)
     step = segment_len - segment_len // 2
-    count = (u.size - segment_len) // step + 1
-    for lo in range(0, count * step, step):  # one segment at a time
-        fu = np.fft.rfft(u[lo : lo + segment_len] * win)
-        fy = np.fft.rfft(y[lo : lo + segment_len] * win)
+    ring_u, ring_y = np.empty(segment_len), np.empty(segment_len)  # sample n at n % segment_len
+    windowed = np.empty(segment_len)
+    sums = []
+
+    def add_segment(lo: int) -> None:
+        """Transform the segment from sample lo and add it to the sums."""
+        fu = _ring_rfft(ring_u, lo % segment_len, win, windowed)
+        fy = _ring_rfft(ring_y, lo % segment_len, win, windowed)
         terms = (fu.real**2 + fu.imag**2, fy.real**2 + fy.imag**2, np.conj(fu) * fy)
-        if lo:  # in order, as numpy's mean over axis 0 adds the rows
+        if sums:  # in order, as numpy's mean over axis 0 adds the rows
             for acc, term in zip(sums, terms):
                 acc += term
         else:
-            sums = terms
+            sums.extend(terms)
+
+    n = lo = 0  # samples received; the next segment's start
+    e = None
+    for u, y in chunks:
+        u = np.asarray(u, dtype=float)
+        y = np.asarray(y, dtype=float)
+        if u.shape != y.shape or u.ndim != 1:
+            raise ValueError("u and y must be 1-D arrays of equal length")
+        i = 0
+        while i < u.size:
+            at = n % segment_len
+            take = min(u.size - i, lo + segment_len - n, segment_len - at)
+            ring_u[at : at + take] = u[i : i + take]
+            np.ldexp(y[i : i + take], -(e or 0), out=ring_y[at : at + take])
+            i, n = i + take, n + take
+            if n == lo + segment_len:
+                if e is None and ring_y.any():  # the ring holds exactly this segment
+                    e = math.frexp(float(np.max(np.abs(ring_y))))[1]
+                    np.ldexp(ring_y, -e, out=ring_y)
+                add_segment(lo)
+                lo += step
+    if n < 2 * segment_len:
+        raise ValueError("need at least two segments of data")
     scale = np.full(segment_len // 2 + 1, 2.0 / (fs * np.sum(win * win)))
     scale[0] /= 2.0
     if segment_len % 2 == 0:
         scale[-1] /= 2.0
+    count = (n - segment_len) // step + 1
     s_uu, s_yy, s_uy = (acc / count * scale for acc in sums)
-    return np.fft.rfftfreq(segment_len, 1.0 / fs), s_uu, s_yy, s_uy
+    return np.fft.rfftfreq(segment_len, 1.0 / fs), s_uu, s_yy, s_uy, e or 0
 
 
-def chirp_identify(u, y, fs: float, segment_len: int) -> FrfEstimate:
+def _ring_rfft(ring: np.ndarray, start: int, win: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """rfft of the segment at ring[start:] then ring[:start], windowed into buf."""
+    cut = ring.size - start
+    np.multiply(ring[start:], win[:cut], out=buf[:cut])
+    np.multiply(ring[:start], win[cut:], out=buf[cut:])
+    return np.fft.rfft(buf)
+
+
+def chirp_identify(chunks, fs: float, segment_len: int) -> FrfEstimate:
     """H1 spectral FRF estimate S_uy/S_uu from broadband input-output data.
 
-    Hann-tapered, half-overlapping segments are averaged; coherence comes
-    from the same segmentation. The record must cover at least two
-    segments, and the input must carry power.
+    ``chunks`` is an iterable of (u, y) pairs of equal-length 1-D arrays
+    whose concatenation is the record, such as ``open_loop_response``
+    returns; it is read once, and no record is held. Hann-tapered,
+    half-overlapping segments are averaged; coherence comes from the same
+    segmentation. The record must cover at least two segments, and the
+    input must carry power. The power-of-two scaling of y in
+    ``_welch_spectra`` cancels exactly in the coherence and is undone
+    exactly on H.
     """
-    u = np.asarray(u, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if u.shape != y.shape or u.ndim != 1:
-        raise ValueError("u and y must be 1-D arrays of equal length")
-    if u.size < 2 * segment_len:
-        raise ValueError("need at least two segments of data")
-    f, s_uu, s_yy, s_uy = _welch_spectra(u, y, fs, segment_len)
+    f, s_uu, s_yy, s_uy, e = _welch_spectra(chunks, fs, segment_len)
     if np.max(s_uu) <= 0.0:
         raise ValueError("input signal has no power")
     coh = np.abs(s_uy) ** 2 / s_uu / s_yy  # as scipy.signal.coherence computes it
     with np.errstate(divide="ignore", invalid="ignore"):
         h = np.where(s_uu > 0.0, s_uy / s_uu, np.nan)
+        np.ldexp(h.real, e, out=h.real)
+        np.ldexp(h.imag, e, out=h.imag)
         mag = 20.0 * np.log10(np.abs(h))
     phase = np.degrees(unwrap(np.angle(h)))
     return FrfEstimate(freq_hz=f, mag_db=mag, phase_deg=phase, coherence=coh)

@@ -599,7 +599,7 @@ class TestChirpIdentify:
     def test_static_gain(self):
         fs = 10000.0
         u = log_chirp(fs, duration_s=4.0, f0=5.0, f1=2000.0, amplitude=0.5)
-        est = chirp_identify(u, 2.0 * u, fs, 2048)
+        est = chirp_identify([(u, 2.0 * u)], fs, 2048)
         band = (est.freq_hz > 10.0) & (est.freq_hz < 2000.0)
         np.testing.assert_allclose(est.mag_db[band], 20 * np.log10(2.0), atol=1e-6)
         np.testing.assert_allclose(est.phase_deg[band], 0.0, atol=1e-6)
@@ -608,8 +608,7 @@ class TestChirpIdentify:
     def test_known_second_order_plant(self):
         fs = 33300.0
         plant = PlantSpec(gain=1.0, modes=(ModeSpec(TWO_PI * 500.0, 0.05),))
-        u, y = open_loop_response(plant, fs=fs, duration_s=10.0)
-        est = chirp_identify(u, y, fs, 1 << 16)
+        est = chirp_identify(open_loop_response(plant, fs=fs, duration_s=10.0), fs, 1 << 16)
         band = (est.freq_hz >= 10.0) & (est.freq_hz <= fs / 10.0)
         f = est.freq_hz[band]
         ref = freq_response(build_plant(plant), TWO_PI * f)
@@ -626,18 +625,18 @@ class TestChirpIdentify:
         rng = np.random.default_rng(2)
         u = rng.normal(size=60000)
         y = np.concatenate([np.zeros(n_delay), u[:-n_delay]])
-        est = chirp_identify(u, y, fs, 4096)
+        est = chirp_identify([(u, y)], fs, 4096)
         band = (est.freq_hz > 100.0) & (est.freq_hz < 3000.0)
         slope = np.polyfit(est.freq_hz[band], est.phase_deg[band], 1)[0]
         assert slope == pytest.approx(-360.0 * n_delay / fs, rel=1e-3)
 
     def test_degenerate_input_rejected(self):
         with pytest.raises(ValueError, match="no power"):
-            chirp_identify(np.zeros(10000), np.zeros(10000), 1000.0, 1024)
+            chirp_identify([(np.zeros(10000), np.zeros(10000))], 1000.0, 1024)
 
     def test_needs_two_segments(self):
         with pytest.raises(ValueError, match="two segments"):
-            chirp_identify(np.ones(100), np.ones(100), 1000.0, 64)
+            chirp_identify([(np.ones(100), np.ones(100))], 1000.0, 64)
 
 
 class TestSurrogateRuns:
@@ -683,8 +682,7 @@ class TestSurrogateRuns:
     def test_identification_recovers_modes(self):
         spec = nanopositioner_surrogate()
         fs = 33300.0
-        u, y = open_loop_response(spec, fs=fs, duration_s=10.0)
-        est = chirp_identify(u, y, fs, 1 << 16)
+        est = chirp_identify(open_loop_response(spec, fs=fs, duration_s=10.0), fs, 1 << 16)
         band = (est.freq_hz > 200.0) & (est.freq_hz < 900.0)
         peak = est.freq_hz[band][np.argmax(est.mag_db[band])]
         assert peak == pytest.approx(739.0, rel=0.005)
@@ -718,6 +716,12 @@ def identify_rates(cfg):
     """(fs, f1) of the identify command for a parsed config."""
     fs = 1.0 / cfg.sim.ts_s if cfg.sim is not None else 33300.0
     return fs, min(5000.0, 0.4 * fs)
+
+
+def whole(chunks):
+    """The (u, y) record of a chunked run, such as open_loop_response's."""
+    u, y = zip(*chunks)
+    return np.concatenate(u), np.concatenate(y)
 
 
 def delay_shift(y, n_delay):
@@ -785,7 +789,8 @@ class TestIdentifyMatchesScipyReference:
         u = rng.normal(size=nsamp)
         y = np.convolve(u, [1.0, 0.5, -0.2], "same") + 0.1 * rng.normal(size=nsamp)
         kw = dict(fs=33300.0, window="hann", nperseg=seg, noverlap=seg // 2, detrend=False)
-        f, s_uu, s_yy, s_uy = _welch_spectra(u, y, 33300.0, seg)
+        f, s_uu, s_yy, s_uy, e = _welch_spectra([(u, y)], 33300.0, seg)
+        y = np.ldexp(y, -e)  # the spectra are those of y 2^-e
         np.testing.assert_array_equal(f, sps.welch(u, **kw)[0])
         np.testing.assert_allclose(s_uu, sps.welch(u, **kw)[1], rtol=1e-12)
         np.testing.assert_allclose(s_yy, sps.welch(y, **kw)[1], rtol=1e-12)
@@ -800,7 +805,7 @@ class TestIdentifyMatchesScipyReference:
         cfg = parse_config_dict(contract_config(surrogate_raw, variant))
         plant = cfg.plant.to_spec()
         fs, f1 = identify_rates(cfg)
-        u, y = open_loop_response(plant, fs=8 * fs, duration_s=1.0, f1=f1, oversample=1)
+        u, y = whole(open_loop_response(plant, fs=8 * fs, duration_s=1.0, f1=f1, oversample=1))
         scale = np.max(np.abs(y))
         exact = exact_fine_response(plant, u, 1.0 / (8 * fs))
         assert np.max(np.abs(y - exact)) <= 1e-10 * scale
@@ -824,7 +829,7 @@ class TestIdentifyMatchesScipyReference:
         cfg = parse_config_dict(raw)
         plant = cfg.plant.to_spec()
         fs, f1 = identify_rates(cfg)
-        u, y = open_loop_response(plant, fs=fs, duration_s=duration_s, f1=f1, oversample=8)
+        u, y = whole(open_loop_response(plant, fs=fs, duration_s=duration_s, f1=f1, oversample=8))
         u_fine = log_chirp(8 * fs, duration_s, f1=f1)
         if case == "delay_153us":
             assert round(plant.delay_s * 8 * fs) == 41
@@ -957,7 +962,7 @@ class TestStreamedIdentify:
         cfg = parse_config_dict(surrogate_raw)
         plant = cfg.plant.to_spec()
         fs, f1 = identify_rates(cfg)
-        u, y = open_loop_response(plant, fs=fs, duration_s=duration_s, f1=f1)
+        u, y = whole(open_loop_response(plant, fs=fs, duration_s=duration_s, f1=f1))
         want_u, want_y = whole_record_response(plant, fs, duration_s, f1)
         n_fine = round(duration_s * 8 * fs)
         if case == "no_delay":
@@ -976,9 +981,88 @@ class TestStreamedIdentify:
         rng = np.random.default_rng(seg)
         u = rng.normal(size=nsamp)
         y = np.convolve(u, [1.0, 0.5, -0.2], "same") + 0.1 * rng.normal(size=nsamp)
-        want = batched_welch(u, y, 33300.0, seg)
-        for got, ref in zip(_welch_spectra(u, y, 33300.0, seg), want):
+        *spectra, e = _welch_spectra([(u, y)], 33300.0, seg)
+        want = batched_welch(u, np.ldexp(y, -e), 33300.0, seg)
+        for got, ref in zip(spectra, want):
             assert_same_bits(got, ref)
+
+    @pytest.mark.parametrize("sizes", [[1, 4095, 4097], [777], [65535, 1], [333334]])
+    def test_welch_sums_do_not_depend_on_the_chunks(self, sizes):
+        # the record cut into chunks of the given sizes, the last repeated
+        # to its end: across the ring's end and the segments' starts
+        from nrcdamp.sim import _welch_spectra
+
+        rng = np.random.default_rng(5)
+        u, y = rng.normal(size=(2, 333334))
+        cuts = np.cumsum(sizes[:-1] + sizes[-1:] * (u.size // sizes[-1]))
+        chunks = list(zip(np.split(u, cuts), np.split(y, cuts)))
+        *spectra, e = _welch_spectra(chunks, 33300.0, 65536)
+        want = batched_welch(u, np.ldexp(y, -e), 33300.0, 65536)
+        for got, ref in zip(spectra, want):
+            assert_same_bits(got, ref)
+
+    @pytest.mark.parametrize(
+        "case", ["surrogate", "no_delay", "delay_153us", "delay_past_a_chunk", "ts_7us"]
+    )
+    def test_command_estimate_is_whole_record_bits(self, tmp_path, monkeypatch, surrogate_raw, case):
+        # identify's streamed spectra against the batched Welch mean of the
+        # whole-record run; 0.3 s is a delay of q = 10,000 > CHUNK_ROWS
+        # lifted steps, and at 7 us the record's end cuts a lifted row
+        import json
+        import math
+
+        import nrcdamp.sim
+        from nrcdamp.cli import parse_config_dict, run_command
+        from nrcdamp.sim import CHUNK_ROWS, _lifted_plant
+
+        edit = {"no_delay": ("plant", "delay_us", 0.0), "delay_153us": ("plant", "delay_us", 153.0),
+                "delay_past_a_chunk": ("plant", "delay_us", 3e5), "ts_7us": ("sim", "ts_us", 7.0)}
+        if case in edit:
+            section, key, value = edit[case]
+            surrogate_raw[section][key] = value
+        p = tmp_path / "config.json"
+        p.write_text(json.dumps(surrogate_raw))
+        seen = []
+        spectra = nrcdamp.sim._welch_spectra
+
+        def recorded(*args):
+            seen.append(spectra(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(nrcdamp.sim, "_welch_spectra", recorded)
+        assert run_command("identify", p, tmp_path / "out") == 0
+
+        cfg = parse_config_dict(surrogate_raw)
+        plant = cfg.plant.to_spec()
+        fs, f1 = identify_rates(cfg)
+        if case == "delay_past_a_chunk":
+            assert _lifted_plant(plant, fs, 8)[1] > CHUNK_ROWS
+        if case == "ts_7us":
+            assert round(10.0 * 8 * fs) % 8
+        u, y = whole_record_response(plant, fs, 10.0, f1)
+        seg = min(1 << max(10, int(math.log2(u.size / 5.0))), u.size // 2)
+        (*got, e), = seen
+        for got_part, ref in zip(got, batched_welch(u, np.ldexp(y, -e), fs, seg)):
+            assert_same_bits(got_part, ref)
+
+    def test_identify_holds_no_record(self, tmp_path, surrogate_raw):
+        # at 5 us, identify's bound, its two fs-rate records are 2 M samples
+        # each, 32 MB together; holding both, or the 8x record, fails this
+        import tracemalloc
+
+        from nrcdamp.cli import parse_config_dict, run_identify
+
+        surrogate_raw["sim"]["ts_us"] = 5.0
+        cfg = parse_config_dict(surrogate_raw)
+        fs, _ = identify_rates(cfg)
+        (tmp_path / "out").mkdir()
+        tracemalloc.start()
+        try:
+            run_identify(cfg, tmp_path / "out")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * round(10.0 * fs) * 8
 
     @pytest.mark.parametrize(
         "fs, duration_s, f1, taper, ranges",
@@ -1015,11 +1099,52 @@ class TestStreamedIdentify:
         fs, f1 = identify_rates(cfg)
         tracemalloc.start()
         try:
-            open_loop_response(cfg.plant.to_spec(), fs=fs, duration_s=10.0, f1=f1)
+            deque(open_loop_response(cfg.plant.to_spec(), fs=fs, duration_s=10.0, f1=f1), maxlen=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < round(10.0 * 8 * fs) * 8
+
+
+class TestIdentifyAtExtremeGains:
+    """y is scaled by a power of two before its spectra are squared, so the
+    plant's gain cannot overflow or underflow them."""
+
+    @pytest.mark.parametrize("gain", [1e200, 1e-200])
+    def test_extreme_gain_ends_without_warning(self, tmp_path, surrogate_raw, gain):
+        import json
+
+        from nrcdamp.cli import run_command
+
+        surrogate_raw["plant"]["gain"] = gain
+        p = tmp_path / "config.json"
+        p.write_text(json.dumps(surrogate_raw))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_command("identify", p, tmp_path / "out") == 0
+        f, mag, phase, coh = np.loadtxt(tmp_path / "out" / "frf.csv", delimiter=",", skiprows=1).T
+        band = (f >= 10.0) & (f <= 5000.0)
+        assert np.isfinite(mag[band]).all() and np.isfinite(phase[band]).all()
+        assert np.isfinite(coh[band]).all()
+
+    @pytest.mark.parametrize("power", [664, -664])
+    def test_power_of_two_gain_scales_only_the_magnitude(self, surrogate_raw, power):
+        # a gain 2^664 times the surrogate's is near 1e200, 2^-664 near 1e-200
+        from nrcdamp.cli import parse_config_dict
+
+        cfg = parse_config_dict(surrogate_raw)
+        plant = cfg.plant.to_spec()
+        fs, f1 = identify_rates(cfg)
+        est = {}
+        for p in (0, power):
+            scaled = replace(plant, gain=np.ldexp(plant.gain, p))
+            est[p] = chirp_identify(open_loop_response(scaled, fs=fs, f1=f1), fs, 1 << 16)
+        ref, got = est[0], est[power]
+        assert_same_bits(got.coherence, ref.coherence)
+        band = (ref.freq_hz >= 10.0) & (ref.freq_hz <= f1)
+        assert_same_bits(got.phase_deg[band], ref.phase_deg[band])
+        shift = 20.0 * power * np.log10(2.0)
+        assert np.max(np.abs(got.mag_db[band] - ref.mag_db[band] - shift)) < 1e-8
 
 
 class TestUniformNoise:
