@@ -35,15 +35,12 @@ from .sim import (
     IDENTIFY_OVERSAMPLE,
     SINE_SKIP_FRAC,
     chirp_identify,
-    discretize,
-    dual_loop_state_space,
     frf_to_csv,
     make_reference,
     make_uniform_noise,
     open_loop_response,
     simulate_dual_loop,
     sinusoid_amplitude,
-    spectral_radius,
     trace_to_csv,
     tracking_metrics,
 )
@@ -520,14 +517,14 @@ def run_simulate(cfg: _Config, out_dir: Path) -> dict:
     ts = cfg.sim.ts_s
     if round(cfg.sim.duration_s / ts) > MAX_SIM_SAMPLES:
         _fail("sim.duration_s", f"must last at most {MAX_SIM_SAMPLES} samples of ts_us")
-    ctx = cfg.design
-    plant_d = discretize(ctx.plant_tf, ts)
-    tracker_d = discretize(ctx.ct_tf, ts)
-    nrc_d = discretize(ctx.cd_tf, ts)
-    rho = spectral_radius(dual_loop_state_space(plant_d, tracker_d, nrc_d))
+    loop = cfg.design.sampled(ts)
+    rho = loop.radius_dual
     if rho > 1.0:
+        digits = 6  # the fewest significant digits, from 6, that read above 1
+        while float(f"{rho:.{digits}g}") <= 1.0:
+            digits += 1
         raise ValueError(
-            f"simulation diverged: closed-loop spectral radius {rho:.6g} > 1"
+            f"simulation diverged: closed-loop spectral radius {rho:.{digits}g} > 1"
         )
     sim, ref = cfg.sim, cfg.sim.reference
     r = make_reference(ref.kind, ref.amplitude, ts, sim.duration_s, ref.freq_hz)
@@ -538,7 +535,7 @@ def run_simulate(cfg: _Config, out_dir: Path) -> dict:
         )
     else:
         d = np.zeros(r.size)
-    trace = simulate_dual_loop(plant_d, tracker_d, nrc_d, r, d, n)
+    trace = simulate_dual_loop(loop.dual, r, d, n)
     if not (np.isfinite(trace.u).all() and np.isfinite(trace.y_meas).all()):
         raise ValueError("simulation diverged: the trace is not finite")
     trace_to_csv(trace, out_dir / "trace.csv")

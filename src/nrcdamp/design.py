@@ -2,7 +2,8 @@
 on the plant (k = gamma/G(0), corner at n times the first resonance), the
 tracker's kp tuned to a crossover when asked, and the dual loop's exact
 evaluator, sensitivities, refined margins and bandwidths, verdict, peak
-reduction and objective scorecard, each computed on first use and kept."""
+reduction and objective scorecard, each computed on first use and kept;
+and, at a sample time, the sampled dual loop that ``simulate`` runs."""
 
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ import numpy as np
 from .lti import FrfStack
 from .plants import PlantSpec, build_plant
 from .nrc import NrcSpec, _tune
+from .sim import discretize, dual_loop_state_space, spectral_radius
 from .tracking import (
     Frf, ObjectiveReport, TrackerSpec, _bandwidth_plan, _corner_plan, _margins_plan, _refine,
     _scorecard, build_tracker, bundle_to_csv, dual_sensitivities, tune_kp,
@@ -41,6 +43,7 @@ class Design:
         self.k, self.omega_a, self.cd_tf = _tune(self.plant_tf, plant, nrc)
         self.omega_n = plant.omega_n
         self._reports = {}
+        self._sampled = {}
         self._sensitivities_csv = None
 
         self.frfs = FrfStack((self.plant_tf, self.cd_tf))  # ``at``'s one evaluation
@@ -89,6 +92,20 @@ class Design:
         else:
             path.write_bytes(self._sensitivities_csv)
 
+    def sampled(self, ts: float) -> SampledLoop:
+        """The sampled dual loop at sample time ``ts`` (s), formed on first
+        use and kept per ``ts``. Each block is ``discretize``d at this one
+        ``ts``, since ``dual_loop_state_space`` needs their ts equal."""
+        loop = self._sampled.get(ts)
+        if loop is None:
+            if self.ct_tf is None:
+                raise ValueError("the sampled dual loop needs a tracker")
+            loop = SampledLoop(
+                discretize(self.plant_tf, ts), discretize(self.ct_tf, ts), discretize(self.cd_tf, ts)
+            )
+            self._sampled[ts] = loop
+        return loop
+
     def reports(self, *names) -> list:
         """The refined report of each named plan: a bound in dB names the
         band exit of T_yr there, "inner", "outer" and "ld" the margins of
@@ -132,3 +149,18 @@ class Design:
         bw3, w_ct = self.reports(3.0, "ct")
         ld_res = float(np.abs(self.at_n.ld))
         return _scorecard(self.frf, bw3, w_ct, ld_res, self.omega_n)
+
+
+class SampledLoop:
+    """The sampled dual loop of ``Design.sampled``: the plant, tracker and
+    damper blocks of one ``discretize`` each, the closed loop ``dual`` that
+    ``dual_loop_state_space`` assembles from them, and its spectral radius
+    ``radius_dual``, the exact stability verdict of the sampled loop. It
+    holds no reference back to its design."""
+
+    __slots__ = ("plant_d", "tracker_d", "nrc_d", "dual", "radius_dual")
+
+    def __init__(self, plant_d, tracker_d, nrc_d):
+        self.plant_d, self.tracker_d, self.nrc_d = plant_d, tracker_d, nrc_d
+        self.dual = dual_loop_state_space(plant_d, tracker_d, nrc_d)
+        self.radius_dual = spectral_radius(self.dual)

@@ -288,10 +288,8 @@ def _power_columns(a: np.ndarray, v: np.ndarray, count: int) -> np.ndarray:
     return out
 
 
-def simulate_dual_loop(
-    plant_d: DiscreteSS, tracker_d: DiscreteSS, nrc_d: DiscreteSS, r, d, n
-) -> SimTrace:
-    """Run the dual loop of ``dual_loop_state_space`` on (r, d, n).
+def simulate_dual_loop(loop: DiscreteSS, r, d, n) -> SimTrace:
+    """Run ``loop``, a dual loop of ``dual_loop_state_space``, on (r, d, n).
 
     The closed loop goes through ``run_state_space`` in one blocked pass.
     Any loop runs, a diverging one included; ``spectral_radius`` of the
@@ -302,7 +300,6 @@ def simulate_dual_loop(
     n = np.asarray(n, dtype=float)
     if not (r.shape == d.shape == n.shape) or r.ndim != 1:
         raise ValueError("r, d, n must be 1-D arrays of equal length")
-    loop = dual_loop_state_space(plant_d, tracker_d, nrc_d)
     u, x_true = run_state_space(loop, np.column_stack([r, d, n])).T
     y_meas = x_true + n
     time_s = np.arange(r.size) * loop.ts

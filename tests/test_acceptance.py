@@ -225,9 +225,11 @@ def test_criterion_9_ess_law():
         z = np.zeros(r.size)
         t0 = time.perf_counter()
         trace = nd.simulate_dual_loop(
-            nd.discretize(g, ts),
-            nd.discretize(ct, ts),
-            nd.discretize(nd.nrc(k, wa), ts),
+            nd.dual_loop_state_space(
+                nd.discretize(g, ts),
+                nd.discretize(ct, ts),
+                nd.discretize(nd.nrc(k, wa), ts),
+            ),
             r,
             z,
             z,
@@ -318,7 +320,7 @@ def test_criterion_13_simulation_matches_frf(surrogate_raw):
     for f in (50.0, 100.0, 200.0, 500.0):
         r = nd.make_reference("sine", 1.0, ts, 0.35, f)
         z = np.zeros(r.size)
-        trace = nd.simulate_dual_loop(plant_d, tracker_d, nrc_d, r, z, z)
+        trace = nd.simulate_dual_loop(nd.dual_loop_state_space(plant_d, tracker_d, nrc_d), r, z, z)
         amp = nd.sinusoid_amplitude(trace.y_meas, f, ts)
         target = abs(complex(ctx.at(TWO_PI * f).t_yr))
         ok &= abs(amp - target) <= 0.02 * target

@@ -57,6 +57,15 @@ def minimal_config():
     }
 
 
+def high_modes():
+    """Eight modes of weight 0.01 from 10 kHz to 1.015 MHz, far above the
+    surrogate's Nyquist frequency."""
+    return [
+        {"freq_hz": float(f), "zeta": 0.01, "weight": 0.01}
+        for f in np.geomspace(1e4, 1.015e6, 8)
+    ]
+
+
 def write(tmp_path, cfg, name="config.json"):
     p = tmp_path / name
     p.write_text(json.dumps(cfg))
@@ -588,6 +597,18 @@ class TestCommands:
         err = capsys.readouterr().err
         assert f"simulation diverged: closed-loop spectral radius {rho} > 1" in err
         assert not out.exists()  # refused after the out directory was made
+
+    def test_refused_radius_reads_above_one(self, tmp_path, surrogate_raw, capsys):
+        # eight weak modes up to 1.015 MHz put the radius at 1 + 4.9e-6,
+        # which six significant digits print as "1 > 1". The polynomial
+        # Tustin plant sets this radius, so a modal or hold-equivalent plant
+        # block (ROADMAP items 12 and 13) will move it.
+        surrogate_raw["plant"]["modes"] += high_modes()
+        out = tmp_path / "out"
+        assert run_command("simulate", write(tmp_path, surrogate_raw), out) == 1
+        err = capsys.readouterr().err
+        printed = err.split("closed-loop spectral radius ", 1)[1].split(" > 1\n", 1)[0]
+        assert float(printed) > 1.0
 
     def test_failed_command_keeps_out_dir_it_did_not_make(self, tmp_path, surrogate_raw):
         del surrogate_raw["tracker"]["omega_b_hz"]
@@ -1198,13 +1219,16 @@ class TestSharedDesign:
 
         for module in (nrcdamp.cli, nrcdamp.design, sys.modules["nrcdamp.nrc"]):
             counted(module, "build_plant")
-        for name in ("_tune", "tune_kp", "dual_sensitivities"):
+        for name in ("_tune", "tune_kp", "dual_sensitivities", "discretize"):
             counted(nrcdamp.design, name)
         cfg = parse_config_dict(surrogate_raw)
-        for cmd in ("design", "sens", "margins", "bode", "rootlocus"):
+        for cmd in ("design", "sens", "margins", "bode", "rootlocus", "simulate"):
             (tmp_path / cmd).mkdir()
             getattr(nrcdamp.cli, f"run_{cmd}")(cfg, tmp_path / cmd)
-        assert calls == {"build_plant": 1, "_tune": 1, "tune_kp": 1, "dual_sensitivities": 1}
+        cfg.design.sampled(cfg.sim.ts_s)
+        assert calls == {
+            "build_plant": 1, "_tune": 1, "tune_kp": 1, "dual_sensitivities": 1, "discretize": 3
+        }
 
     def test_margins_after_design_evaluates_nothing(self, tmp_path, surrogate_raw, monkeypatch):
         at_calls = []
@@ -1228,6 +1252,7 @@ class TestSharedDesign:
         # counting alone frees both
         cfg = parse_config_dict(surrogate_raw)
         run_design(cfg, tmp_path)
+        nrcdamp.cli.run_simulate(cfg, tmp_path)
         design = weakref.ref(cfg.design)
         gc.disable()
         try:
@@ -1265,6 +1290,40 @@ class TestSharedDesign:
             gc.enable()
         assert status == 0
         assert most == [1, 1, 1, 1]
+
+
+class TestSampledLoop:
+    """``Design.sampled`` forms the loop that ``simulate`` runs, once per ts."""
+
+    @pytest.mark.parametrize(
+        "variant", ["surrogate", "loaded", "kp", "gamma_1", "no_delay", "taming"]
+    )
+    def test_radius_is_metrics_radius(self, tmp_path, surrogate_raw, variant):
+        raw = perturbed(surrogate_raw, variant)
+        raw["sim"]["duration_s"] = 0.05
+        assert run_command("simulate", write(tmp_path, raw), tmp_path / "out") == 0
+        metrics = json.loads((tmp_path / "out" / "metrics.json").read_text())
+        cfg = parse_config_dict(raw)
+        loop = cfg.design.sampled(cfg.sim.ts_s)
+        assert loop.radius_dual == metrics["closed_loop_spectral_radius"]
+
+    def test_needs_a_tracker(self, surrogate_raw):
+        cfg = parse_config_dict(perturbed(surrogate_raw, "no_tracker"))
+        with pytest.raises(ValueError, match="tracker"):
+            cfg.design.sampled(cfg.sim.ts_s)
+
+    def test_loop_holds_no_design(self, surrogate_raw):
+        cfg = parse_config_dict(surrogate_raw)
+        ts = cfg.sim.ts_s
+        loop = cfg.design.sampled(ts)
+        design = weakref.ref(cfg.design)
+        gc.disable()
+        try:
+            del cfg
+            assert design() is None
+        finally:
+            gc.enable()
+        assert loop.dual.ts == loop.plant_d.ts == loop.tracker_d.ts == loop.nrc_d.ts == ts
 
 
 # the variants of the sensitivities tests, and the commands whose order

@@ -9,6 +9,7 @@ code, unless ``UNREACHED`` names it with the reason it stays.
 """
 
 import ast
+import importlib
 import json
 import sys
 from pathlib import Path
@@ -17,6 +18,7 @@ import nrcdamp
 from nrcdamp.cli import COMMANDS, main
 
 PACKAGE = Path(nrcdamp.__file__).resolve().parent
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 # module.qualname -> why the package keeps it although no command calls it
 UNREACHED = {
@@ -112,3 +114,23 @@ def test_every_function_is_reached(tmp_path, surrogate_raw):
     unreached = {qualname for key, qualname in defined.items() if key not in entered}
     assert unreached - set(UNREACHED) == set(), "functions no command reaches"
     assert set(UNREACHED) - unreached == set(), "allowlisted functions a command now reaches"
+
+
+def test_traced_names_resolve():
+    # the benchmark's tracer wraps each name of its ``WRAPPED`` table in its
+    # ``nrcdamp`` module, and ``tracing.install`` raises AttributeError on a
+    # name the module no longer defines; read the table without importing
+    # the benchmark
+    (wrapped,) = [
+        ast.literal_eval(node.value)
+        for node in ast.parse(TRACING.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.Assign)
+        and any(getattr(target, "id", None) == "WRAPPED" for target in node.targets)
+    ]
+    missing = [
+        f"{layer}.{name}"
+        for layer, names in wrapped.items()
+        for name in names
+        if not callable(getattr(importlib.import_module(f"nrcdamp.{layer}"), name, None))
+    ]
+    assert missing == []

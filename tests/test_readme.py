@@ -1,5 +1,5 @@
 """The README's library example runs in a fresh ``python -W error`` process,
-with scipy unavailable."""
+with scipy unavailable, and ends by printing a stable sampled loop's radius."""
 
 from pathlib import Path
 
@@ -15,3 +15,5 @@ def test_library_example_runs(tmp_path, run_python):
     script.write_text("import sys\nsys.modules['scipy'] = None\n" + block, encoding="utf-8")
     proc = run_python("-W", "error", str(script))
     assert proc.returncode == 0, proc.stderr
+    # its last line is the sampled dual loop's spectral radius
+    assert 0.0 < float(proc.stdout.split()[-1]) < 1.0

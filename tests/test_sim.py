@@ -201,9 +201,8 @@ def run_step_loop(kp, gamma=0.999, n=3.0, omega_i=0.0, duration=0.3, f_hz=100.0)
     ct = build_tracker(TrackerSpec(pi=PiSpec(kp=kp, omega_i_rad_s=omega_i)))
     r = make_reference("step", 1.0, TS, duration)
     z = np.zeros(r.size)
-    return simulate_dual_loop(
-        discretize(g, TS), discretize(ct, TS), discretize(nrc(k, wa), TS), r, z, z
-    )
+    loop = dual_loop_state_space(discretize(g, TS), discretize(ct, TS), discretize(nrc(k, wa), TS))
+    return simulate_dual_loop(loop, r, z, z)
 
 
 class TestDualLoop:
@@ -232,17 +231,17 @@ class TestDualLoop:
         r = make_reference("sine", 1.0, TS, nsamp * TS, 50.0)
         d = rng.normal(0.0, 0.1, nsamp)
         n = make_uniform_noise(5, 0.01, nsamp)
-        trace = simulate_dual_loop(
-            discretize(g, TS), discretize(ct, TS), discretize(cd, TS), r, d, n
-        )
+        loop = dual_loop_state_space(discretize(g, TS), discretize(ct, TS), discretize(cd, TS))
+        trace = simulate_dual_loop(loop, r, d, n)
         np.testing.assert_allclose(trace.y_meas, trace.x_true + trace.n, atol=1e-15)
         np.testing.assert_allclose(trace.e, trace.r - trace.y_meas, atol=1e-15)
 
     def test_dimension_mismatch(self):
         plant = single_mode()
         blk = discretize(build_plant(plant), TS)
+        loop = dual_loop_state_space(blk, blk, blk)
         with pytest.raises(ValueError, match="equal length"):
-            simulate_dual_loop(blk, blk, blk, np.ones(5), np.ones(4), np.ones(5))
+            simulate_dual_loop(loop, np.ones(5), np.ones(4), np.ones(5))
 
     def test_sine_matches_closed_loop_frf(self):
         # steady-state amplitude of the simulated loop equals the analytic
@@ -255,9 +254,8 @@ class TestDualLoop:
         f = 50.0
         r = make_reference("sine", 1.0, TS, 0.4, f)
         z = np.zeros(r.size)
-        trace = simulate_dual_loop(
-            discretize(g, TS), discretize(ct, TS), discretize(cd, TS), r, z, z
-        )
+        loop = dual_loop_state_space(discretize(g, TS), discretize(ct, TS), discretize(cd, TS))
+        trace = simulate_dual_loop(loop, r, z, z)
         w = TWO_PI * f
         gv = freq_response(g, w)
         cv = freq_response(ct, w)
@@ -282,7 +280,7 @@ class TestDualLoop:
         for f in (50.0, 100.0, 200.0, 500.0):
             r = make_reference("sine", 1.0, ts, 0.35, f)
             z = np.zeros(r.size)
-            trace = simulate_dual_loop(*blocks, r, z, z)
+            trace = simulate_dual_loop(dual_loop_state_space(*blocks), r, z, z)
             gain = sinusoid_phasor(trace.y_meas, f, ts) / sinusoid_phasor(
                 trace.r, f, ts
             )
@@ -393,7 +391,7 @@ class TestClosedLoopStateSpace:
     def test_trace_matches_reference_loop(self, surrogate_raw, variant):
         # simulate's contract, and e within 1e-10 of max|y_meas|
         blocks, (r, d, n) = loop_case(surrogate_raw, variant)
-        trace = simulate_dual_loop(*blocks, r, d, n)
+        trace = simulate_dual_loop(dual_loop_state_space(*blocks), r, d, n)
         want = reference_dual_loop(*blocks, r, d, n)
         assert_trace_contract(trace, want, r, variant)
         y_meas = want[2]
@@ -410,7 +408,7 @@ class TestClosedLoopStateSpace:
         # per-sample reference loop runs them.
         blocks, (r, d, n) = loop_case(surrogate_raw, variant)
         old, _ = loop_case(surrogate_raw, variant, partial(old_discretize, sps))
-        trace = simulate_dual_loop(*blocks, r, d, n)
+        trace = simulate_dual_loop(dual_loop_state_space(*blocks), r, d, n)
         want = reference_dual_loop(*old, r, d, n)
         assert_trace_contract(trace, want, r, variant)
         assert spectral_radius(dual_loop_state_space(*blocks)) == pytest.approx(
@@ -652,9 +650,8 @@ class TestSurrogateRuns:
         )
         r = make_reference("sine", 1.0, TS, 1.0, 100.0)
         z = np.zeros(r.size)
-        trace = simulate_dual_loop(
-            discretize(g, TS), discretize(ct, TS), discretize(nrc(k, wa), TS), r, z, z
-        )
+        loop = dual_loop_state_space(discretize(g, TS), discretize(ct, TS), discretize(nrc(k, wa), TS))
+        trace = simulate_dual_loop(loop, r, z, z)
         assert np.max(np.abs(trace.y_meas)) < 10.0
 
     def test_error_grows_past_the_bandwidth(self):
@@ -674,7 +671,7 @@ class TestSurrogateRuns:
         for f in (100.0, 900.0):
             r = make_reference("sine", 1.0, TS, 0.2, f)
             z = np.zeros(r.size)
-            trace = simulate_dual_loop(*blocks, r, z, z)
+            trace = simulate_dual_loop(dual_loop_state_space(*blocks), r, z, z)
             tail = slice(trace.r.size // 2, None)
             _, rms[f] = tracking_metrics(trace.r[tail], trace.y_meas[tail])
         assert rms[900.0] > rms[100.0]
@@ -1173,7 +1170,8 @@ class TestUniformNoise:
         ref = sim.reference
         r = make_reference(ref.kind, ref.amplitude, sim.ts_s, sim.duration_s, ref.freq_hz)
         n = np.random.default_rng(sim.seed).uniform(-0.0, 0.0, r.size)
-        trace_to_csv(simulate_dual_loop(*blocks, r, np.zeros(r.size), n), tmp_path / "want.csv")
+        trace = simulate_dual_loop(dual_loop_state_space(*blocks), r, np.zeros(r.size), n)
+        trace_to_csv(trace, tmp_path / "want.csv")
         assert (tmp_path / "out" / "trace.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
     def test_noiseless_simulate_skips_numpy_random(self, tmp_path):

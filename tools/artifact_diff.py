@@ -12,10 +12,12 @@ difference is printed; the exit status is 1 if there is any, else 0.
 
 The configs are ``configs/surrogate.json``; one edit of it each (a tamed
 damper with an amplifier corner, no tracker, no damper, kp given, no
-delay, gamma 1, n 1, 8000 points per decade, and ``sim.ts_us`` 5 and 7:
+delay, gamma 1, n 1, 8000 points per decade, ``sim.ts_us`` 5 and 7:
 at 5 us ``identify`` takes 2^18-sample Welch segments, at 7 us the end of
 its record cuts a lifted row, and ``simulate`` runs off the 30 us rate at
-both); and 40 seeded perturbations
+both; and ``hf-modes``, eight more modes of weight 0.01 and zeta 0.01 from
+10 kHz to 1.015 MHz: a 10-mode plant whose sampled dual loop ``simulate``
+refuses at a radius just above 1); and 40 seeded perturbations
 of the modes, damper, tracker crossover, delay (0, 30, 150 or 160 us) and
 grid density (50 to 2000 points per decade).
 """
@@ -69,6 +71,12 @@ def configs(base: dict) -> dict:
         "ppd-8000": edited(lambda raw: raw["grid"].update(pts_per_decade=8000)),
         "ts-5": edited(lambda raw: raw["sim"].update(ts_us=5.0)),
         "ts-7": edited(lambda raw: raw["sim"].update(ts_us=7.0)),
+        "hf-modes": edited(
+            lambda raw: raw["plant"]["modes"].extend(
+                {"freq_hz": float(f), "zeta": 0.01, "weight": 0.01}
+                for f in np.geomspace(1e4, 1.015e6, 8)
+            )
+        ),
     }
     rng = np.random.default_rng(SEED)
     for i in range(PERTURBATIONS):
